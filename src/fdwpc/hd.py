@@ -61,11 +61,11 @@ def _inner_waterfill(
     if budget <= 0.0:
         return 0.0, math.inf, np.zeros(fading.n_states)
     noise = np.where(h2 > 0.0, params.sigma2_sq / np.maximum(h2, 1e-300), np.inf)
-    order = np.argsort(noise)
-    ns = noise[order]
+    # Gains are stored ascending, so the noise floor is sorted descending.
+    ns = noise[::-1]
     if not np.isfinite(ns[0]):
         return 0.0, math.inf, np.zeros(fading.n_states)
-    ws = p[order]
+    ws = p[::-1]
     finite = np.isfinite(ns)
     cw = np.cumsum(ws[finite])
     cwn = np.cumsum((ws * ns)[finite])

@@ -236,52 +236,22 @@ def waterfill_case1(
     """Water-fill the harvesting user's power under a constant ET amplitude.
 
     Returns ``(lambda2, allocation)`` where the codeword power per state is
-    ``[1/(lambda2*(1-rho)) - (sigma2_sq + p_et*alpha2)/h^2]^+`` and lambda2 is
-    the unique root of the energy balance, located by sign-bracketed bisection
-    (the balance is monotone in lambda2).
+    ``[1/(lambda2*(1-rho)) - (sigma2_sq + p_et*alpha2)/h^2]^+`` and the water
+    level ``1/(lambda2*(1-rho))`` spends the harvested budget exactly.
 
     If the average harvested power cannot cover the processing cost, the zero
     allocation is returned with ``lambda2 = inf``.
     """
-    h2 = fading.h**2
-    p = fading.p
     harvest = params.eta * params.p_et * fading.mean_square
     if harvest <= params.p_proc:
         return math.inf, _zero_allocation(fading.n_states)
     one_m_rho = 1.0 - params.rho
     s = params.sigma2_sq + params.p_et * params.alpha2
-    noise = _noise_floor(h2, s)
-
-    def surplus(lam2: float) -> float:
-        w = 1.0 / (lam2 * one_m_rho)
-        p_ehu = np.maximum(w - noise, 0.0)
-        return one_m_rho * float(p_ehu @ p) + params.p_proc - harvest
-
-    lo = 1e-280
-    while surplus(lo) <= 0.0:
-        # Pathologically large scales: widen downward until the balance
-        # overshoots.
-        lo *= 1e-6
-        if lo < 1e-320:
-            return math.inf, _zero_allocation(fading.n_states)
-    hi = 1.0
-    for _ in range(4000):
-        if surplus(hi) < 0.0:
-            break
-        hi *= 4.0
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        if surplus(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if (hi - lo) <= 1e-15 * hi:
-            break
-    lam2 = 0.5 * (lo + hi)
-    w = 1.0 / (lam2 * one_m_rho)
+    noise = _noise_floor(fading.h**2, s)
+    w = _water_level(noise, fading.p, (harvest - params.p_proc) / one_m_rho)
     p_ehu = np.maximum(w - noise, 0.0)
     x2 = np.full(fading.n_states, math.sqrt(params.p_et))
-    return lam2, PowerAllocation(x2, p_ehu)
+    return 1.0 / (w * one_m_rho), PowerAllocation(x2, p_ehu)
 
 
 def capacity_case1(
@@ -333,21 +303,32 @@ def _reduced_value(params: LinkParams, fading: FadingDistribution, q: np.ndarray
 
 
 def _project_to_budget(y: np.ndarray, p: np.ndarray, cap: float) -> np.ndarray:
-    """Euclidean projection onto {q >= 0, sum(p*q) <= cap}."""
+    """Euclidean projection onto {q >= 0, sum(p*q) <= cap}.
+
+    Exact breakpoint search (Duchi et al., ICML 2008; Kiwiel, JOTA 2008): the
+    projection is q = (y - tau*p)^+, and tau is fixed by the active set, which
+    is a prefix of the breakpoints y/p sorted in descending order.
+    """
     q = np.maximum(y, 0.0)
     total = float(p @ q)
     if total <= cap:
         return q
-    lo, hi = 0.0, float(np.max(q / p))
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if float(p @ np.maximum(y - mid * p, 0.0)) > cap:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-16 * max(hi, 1.0):
-            break
-    return np.maximum(y - hi * p, 0.0)
+    pos = y > 0.0
+    yp, pp = y[pos], p[pos]
+    breaks = yp / pp
+    order = np.argsort(breaks)[::-1]
+    ys, ps = yp[order], pp[order]
+    taus = (np.cumsum(ps * ys) - cap) / np.cumsum(ps * ps)
+    k = max(int(np.count_nonzero(breaks[order] > taus)), 1)
+    q = np.maximum(y - taus[k - 1] * p, 0.0)
+    # y - tau*p cancels most of its digits on concentrated iterates (y/p far
+    # above q/p), so the closed-form tau can land over budget; the ascent
+    # must only ever see feasible points.
+    total = float(p @ q)
+    while total > cap:
+        q *= np.nextafter(cap / total, 0.0)
+        total = float(p @ q)
+    return q
 
 
 def _case2_starts(params: LinkParams, fading: FadingDistribution, init_x2):

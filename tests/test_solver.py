@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdwpc import fading
 from fdwpc.solver import (
     MultiplierSet,
     NonConvergenceError,
+    _project_to_budget,
     brute_force_oracle,
     capacity_case1,
     capacity_no_fading,
@@ -234,6 +237,95 @@ def test_complementary_slackness():
         q = r.allocation.x2**2
         assert float(q @ f.p) == pytest.approx(params.p_et, rel=1e-6)
     assert abs(r.residuals["c2_residual_rel"]) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# Budget projection of the adaptive-amplitude ascent
+# ---------------------------------------------------------------------------
+
+
+def projection_reference(y, p, cap):
+    """Independent projection onto {q >= 0, p.q <= cap}: bisection on tau in
+    q = (y - tau*p)^+, keeping the feasible end of the bracket."""
+    q = np.maximum(y, 0.0)
+    if float(p @ q) <= cap:
+        return q
+    lo, hi = 0.0, float(np.max(q / p))
+    for _ in range(400):
+        mid = 0.5 * (lo + hi)
+        if float(p @ np.maximum(y - mid * p, 0.0)) > cap:
+            lo = mid
+        else:
+            hi = mid
+    return np.maximum(y - hi * p, 0.0)
+
+
+@st.composite
+def projection_inputs(draw, y_mag, p_min):
+    n = draw(st.integers(1, 40))
+    y = np.array(draw(st.lists(st.floats(-y_mag, y_mag), min_size=n, max_size=n)))
+    p = np.array(draw(st.lists(st.floats(p_min, 1.0), min_size=n, max_size=n)))
+    cap = draw(st.floats(1e-3, 10.0))
+    return y, p / p.sum(), cap
+
+
+@settings(max_examples=300, deadline=None)
+@given(projection_inputs(y_mag=1e12, p_min=1e-6))
+def test_projection_is_feasible(args):
+    y, p, cap = args
+    q = _project_to_budget(y, p, cap)
+    assert np.all(q >= 0.0)
+    assert float(p @ q) <= cap
+
+
+@settings(max_examples=200, deadline=None)
+@given(projection_inputs(y_mag=10.0, p_min=1e-2))
+def test_projection_kkt_form(args):
+    # One tau >= 0 gives q = (y - tau*p)^+, and tau > 0 only on a tight budget.
+    y, p, cap = args
+    q = _project_to_budget(y, p, cap)
+    act = q > 0.0
+    if not np.any(act):
+        tau = 0.0
+    else:
+        taus = (y[act] - q[act]) / p[act]
+        tau = float(np.mean(taus))
+        assert np.ptp(taus) <= 1e-9 * max(1.0, abs(tau))
+        assert tau >= -1e-9
+    assert np.all(y[~act] <= tau * p[~act] + 1e-9)
+    if tau > 1e-9:
+        assert float(p @ q) == pytest.approx(cap, rel=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(projection_inputs(y_mag=10.0, p_min=1e-2))
+def test_projection_noop_when_within_budget(args):
+    y, p, cap = args
+    y = y * min(1.0, 0.5 * cap / max(float(p @ np.maximum(y, 0.0)), 1e-300))
+    q = _project_to_budget(y, p, cap)
+    assert np.array_equal(q, np.maximum(y, 0.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(projection_inputs(y_mag=10.0, p_min=1e-2))
+def test_projection_matches_reference_bisection(args):
+    y, p, cap = args
+    q = _project_to_budget(y, p, cap)
+    ref = projection_reference(y, p, cap)
+    assert np.max(np.abs(q - ref)) <= 1e-12 * max(1.0, float(np.max(ref)))
+
+
+def test_projection_feasible_on_concentrated_iterates():
+    # One active state whose breakpoint y/p is ~1e11 while the projected q/p
+    # is ~1e4: y - tau*p cancels about 7 digits and the closed-form tau alone
+    # overshoots the budget on many of these instances.
+    p = np.array([0.99, 0.01])
+    for k in range(1, 200):
+        y = np.array([0.0, 1e11 * p[1] * (1.0 + k / 997.0)])
+        q = _project_to_budget(y, p, 1.0)
+        assert float(p @ q) <= 1.0
+        assert q[0] == 0.0
+        assert q[1] == pytest.approx(1.0 / p[1], rel=1e-8)
 
 
 # ---------------------------------------------------------------------------
