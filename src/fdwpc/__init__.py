@@ -2,7 +2,7 @@
 
 from .fading import FadingDistribution, custom, deterministic, from_file, rayleigh
 from .hd import HdResult, solve_hd
-from .sim import BatteryState, SimConfig, SimTrace, battery_step, harvest_per_use, simulate
+from .sim import SimConfig, SimTrace, simulate
 from .solver import (
     CapacityResult,
     MultiplierSet,
@@ -41,11 +41,8 @@ __all__ = [
     "rayleigh",
     "HdResult",
     "solve_hd",
-    "BatteryState",
     "SimConfig",
     "SimTrace",
-    "battery_step",
-    "harvest_per_use",
     "simulate",
     "CapacityResult",
     "MultiplierSet",

@@ -10,6 +10,12 @@ For a fixed harvest fraction the user's power allocation is plain
 water-filling funded by the harvested energy; the fraction itself is
 maximized by golden-section search (the rate is unimodal in the fraction:
 zero at both endpoints, concave energy/time trade inside).
+
+Rate convention: the benchmark rates each state with log2(1 + h^2 P / sigma2_sq),
+the complex-Gaussian form, while every full-duplex rate in ``solver`` uses
+(1/2) log2, the real-Gaussian form. The two are not comparable as they stand:
+on an ideal unfaded link (alpha2 = 0, p_proc = 0, h = 1) the benchmark beats
+full duplex, which time-switching cannot do.
 """
 
 from __future__ import annotations
@@ -20,12 +26,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fading import FadingDistribution
+from .solver import _noise_floor, _water_level
 from .units import LinkParams
 
 __all__ = ["HdResult", "solve_hd", "hd_rate_at_fraction"]
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
+# Golden-section steps that shrink [0, 1] to |delta tau| <= 1e-6.
+_GOLDEN_STEPS = math.ceil(math.log(1e-6) / math.log(_INV_PHI))
 
 
 @dataclass(frozen=True)
@@ -60,19 +69,11 @@ def _inner_waterfill(
     budget = harvested / (1.0 - tau_h) - params.p_proc
     if budget <= 0.0:
         return 0.0, math.inf, np.zeros(fading.n_states)
-    noise = np.where(h2 > 0.0, params.sigma2_sq / np.maximum(h2, 1e-300), np.inf)
+    noise = _noise_floor(h2, params.sigma2_sq)
     # Gains are stored ascending, so the noise floor is sorted descending.
-    ns = noise[::-1]
-    if not np.isfinite(ns[0]):
+    w = float(_water_level(noise[::-1], p[::-1], budget))
+    if not math.isfinite(w):
         return 0.0, math.inf, np.zeros(fading.n_states)
-    ws = p[::-1]
-    finite = np.isfinite(ns)
-    cw = np.cumsum(ws[finite])
-    cwn = np.cumsum((ws * ns)[finite])
-    w_cand = (budget + cwn) / cw
-    nxt = np.append(ns[finite][1:], np.inf)
-    m = int(np.argmax(w_cand <= nxt))
-    w = float(w_cand[m])
     p_ehu = np.maximum(w - noise, 0.0)
     act = p_ehu > 0.0
     rate = (1.0 - tau_h) * float((p[act] * np.log2(w / noise[act])).sum())
@@ -87,12 +88,10 @@ def hd_rate_at_fraction(
     return rate
 
 
-def solve_hd(
-    params: LinkParams, fading: FadingDistribution, *, tol: float = 1e-6
-) -> HdResult:
+def solve_hd(params: LinkParams, fading: FadingDistribution) -> HdResult:
     """Maximize the half-duplex rate over the harvesting fraction.
 
-    Golden-section search on [0, 1] to |delta tau| <= tol. Self-interference
+    Golden-section search on [0, 1] to |delta tau| <= 1e-6. Self-interference
     parameters of ``params`` are ignored: the benchmark has none.
     """
     if params.p_et <= 0.0 or fading.mean_square <= 0.0:
@@ -104,8 +103,7 @@ def solve_hd(
     d = a + _INV_PHI * h_span
     yc = hd_rate_at_fraction(params, fading, c)
     yd = hd_rate_at_fraction(params, fading, d)
-    n_steps = int(math.ceil(math.log(tol / h_span) / math.log(_INV_PHI)))
-    for _ in range(n_steps):
+    for _ in range(_GOLDEN_STEPS):
         if yc > yd:
             b, d, yd = d, c, yc
             h_span *= _INV_PHI

@@ -23,10 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fading import FadingDistribution
-from .solver import PowerAllocation
+from .solver import PowerAllocation, _rate_bits
 from .units import LinkParams
 
-__all__ = ["SimConfig", "BatteryState", "SimTrace", "harvest_per_use", "battery_step", "simulate"]
+__all__ = ["SimConfig", "SimTrace", "simulate"]
 
 
 @dataclass(frozen=True)
@@ -36,24 +36,12 @@ class SimConfig:
     k: int = 200
     n_slots: int = 20_000
     seed: int = 0
-    record_trace: bool = True
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.n_slots < 1:
             raise ValueError(f"n_slots must be >= 1, got {self.n_slots}")
-
-
-@dataclass
-class BatteryState:
-    """Stored energy in per-channel-use units; never negative."""
-
-    level: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.level < 0.0:
-            raise ValueError(f"battery level must be >= 0, got {self.level}")
 
 
 @dataclass(frozen=True)
@@ -91,44 +79,6 @@ class SimTrace:
                 )
 
 
-def harvest_per_use(
-    h: float, x2: float, x1: float, g1: float, eta: float, g1_mean: float = 0.0
-) -> float:
-    """Energy harvested in one channel use.
-
-    ``g1`` is the zero-mean sampled part of the user's self-interference gain
-    (the caller draws it per use); ``g1_mean`` is the deterministic part.
-    """
-    if not (0.0 < eta < 1.0):
-        raise ValueError(f"eta must be in (0, 1), got {eta}")
-    amp = h * x2 + g1_mean * x1 + g1 * x1
-    return eta * amp * amp
-
-
-def battery_step(
-    b: BatteryState, e_in: float, demand: float
-) -> tuple[BatteryState, float]:
-    """One causal battery update: draw up to the stored level, then deposit.
-
-    Returns ``(new_state, e_out)`` with ``e_out = min(level, demand)`` and
-    ``new level = level + e_in - e_out``.
-    """
-    if e_in < 0.0 or demand < 0.0:
-        raise ValueError("e_in and demand must be >= 0")
-    e_out = min(b.level, demand)
-    return BatteryState(b.level + e_in - e_out), e_out
-
-
-def _slot_rates(params: LinkParams, fading: FadingDistribution, alloc: PowerAllocation) -> np.ndarray:
-    h2 = fading.h**2
-    s = params.sigma2_sq + params.alpha2 * alloc.x2**2
-    rates = np.zeros(fading.n_states)
-    act = alloc.p_ehu > 0.0
-    with np.errstate(divide="ignore"):
-        rates[act] = 0.5 * np.log2(1.0 + h2[act] * alloc.p_ehu[act] / s[act])
-    return rates
-
-
 def simulate(
     params: LinkParams,
     fading: FadingDistribution,
@@ -145,10 +95,10 @@ def simulate(
     k = cfg.k
     n_slots = cfg.n_slots
     states = fading.sample_indices(cfg.seed, n_slots)
-    rates = _slot_rates(params, fading, alloc)
     x2 = alloc.x2
     p_ehu = alloc.p_ehu
     h = fading.h
+    rates = _rate_bits(h**2, p_ehu, params.sigma2_sq + params.alpha2 * x2**2)
     g1_sd = math.sqrt(params.alpha1)
 
     level = 0.0
@@ -194,15 +144,12 @@ def simulate(
     n_outage = int((wanted & ~transmitted).sum())
     empirical = float(rates[states[transmitted]].sum()) / n_slots
     uses = n_slots * k
-    trace_states = states if cfg.record_trace else states[:0]
     return SimTrace(
-        fading_state=trace_states,
-        h=h[states] if cfg.record_trace else np.zeros(0),
-        transmitted=transmitted if cfg.record_trace else transmitted[:0],
-        slot_rate_bits=(
-            np.where(transmitted, rates[states], 0.0) if cfg.record_trace else np.zeros(0)
-        ),
-        battery_j=battery_end if cfg.record_trace else np.zeros(0),
+        fading_state=states,
+        h=h[states],
+        transmitted=transmitted,
+        slot_rate_bits=np.where(transmitted, rates[states], 0.0),
+        battery_j=battery_end,
         empirical_rate=empirical,
         outage_fraction=n_outage / n_slots,
         mean_harvest_w=e_in_total / uses,

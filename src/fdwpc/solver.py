@@ -56,6 +56,17 @@ _LN2 = math.log(2.0)
 # 1/(2 ln 2): converts (1/2) log2 rates to a natural-log slope.
 _C_BITS = 0.5 / _LN2
 
+# Adaptive-amplitude ascent: iteration cap per start, and the relative gain
+# below which an iteration counts as a stall.
+_MAX_ITER = 100_000
+_TOL_OBJ = 1e-10
+
+# Brute-force oracle: amplitude grid points per coordinate move, grid
+# refinements around the incumbent, and coordinate sweeps per descent.
+_ORACLE_GRID = 25
+_ORACLE_REFINEMENTS = 2
+_ORACLE_SWEEPS = 60
+
 
 class NonConvergenceError(RuntimeError):
     """Adaptive-amplitude solver ran out of iterations.
@@ -125,14 +136,9 @@ class CapacityResult:
       residual (NaN on states with no codeword power).
     * ``balance_residual_rel`` -- constant-amplitude energy balance residual.
     * ``case1_capacity`` / ``case2_capacity`` -- both objectives, bits/use.
-    * ``case1_condition_lhs`` / ``case1_condition_rhs`` -- both sides of the
-      constant-amplitude optimality condition under the recovered
-      multipliers (diagnostic only; see module notes).
     * ``closed_form_x2_max_rel_err`` -- worst relative mismatch between the
       Lambert-W closed form and the primal adapted amplitudes (NaN when the
       check has no applicable state).
-    * ``lambda1_spread_rel`` -- cross-state spread of the recovered budget
-      multiplier (a stationarity quality indicator).
     """
 
     case: str
@@ -174,10 +180,7 @@ def _zero_result(fading: FadingDistribution) -> CapacityResult:
             "balance_residual_rel": np.nan,
             "case1_capacity": 0.0,
             "case2_capacity": 0.0,
-            "case1_condition_lhs": np.nan,
-            "case1_condition_rhs": np.nan,
             "closed_form_x2_max_rel_err": np.nan,
-            "lambda1_spread_rel": np.nan,
         },
     )
 
@@ -195,34 +198,30 @@ def _rate_bits(h2: np.ndarray, p_ehu: np.ndarray, s) -> np.ndarray:
 
 
 def _noise_floor(h2: np.ndarray, s) -> np.ndarray:
-    """Water-filling noise floor s/h^2, infinite on dead states."""
-    s_arr = np.broadcast_to(np.asarray(s, dtype=float), h2.shape)
-    out = np.full(h2.shape, np.inf)
-    live = h2 > 0.0
-    out[live] = s_arr[live] / h2[live]
-    return out
+    """Water-filling noise floor s/h^2, infinite on dead states.
 
-
-def _water_level(noise: np.ndarray, weights: np.ndarray, budget: float) -> float:
-    """Exact water level: sum weights*[w - noise]^+ = budget.
-
-    Dead states carry infinite noise and never activate. Returns inf when no
-    state is usable.
+    ``s`` broadcasts against ``h2``: one scalar, one value per state, or a
+    batch of rows.
     """
-    order = np.argsort(noise)
-    ns = noise[order]
-    ws = weights[order]
-    if not np.isfinite(ns[0]):
-        return math.inf
-    finite = np.isfinite(ns)
-    ns = ns[finite]
-    ws = ws[finite]
-    cw = np.cumsum(ws)
-    cwn = np.cumsum(ws * ns)
-    w_cand = (budget + cwn) / cw
-    nxt = np.append(ns[1:], np.inf)
-    m = int(np.argmax(w_cand <= nxt))
-    return float(w_cand[m])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(h2 > 0.0, s / h2, np.inf)
+
+
+def _water_level(noise: np.ndarray, weights: np.ndarray, budget) -> np.ndarray:
+    """Exact water level w solving sum weights*[w - noise]^+ = budget.
+
+    Batched over leading axes: ``noise`` must be sorted ascending along the
+    last axis, with dead states carrying inf so that they sort last;
+    ``weights`` (positive) is aligned with it and ``budget`` has the leading
+    shape. A row whose first noise entry is inf has no usable state and
+    gets inf.
+    """
+    cw = np.cumsum(weights, axis=-1)
+    cwn = np.cumsum(weights * noise, axis=-1)
+    w_cand = (np.expand_dims(budget, -1) + cwn) / cw
+    nxt = np.concatenate((noise[..., 1:], np.full_like(noise[..., :1], np.inf)), axis=-1)
+    m = np.argmax(w_cand <= nxt, axis=-1)
+    return np.take_along_axis(w_cand, m[..., None], axis=-1)[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +247,9 @@ def waterfill_case1(
     one_m_rho = 1.0 - params.rho
     s = params.sigma2_sq + params.p_et * params.alpha2
     noise = _noise_floor(fading.h**2, s)
-    w = _water_level(noise, fading.p, (harvest - params.p_proc) / one_m_rho)
+    # Gains are stored ascending, so this noise floor is sorted descending.
+    budget = (harvest - params.p_proc) / one_m_rho
+    w = float(_water_level(noise[::-1], fading.p[::-1], budget))
     p_ehu = np.maximum(w - noise, 0.0)
     x2 = np.full(fading.n_states, math.sqrt(params.p_et))
     return 1.0 / (w * one_m_rho), PowerAllocation(x2, p_ehu)
@@ -286,7 +287,8 @@ def _reduced_value(params: LinkParams, fading: FadingDistribution, q: np.ndarray
         return 0.0, p * (params.eta * h2), np.zeros(n), 0.0
     s = params.sigma2_sq + params.alpha2 * q
     noise = _noise_floor(h2, s)
-    w = _water_level(noise, p, budget)
+    order = np.argsort(noise)
+    w = float(_water_level(noise[order], p[order], budget))
     if not math.isfinite(w):
         return 0.0, p * (params.eta * h2), np.zeros(n), 0.0
     p_ehu = np.maximum(w - noise, 0.0)
@@ -372,13 +374,7 @@ def _case2_starts(params: LinkParams, fading: FadingDistribution, init_x2):
     return starts
 
 
-def _case2_ascent(
-    params: LinkParams,
-    fading: FadingDistribution,
-    q0: np.ndarray,
-    max_iter: int,
-    tol_obj: float,
-):
+def _case2_ascent(params: LinkParams, fading: FadingDistribution, q0: np.ndarray):
     """Projected-gradient ascent on the reduced objective from one start."""
     p = fading.p
     live = fading.h > 0.0
@@ -391,7 +387,7 @@ def _case2_ascent(
     stall = 0
     iters = 0
     converged = False
-    while iters < max_iter:
+    while iters < _MAX_ITER:
         iters += 1
         gmax = float(np.max(np.abs(grad)))
         if gmax == 0.0:
@@ -412,7 +408,7 @@ def _case2_ascent(
         gain = v_new - value
         q, value, grad, p_ehu, w = q_new, v_new, g_new, pe_new, w_new
         t *= 1.6
-        if gain <= tol_obj * max(1.0, abs(value)):
+        if gain <= _TOL_OBJ * max(1.0, abs(value)):
             stall += 1
             if stall >= 12:
                 converged = True
@@ -422,14 +418,7 @@ def _case2_ascent(
     return q, value, p_ehu, w, converged, iters
 
 
-def _solve_case2_full(
-    params: LinkParams,
-    fading: FadingDistribution,
-    *,
-    max_iter: int = 100_000,
-    tol_obj: float = 1e-10,
-    init_x2=None,
-):
+def _solve_case2_full(params: LinkParams, fading: FadingDistribution, *, init_x2=None):
     """Run the adaptive-amplitude solver; returns the best converged iterate."""
     harvest_c1 = params.eta * params.p_et * fading.mean_square
     if harvest_c1 <= params.p_proc:
@@ -438,9 +427,7 @@ def _solve_case2_full(
     best = None
     any_converged = False
     for q0 in _case2_starts(params, fading, init_x2):
-        q, value, p_ehu, w, converged, _ = _case2_ascent(
-            params, fading, q0, max_iter, tol_obj
-        )
+        q, value, p_ehu, w, converged, _ = _case2_ascent(params, fading, q0)
         any_converged = any_converged or converged
         if best is None or value > best[1]:
             best = (q, value, p_ehu, w, converged)
@@ -448,7 +435,7 @@ def _solve_case2_full(
     alloc = PowerAllocation(np.sqrt(q), p_ehu)
     if not any_converged:
         raise NonConvergenceError(
-            f"adaptive-amplitude search did not converge within {max_iter} "
+            f"adaptive-amplitude search did not converge within {_MAX_ITER} "
             "iterations from any start",
             allocation=alloc,
             residuals=_allocation_residuals(params, fading, alloc),
@@ -467,8 +454,7 @@ def solve_case2(
     alloc, value, w, _ = _solve_case2_full(params, fading)
     if value <= 0.0:
         return MultiplierSet(0.0, math.inf, 0.0), alloc
-    mult, _ = recover_multipliers(params, fading, alloc)
-    return mult, alloc
+    return recover_multipliers(params, fading, alloc), alloc
 
 
 # ---------------------------------------------------------------------------
@@ -490,21 +476,20 @@ def _allocation_water_level(
 
 def recover_multipliers(
     params: LinkParams, fading: FadingDistribution, alloc: PowerAllocation
-) -> tuple[MultiplierSet, dict]:
+) -> MultiplierSet:
     """Recover (lambda1, lambda2, mu1) from a converged primal allocation.
 
     lambda2 comes from the water level, lambda1 from the per-state transmit
     power stationarity averaged over states that carry both transmit and
     codeword power, and mu1 from the distribution-normalization condition
-    summed over states. The cross-state spread of lambda1 is returned as a
-    convergence diagnostic.
+    summed over states.
     """
     p = fading.p
     h2 = fading.h**2
     one_m_rho = 1.0 - params.rho
     w = _allocation_water_level(params, fading, alloc)
     if not math.isfinite(w) or w <= 0.0:
-        return MultiplierSet(0.0, math.inf, 0.0), {"lambda1_spread_rel": np.nan}
+        return MultiplierSet(0.0, math.inf, 0.0)
     lam2 = 1.0 / (w * one_m_rho)
     s = params.sigma2_sq + params.alpha2 * alloc.x2**2
     overlap = (alloc.p_ehu > 0.0) & (alloc.x2 > 0.0) & (h2 > 0.0)
@@ -514,8 +499,6 @@ def recover_multipliers(
             - params.alpha2 * alloc.p_ehu[overlap] / (s[overlap] * w)
         )
         lam1 = float(np.mean(lam1_states))
-        denom = max(abs(lam1), 1e-300)
-        spread = float(np.ptp(lam1_states)) / denom
     else:
         # Pure harvest states pin lambda1 through the linear stationarity of
         # the transmit power instead.
@@ -524,7 +507,6 @@ def recover_multipliers(
             lam1 = float(np.max(lam2 * params.eta * h2[harvest_only]))
         else:
             lam1 = 0.0
-        spread = np.nan
     lam1 = max(lam1, 0.0)
     q = alloc.x2**2
     cap_bits = float(_rate_bits(h2, alloc.p_ehu, s) @ p)
@@ -537,7 +519,7 @@ def recover_multipliers(
             - params.eta * float((h2 * q * p).sum())
         )
     )
-    return MultiplierSet(lam1, lam2, mu1), {"lambda1_spread_rel": spread}
+    return MultiplierSet(lam1, lam2, mu1)
 
 
 def x0_of_h(mult: MultiplierSet, h: float, params: LinkParams) -> float:
@@ -691,32 +673,11 @@ def solve(
         alloc = alloc_c1
         capacity = cap_c1
 
-    mult, mdiag = recover_multipliers(params, fading, alloc)
+    mult = recover_multipliers(params, fading, alloc)
     res = _allocation_residuals(params, fading, alloc)
     res["balance_residual_rel"] = balance_rel
     res["case1_capacity"] = cap_c1
     res["case2_capacity"] = cap_c2
-    res["lambda1_spread_rel"] = mdiag.get("lambda1_spread_rel", np.nan)
-
-    # Constant-amplitude optimality condition, reported as a diagnostic under
-    # the recovered multipliers (its free multipliers make it unusable as a
-    # standalone case test).
-    p = fading.p
-    h2 = fading.h**2
-    one_m_rho = 1.0 - params.rho
-    lhs = cap_c1
-    rhs = (
-        mult.lambda1 * params.p_et
-        + mult.mu1
-        + mult.lambda2
-        * (
-            one_m_rho * float((alloc_c1.p_ehu * p).sum())
-            - params.eta * params.p_et * float((h2 * p).sum())
-        )
-    )
-    res["case1_condition_lhs"] = lhs
-    res["case1_condition_rhs"] = rhs
-
     if case == "Case2":
         errs = closed_form_x2_errors(params, fading, alloc)
         res["closed_form_x2_max_rel_err"] = (
@@ -844,33 +805,18 @@ def _batch_value(
     one_m_rho = 1.0 - params.rho
     harvest = params.eta * (q_batch * (p * h2)).sum(axis=1)
     budget = (harvest - params.p_proc) / one_m_rho
-    s = params.sigma2_sq + params.alpha2 * q_batch
-    big = 1e290
-    noise = np.where(h2 > 0.0, s / np.maximum(h2, 1e-300), big)
-    noise = np.minimum(noise, big)
+    noise = _noise_floor(h2, params.sigma2_sq + params.alpha2 * q_batch)
     order = np.argsort(noise, axis=1)
-    ns = np.take_along_axis(noise, order, axis=1)
-    ws = np.take_along_axis(np.broadcast_to(p, noise.shape), order, axis=1)
-    cw = np.cumsum(ws, axis=1)
-    cwn = np.cumsum(ws * ns, axis=1)
-    w_cand = (np.maximum(budget, 0.0)[:, None] + cwn) / cw
-    nxt = np.concatenate([ns[:, 1:], np.full((ns.shape[0], 1), np.inf)], axis=1)
-    m = np.argmax(w_cand <= nxt, axis=1)
-    w = np.take_along_axis(w_cand, m[:, None], axis=1)[:, 0]
+    w = _water_level(
+        np.take_along_axis(noise, order, axis=1), p[order], np.maximum(budget, 0.0)
+    )
     ratio = np.maximum(w[:, None] / noise, 1.0)
     out = _C_BITS * (p * np.log(ratio)).sum(axis=1)
     out[budget <= 0.0] = 0.0
     return out
 
 
-def brute_force_oracle(
-    params: LinkParams,
-    fading: FadingDistribution,
-    *,
-    n_grid: int = 25,
-    refinements: int = 2,
-    max_sweeps: int = 60,
-) -> OracleResult:
+def brute_force_oracle(params: LinkParams, fading: FadingDistribution) -> OracleResult:
     """Independent grid search over per-state transmit amplitudes.
 
     Coordinate descent over an amplitude grid per state (with an exhaustive
@@ -893,7 +839,7 @@ def brute_force_oracle(
     def coordinate_descent(q: np.ndarray, spans: np.ndarray) -> tuple:
         q = q.copy()
         best = value_of(q)
-        for _ in range(max_sweeps):
+        for _ in range(_ORACLE_SWEEPS):
             improved = False
             for i in range(n):
                 if h2[i] <= 0.0:
@@ -903,8 +849,8 @@ def brute_force_oracle(
                     continue
                 lo = max(0.0, q[i] - spans[i])
                 hi = min(cap_i, q[i] + spans[i])
-                amp = np.linspace(math.sqrt(lo), math.sqrt(hi), n_grid)
-                cand = np.tile(q, (n_grid, 1))
+                amp = np.linspace(math.sqrt(lo), math.sqrt(hi), _ORACLE_GRID)
+                cand = np.tile(q, (_ORACLE_GRID, 1))
                 cand[:, i] = amp**2
                 vals = _batch_value(params, p, h2, cand)
                 k = int(np.argmax(vals))
@@ -955,9 +901,9 @@ def brute_force_oracle(
             best_v, best_q = v_cd, q_cd
 
     last_gain = 0.0
-    spans = spans0 / (n_grid - 1)
-    for _ in range(refinements):
-        spans = spans * 4.0 / (n_grid - 1)
+    spans = spans0 / (_ORACLE_GRID - 1)
+    for _ in range(_ORACLE_REFINEMENTS):
+        spans = spans * 4.0 / (_ORACLE_GRID - 1)
         q_cd, v_cd = coordinate_descent(best_q, spans)
         last_gain = max(v_cd - best_v, 0.0)
         if v_cd > best_v:
@@ -969,7 +915,8 @@ def brute_force_oracle(
     budget = (harvest - params.p_proc) / one_m_rho
     s = params.sigma2_sq + params.alpha2 * best_q
     noise = _noise_floor(h2, s)
-    w = _water_level(noise, p, budget) if budget > 0.0 else math.inf
+    order = np.argsort(noise)
+    w = float(_water_level(noise[order], p[order], budget)) if budget > 0.0 else math.inf
     p_ehu = np.maximum(w - noise, 0.0) if math.isfinite(w) else np.zeros(n)
     alloc = PowerAllocation(np.sqrt(best_q), p_ehu)
     hi_bracket = best_v + 2.0 * last_gain + 1e-9

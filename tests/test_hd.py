@@ -71,3 +71,16 @@ def test_fd_hd_ratio_nondecreasing_in_suppression():
         bench = solve_hd(params, f)
         ratios.append(cap / bench.rate)
     assert all(b >= a - 1e-7 for a, b in zip(ratios, ratios[1:]))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the benchmark rates states with log2, full duplex with (1/2) log2",
+)
+def test_full_duplex_at_least_half_duplex_on_ideal_link():
+    # No residual interference and no processing cost: full duplex harvests
+    # and transmits all the time, so time-switching cannot beat it.
+    f = fading.deterministic(1.0)
+    for sigma2_sq in (0.1, 1e-6):
+        params = LinkParams(eta=0.8, p_proc=0.0, p_et=1.0, sigma2_sq=sigma2_sq, alpha2=0.0)
+        assert solve(params, f).capacity >= solve_hd(params, f).rate

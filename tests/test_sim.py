@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fdwpc import fading
-from fdwpc.sim import BatteryState, SimConfig, battery_step, harvest_per_use, simulate
+from fdwpc.sim import SimConfig, simulate
 from fdwpc.solver import PowerAllocation, solve
 from fdwpc.units import LinkParams
 
@@ -17,26 +17,6 @@ def sim_params(**kw):
     )
     base.update(kw)
     return LinkParams(**base)
-
-
-def test_battery_step_arithmetic():
-    b, e_out = battery_step(BatteryState(5.0), e_in=2.0, demand=3.0)
-    assert (b.level, e_out) == (4.0, 3.0)
-    b, e_out = battery_step(BatteryState(1.0), e_in=0.0, demand=2.0)
-    assert (b.level, e_out) == (0.0, 1.0)
-    b, e_out = battery_step(BatteryState(0.0), e_in=0.0, demand=2.0)
-    assert (b.level, e_out) == (0.0, 0.0)
-    with pytest.raises(ValueError):
-        battery_step(BatteryState(1.0), e_in=-0.1, demand=0.0)
-    with pytest.raises(ValueError):
-        BatteryState(-1.0)
-
-
-def test_harvest_per_use():
-    assert harvest_per_use(1.0, 1.0, 0.0, 0.0, eta=0.8) == pytest.approx(0.8)
-    assert harvest_per_use(0.5, 2.0, 0.0, 0.0, eta=0.8) == pytest.approx(0.8)
-    with pytest.raises(ValueError):
-        harvest_per_use(1.0, 1.0, 0.0, 0.0, eta=1.5)
 
 
 def test_harvest_per_use_statistical_mean():
