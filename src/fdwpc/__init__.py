@@ -6,7 +6,6 @@ from .sim import SimConfig, SimTrace, simulate
 from .solver import (
     CapacityResult,
     MultiplierSet,
-    NonConvergenceError,
     OracleResult,
     PowerAllocation,
     brute_force_oracle,
@@ -46,7 +45,6 @@ __all__ = [
     "simulate",
     "CapacityResult",
     "MultiplierSet",
-    "NonConvergenceError",
     "OracleResult",
     "PowerAllocation",
     "brute_force_oracle",

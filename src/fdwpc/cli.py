@@ -12,7 +12,7 @@ Scenario defaults mirror the reference setup: eta 0.8, carrier 2.4 GHz, path
 loss exponent 3, distance 10 m, noise 1e-14 W, processing cost -10 dBm,
 Rayleigh fading quantized to 2000 states. Identical command lines (including
 the seed) produce byte-identical CSV: no timestamps, no environment
-dependence. Exit codes: 0 ok, 2 usage error, 3 numerical failure.
+dependence. Exit codes: 0 ok, 2 usage error.
 """
 
 from __future__ import annotations
@@ -275,9 +275,6 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 2
     try:
         return args.func(args)
-    except solver.NonConvergenceError as exc:
-        sys.stderr.write(f"fdwpc: solver did not converge: {exc}\n")
-        return 3
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"fdwpc: {exc}\n")
         return 2

@@ -8,12 +8,19 @@ transmitter regimes are solved and compared:
 * Case 1: the energy transmitter sends the constant amplitude sqrt(p_et) in
   every fading state, and the harvesting user water-fills its codeword power
   across fading states over the residual-interference noise floor.
-* Case 2: the transmitter adapts its amplitude per fading state. The problem
-  is solved primal-first: the codeword powers are eliminated by exact inner
-  water-filling and the per-state transmit powers ascend the reduced objective
-  by projected gradient with backtracking, from several structured starts.
-  The Lambert-W closed form for the adapted amplitude is then evaluated as a
-  post-hoc consistency check against the converged primal solution.
+* Case 2: the transmitter adapts its amplitude per fading state, and the
+  optimum is a single-state flash: all ET power on one state k, with
+  q_k = x2_k^2 = p_et/p_k and zero elsewhere. Optimizing the codeword power
+  out of the per-state Lagrangian leaves a function convex in q (second
+  derivative alpha2^2/(2 ln2 s^2) > 0 while the state carries codeword
+  power, linear after that), so no optimum has an interior q. Flash k funds
+  the budget B_k = (eta*p_et*h_k^2 - p_proc)/(1-rho); its value is bounded
+  above by water-filling B_k over the self-interference-free noise floor
+  sigma2_sq/h^2. B_k and so the bound fall with the gain, so candidates are
+  scored exactly (inner water-filling) strongest first, and the search stops
+  at the first bound that cannot beat the best value found. The Lambert-W
+  closed form for the adapted amplitude is evaluated afterwards as a
+  consistency check against the primal solution.
 
 ``brute_force_oracle`` searches gridded per-state amplitudes (exhaustive seed
 for tiny instances, cyclic coordinate descent otherwise, two grid refinements
@@ -39,7 +46,6 @@ __all__ = [
     "MultiplierSet",
     "CapacityResult",
     "OracleResult",
-    "NonConvergenceError",
     "waterfill_case1",
     "capacity_case1",
     "x0_of_h",
@@ -56,29 +62,11 @@ _LN2 = math.log(2.0)
 # 1/(2 ln 2): converts (1/2) log2 rates to a natural-log slope.
 _C_BITS = 0.5 / _LN2
 
-# Adaptive-amplitude ascent: iteration cap per start, and the relative gain
-# below which an iteration counts as a stall.
-_MAX_ITER = 100_000
-_TOL_OBJ = 1e-10
-
 # Brute-force oracle: amplitude grid points per coordinate move, grid
 # refinements around the incumbent, and coordinate sweeps per descent.
 _ORACLE_GRID = 25
 _ORACLE_REFINEMENTS = 2
 _ORACLE_SWEEPS = 60
-
-
-class NonConvergenceError(RuntimeError):
-    """Adaptive-amplitude solver ran out of iterations.
-
-    Carries the best primal iterate found and its residuals so callers can
-    inspect how far from stationarity the search stopped.
-    """
-
-    def __init__(self, message: str, allocation=None, residuals=None):
-        super().__init__(message)
-        self.allocation = allocation
-        self.residuals = residuals
 
 
 @dataclass(frozen=True)
@@ -270,190 +258,95 @@ def capacity_case1(
 
 
 def _reduced_value(params: LinkParams, fading: FadingDistribution, q: np.ndarray):
-    """Objective after exact inner water-filling, plus its gradient in q.
+    """Objective after exact inner water-filling of the codeword power.
 
-    ``q`` holds per-state transmit powers x2^2. Returns
-    ``(value_bits, grad, p_ehu, water_level)``. The codeword power spends the
-    harvested budget exactly, so the energy balance is tight by construction.
+    ``q`` holds per-state transmit powers x2^2. Returns ``(value_bits,
+    p_ehu)``. The codeword power spends the harvested budget exactly, so the
+    energy balance is tight by construction.
     """
     p = fading.p
     h2 = fading.h**2
-    one_m_rho = 1.0 - params.rho
     harvest = params.eta * float((p * h2) @ q)
-    budget = (harvest - params.p_proc) / one_m_rho
-    n = q.size
+    budget = (harvest - params.p_proc) / (1.0 - params.rho)
     if budget <= 0.0:
-        # Sterile point: climb toward more harvested power.
-        return 0.0, p * (params.eta * h2), np.zeros(n), 0.0
-    s = params.sigma2_sq + params.alpha2 * q
-    noise = _noise_floor(h2, s)
+        return 0.0, np.zeros(q.size)
+    noise = _noise_floor(h2, params.sigma2_sq + params.alpha2 * q)
     order = np.argsort(noise)
     w = float(_water_level(noise[order], p[order], budget))
-    if not math.isfinite(w):
-        return 0.0, p * (params.eta * h2), np.zeros(n), 0.0
     p_ehu = np.maximum(w - noise, 0.0)
     act = p_ehu > 0.0
-    value = _C_BITS * float((p[act] * np.log(w / noise[act])).sum())
-    # d(value)/dq: direct residual-interference loss plus the marginal value
-    # of harvested energy through the water level.
-    with np.errstate(invalid="ignore"):
-        loss = np.where(
-            act, params.alpha2 * p_ehu / (np.maximum(s, 1e-300) * w), 0.0
-        )
-    grad = _C_BITS * p * (params.eta * h2 / (w * one_m_rho) - loss)
-    return value, grad, p_ehu, w
+    # A noiseless active state (sigma2_sq = 0, q = 0) is worth inf.
+    with np.errstate(divide="ignore"):
+        value = _C_BITS * float((p[act] * np.log(w / noise[act])).sum())
+    return value, p_ehu
 
 
-def _project_to_budget(y: np.ndarray, p: np.ndarray, cap: float) -> np.ndarray:
-    """Euclidean projection onto {q >= 0, sum(p*q) <= cap}.
+def _flash_bounds(params: LinkParams, fading: FadingDistribution):
+    """Flash candidates, strongest gain first, each with an upper bound.
 
-    Exact breakpoint search (Duchi et al., ICML 2008; Kiwiel, JOTA 2008): the
-    projection is q = (y - tau*p)^+, and tau is fixed by the active set, which
-    is a prefix of the breakpoints y/p sorted in descending order.
+    Returns ``(states, bounds)``: the live states whose flash harvest covers
+    the processing cost, and the SI-free water-filling value of each, at
+    noise sigma2_sq/h^2 and budget B_k = (eta*p_et*h_k^2 - p_proc)/(1-rho).
+    B_k falls along ``states``, so ``bounds`` does too.
     """
-    q = np.maximum(y, 0.0)
-    total = float(p @ q)
-    if total <= cap:
-        return q
-    pos = y > 0.0
-    yp, pp = y[pos], p[pos]
-    breaks = yp / pp
-    order = np.argsort(breaks)[::-1]
-    ys, ps = yp[order], pp[order]
-    taus = (np.cumsum(ps * ys) - cap) / np.cumsum(ps * ps)
-    k = max(int(np.count_nonzero(breaks[order] > taus)), 1)
-    q = np.maximum(y - taus[k - 1] * p, 0.0)
-    # y - tau*p cancels most of its digits on concentrated iterates (y/p far
-    # above q/p), so the closed-form tau can land over budget; the ascent
-    # must only ever see feasible points.
-    total = float(p @ q)
-    while total > cap:
-        q *= np.nextafter(cap / total, 0.0)
-        total = float(p @ q)
-    return q
+    n = fading.n_states
+    g = fading.h[::-1] ** 2
+    p = fading.p[::-1]
+    budget = (params.eta * params.p_et * g - params.p_proc) / (1.0 - params.rho)
+    cand = budget > 0.0
+    states, budget = (n - 1 - np.arange(n))[cand], budget[cand]
+    live = g > 0.0
+    g, p = g[live], p[live]
+    noise = params.sigma2_sq / g
+    cw = np.cumsum(p)
+    cwn = np.cumsum(p * noise)
+    # Budget that lifts the water to each state's noise floor in turn:
+    # water-filling at budget B keeps the states whose threshold lies below B.
+    thresholds = cw * noise - cwn
+    m = np.searchsorted(thresholds, budget) - 1
+    w = (budget + cwn[m]) / cw[m]
+    # Logs relative to the strongest state keep sigma2_sq out of the prefix
+    # sum; a noiseless link (sigma2_sq = 0) bounds every candidate at inf.
+    log_rel = np.cumsum(p * np.log(g[0] / g))
+    with np.errstate(divide="ignore"):
+        bounds = _C_BITS * (cw[m] * np.log(w / noise[0]) - log_rel[m])
+    return states, bounds
 
 
-def _case2_starts(params: LinkParams, fading: FadingDistribution, init_x2):
-    p = fading.p
-    h2 = fading.h**2
-    p_et = params.p_et
-    live = h2 > 0.0
-    n = h2.size
-    starts = []
-    # Constant full-budget amplitude (the Case-1 transmitter).
-    q = np.where(live, p_et, 0.0)
-    scale = float(p @ q)
-    starts.append(q * (p_et / scale) if scale > p_et else q)
-    # Power proportional to the squared gain.
-    ms = float((p * h2).sum())
-    if ms > 0.0:
-        starts.append(np.where(live, p_et * h2 / ms, 0.0))
-    # Full-budget concentration candidates. The best state to blast trades
-    # its harvest h^2 against the rate value surrendered by polluting it
-    # (which scales with the state's probability), so neither the strongest
-    # nor the rarest state is right in general: score every single-state
-    # concentration when that is cheap, otherwise try the strongest gains
-    # (on quantile grids the probabilities are uniform and gain dominates).
-    if n <= 128:
-        conc = np.zeros((n, n))
-        conc[np.arange(n), np.arange(n)] = np.where(live, p_et / p, 0.0)
-        vals = _batch_value(params, p, h2, conc)
-        vals[~live] = -np.inf
-        picks = np.argsort(vals)[::-1][: min(4, n)]
-    else:
-        picks = np.argsort(h2)[::-1][:4]
-    for i in picks:
-        if h2[i] <= 0.0:
-            continue
-        q = np.zeros_like(h2)
-        q[i] = p_et / p[i]
-        starts.append(q)
-    if init_x2 is not None:
-        q = np.asarray(init_x2, dtype=float) ** 2
-        starts.append(_project_to_budget(np.where(live, q, 0.0), p, p_et))
-    return starts
+def _best_flash(
+    params: LinkParams, fading: FadingDistribution
+) -> tuple[PowerAllocation, float]:
+    """Best single-state flash: all ET power on one state, q_k = p_et/p_k.
 
-
-def _case2_ascent(params: LinkParams, fading: FadingDistribution, q0: np.ndarray):
-    """Projected-gradient ascent on the reduced objective from one start."""
-    p = fading.p
-    live = fading.h > 0.0
-    p_et = params.p_et
-    q = _project_to_budget(np.where(live, q0, 0.0), p, p_et)
-    value, grad, p_ehu, w = _reduced_value(params, fading, q)
-    gmax = float(np.max(np.abs(grad)))
-    qscale = p_et / float(np.min(p[live])) if np.any(live) else p_et
-    t = 0.25 * qscale / gmax if gmax > 0.0 else 1.0
-    stall = 0
-    iters = 0
-    converged = False
-    while iters < _MAX_ITER:
-        iters += 1
-        gmax = float(np.max(np.abs(grad)))
-        if gmax == 0.0:
-            converged = True
+    Returns ``(allocation, value_bits)``. Candidates are scored exactly in
+    descending-gain order until the next bound cannot beat the best value
+    found (see the module docstring).
+    """
+    n = fading.n_states
+    best, best_value = _zero_allocation(n), 0.0
+    for k, bound in zip(*_flash_bounds(params, fading)):
+        if bound <= best_value:
             break
-        accepted = False
-        for _ in range(80):
-            q_new = _project_to_budget(q + t * grad, p, p_et)
-            q_new[~live] = 0.0
-            v_new, g_new, pe_new, w_new = _reduced_value(params, fading, q_new)
-            if v_new >= value:
-                accepted = True
-                break
-            t *= 0.4
-        if not accepted:
-            converged = True
-            break
-        gain = v_new - value
-        q, value, grad, p_ehu, w = q_new, v_new, g_new, pe_new, w_new
-        t *= 1.6
-        if gain <= _TOL_OBJ * max(1.0, abs(value)):
-            stall += 1
-            if stall >= 12:
-                converged = True
-                break
-        else:
-            stall = 0
-    return q, value, p_ehu, w, converged, iters
-
-
-def _solve_case2_full(params: LinkParams, fading: FadingDistribution, *, init_x2=None):
-    """Run the adaptive-amplitude solver; returns the best converged iterate."""
-    harvest_c1 = params.eta * params.p_et * fading.mean_square
-    if harvest_c1 <= params.p_proc:
-        zero = _zero_allocation(fading.n_states)
-        return zero, 0.0, 0.0, True
-    best = None
-    any_converged = False
-    for q0 in _case2_starts(params, fading, init_x2):
-        q, value, p_ehu, w, converged, _ = _case2_ascent(params, fading, q0)
-        any_converged = any_converged or converged
-        if best is None or value > best[1]:
-            best = (q, value, p_ehu, w, converged)
-    q, value, p_ehu, w, conv_best = best
-    alloc = PowerAllocation(np.sqrt(q), p_ehu)
-    if not any_converged:
-        raise NonConvergenceError(
-            f"adaptive-amplitude search did not converge within {_MAX_ITER} "
-            "iterations from any start",
-            allocation=alloc,
-            residuals=_allocation_residuals(params, fading, alloc),
-        )
-    return alloc, value, w, conv_best
+        q = np.zeros(n)
+        q[k] = params.p_et / fading.p[k]
+        value, p_ehu = _reduced_value(params, fading, q)
+        if value > best_value:
+            best, best_value = PowerAllocation(np.sqrt(q), p_ehu), value
+    return best, best_value
 
 
 def solve_case2(
     params: LinkParams, fading: FadingDistribution
 ) -> tuple[MultiplierSet, PowerAllocation]:
-    """Solve the fading-adapted transmitter regime.
+    """Solve the fading-adapted transmitter regime: the best single-state flash.
 
-    Returns the recovered multipliers and the primal allocation. Infeasible
-    energy budgets yield the zero allocation (with ``lambda2 = inf``).
+    Returns the recovered multipliers and the primal allocation. When the
+    average constant-amplitude harvest cannot cover the processing cost the
+    result is the zero allocation (with ``lambda2 = inf``), as in ``solve``.
     """
-    alloc, value, w, _ = _solve_case2_full(params, fading)
-    if value <= 0.0:
-        return MultiplierSet(0.0, math.inf, 0.0), alloc
+    if params.eta * params.p_et * fading.mean_square <= params.p_proc:
+        return MultiplierSet(0.0, math.inf, 0.0), _zero_allocation(fading.n_states)
+    alloc, _ = _best_flash(params, fading)
     return recover_multipliers(params, fading, alloc), alloc
 
 
@@ -477,7 +370,7 @@ def _allocation_water_level(
 def recover_multipliers(
     params: LinkParams, fading: FadingDistribution, alloc: PowerAllocation
 ) -> MultiplierSet:
-    """Recover (lambda1, lambda2, mu1) from a converged primal allocation.
+    """Recover (lambda1, lambda2, mu1) from an optimal primal allocation.
 
     lambda2 comes from the water level, lambda1 from the per-state transmit
     power stationarity averaged over states that carry both transmit and
@@ -494,11 +387,11 @@ def recover_multipliers(
     s = params.sigma2_sq + params.alpha2 * alloc.x2**2
     overlap = (alloc.p_ehu > 0.0) & (alloc.x2 > 0.0) & (h2 > 0.0)
     if np.any(overlap):
-        lam1_states = (
-            lam2 * params.eta * h2[overlap]
-            - params.alpha2 * alloc.p_ehu[overlap] / (s[overlap] * w)
-        )
-        lam1 = float(np.mean(lam1_states))
+        loss = 0.0
+        if params.alpha2 > 0.0:
+            # s >= alpha2*x2^2 > 0 on these states.
+            loss = params.alpha2 * alloc.p_ehu[overlap] / (s[overlap] * w)
+        lam1 = float(np.mean(lam2 * params.eta * h2[overlap] - loss))
     else:
         # Pure harvest states pin lambda1 through the linear stationarity of
         # the transmit power instead.
@@ -641,19 +534,14 @@ def _allocation_residuals(
     }
 
 
-def solve(
-    params: LinkParams,
-    fading: FadingDistribution,
-    *,
-    init_x2=None,
-) -> CapacityResult:
+def solve(params: LinkParams, fading: FadingDistribution) -> CapacityResult:
     """Capacity of the link: solve both transmitter regimes, keep the better.
 
-    Ties within numerical tolerance go to the constant-amplitude regime (the
-    simpler transmitter). When the average harvested power cannot cover the
-    processing cost, the result is the zero allocation with zero capacity.
-    Raises NonConvergenceError if the adaptive regime's search stalls without
-    converging from every start.
+    Case 1 water-fills under the constant amplitude; Case 2 is the best
+    single-state flash. Ties within numerical tolerance go to the
+    constant-amplitude regime (the simpler transmitter). When the average
+    harvested power cannot cover the processing cost, the result is the zero
+    allocation with zero capacity.
     """
     harvest = params.eta * params.p_et * fading.mean_square
     if harvest <= params.p_proc:
@@ -661,7 +549,7 @@ def solve(
     lam2_c1, alloc_c1 = waterfill_case1(params, fading)
     cap_c1 = capacity_case1(params, fading, alloc_c1)
     balance_rel = _case1_balance_residual(params, fading, alloc_c1)
-    alloc_c2, cap_c2, _, _ = _solve_case2_full(params, fading, init_x2=init_x2)
+    alloc_c2, cap_c2 = _best_flash(params, fading)
 
     tie_tol = 1e-7 * max(1.0, cap_c1)
     if cap_c2 > cap_c1 + tie_tol:

@@ -208,20 +208,6 @@ def test_exit_2_on_unknown_command(capsys):
     assert main(["no-such-command"]) == 2
 
 
-def test_exit_3_on_nonconvergence(monkeypatch, capsys):
-    import fdwpc.cli as cli
-
-    def stall(*args, **kwargs):
-        raise cli.solver.NonConvergenceError("stalled")
-
-    monkeypatch.setattr(cli.solver, "solve", stall)
-    code, out, err = run_cli(
-        ["capacity-sweep", "--start", "0", "--stop", "0", "--step", "5"] + FAST, capsys
-    )
-    assert code == 3
-    assert "converge" in err
-
-
 def test_ratio_nan_on_dead_channel(tmp_path, capsys):
     # A dead channel zeroes both rates; the ratio column reports nan rather
     # than inventing a number.

@@ -1,7 +1,5 @@
 """Battery dynamics and the slotted Monte Carlo achievability run."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -20,15 +18,19 @@ def sim_params(**kw):
 
 
 def test_harvest_per_use_statistical_mean():
-    rng = np.random.default_rng(5)
-    n = 1_000_000
-    h, x2, eta, g1_mean, alpha1, p_x1 = 0.9, 1.2, 0.8, 0.3, 0.4, 0.7
-    x1 = rng.normal(0.0, math.sqrt(p_x1), n)
-    g1 = rng.normal(0.0, math.sqrt(alpha1), n)
-    amp = h * x2 + (g1_mean + g1) * x1
-    sample_mean = float(np.mean(eta * amp * amp))
-    expected = eta * (h**2 * x2**2 + (g1_mean**2 + alpha1) * p_x1)
-    assert sample_mean == pytest.approx(expected, rel=0.01)
+    # Per use the user harvests eta*(h*x2 + g1*x1)^2 with g1 ~ N(g1_mean,
+    # alpha1) and x1 ~ N(0, p_ehu) while transmitting, and eta*h^2*x2^2
+    # while asleep.
+    params = sim_params()
+    f = fading.deterministic(1.0)
+    res = solve(params, f)
+    tr = simulate(params, f, res.allocation, SimConfig(k=200, n_slots=5000, seed=5))
+    h, x2, p_ehu = f.h[0], res.allocation.x2[0], res.allocation.p_ehu[0]
+    share = float(np.mean(tr.transmitted))
+    recycled = (params.g1_mean**2 + params.alpha1) * p_ehu * share
+    expected = params.eta * (h**2 * x2**2 + recycled)
+    assert 0.2 < share < 1.0 and recycled > 0.3 * h**2 * x2**2
+    assert tr.mean_harvest_w == pytest.approx(expected, rel=0.01)
 
 
 def test_cold_start_single_slot():
