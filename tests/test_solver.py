@@ -1,7 +1,9 @@
 """Capacity solver: both regimes, closed forms, duals, and the oracle."""
 
 import math
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +13,9 @@ from hypothesis import strategies as st
 from fdwpc import fading
 from fdwpc.hd import solve_hd
 from fdwpc.solver import (
+    CapacityResult,
     MultiplierSet,
-    _batch_value,
+    _codeword_waterfill,
     _flash_bounds,
     _water_level,
     brute_force_oracle,
@@ -26,6 +29,7 @@ from fdwpc.solver import (
     x0_of_h,
 )
 from fdwpc.units import LinkParams
+from test_acceptance import _random_instance
 
 HALF_LOG2_5 = 1.1609640474436812  # (1/2) log2(5)
 
@@ -231,6 +235,28 @@ def test_water_filling_stationarity_residual():
     assert np.nanmax(stat) <= 1e-7
 
 
+def test_residual_keys_match_the_docs():
+    # One key set on every case, the one the CapacityResult docstring and the
+    # README list.
+    doc_keys = re.findall(r"^\s*\* ``(\w+)``", CapacityResult.__doc__, re.M)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.search(r"`result\.residuals` holds (.*?);", readme, re.S).group(1)
+    readme_keys = re.findall(r"`(\w+)`", listed)
+    assert len(doc_keys) == len(set(doc_keys)) >= 5
+    assert set(readme_keys) == set(doc_keys)
+    keys = {}
+    for params, f in (
+        (simple_params(alpha2=0.1), fading.deterministic(1.0)),
+        (simple_params(alpha2=0.1), fading.rayleigh(1.0, 12)),
+        (simple_params(p_proc=2.0), fading.rayleigh(1.0, 12)),
+    ):
+        r = solve(params, f)
+        keys[r.case] = set(r.residuals)
+    assert set(keys) == {"Case1", "Case2", "Zero"}
+    for case_keys in keys.values():
+        assert case_keys == set(doc_keys)
+
+
 def test_complementary_slackness():
     params = simple_params(sigma2_sq=0.2, alpha2=0.05)
     f = fading.rayleigh(1.0, 7)
@@ -281,7 +307,7 @@ def test_pruned_flash_matches_full_enumeration(link):
     params, f = link
     p, h2 = f.p, f.h**2
     flashes = np.diag(np.where(h2 > 0.0, params.p_et / p, 0.0))
-    values = _batch_value(params, p, h2, flashes)
+    values, _ = _codeword_waterfill(params, p, h2, flashes)
     best = float(np.max(values))
     _, alloc = solve_case2(params, f)
     s = params.sigma2_sq + params.alpha2 * alloc.x2**2
@@ -296,6 +322,95 @@ def test_pruned_flash_matches_full_enumeration(link):
     rest[states] = False
     assert np.all(values[rest] == 0.0)
     assert np.all(bounds >= values[states] - tol)
+
+
+# ---------------------------------------------------------------------------
+# Inner water-filling of the codeword power at a given transmit power
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def q_batches(draw):
+    """A ``flash_links`` link and 1-6 transmit-power rows with zero entries.
+    Rows flagged in ``starved`` are scaled so that their harvest is at most
+    0.999 of the processing cost (all zero when p_proc = 0)."""
+    params, f = draw(flash_links())
+    n = f.n_states
+    rows = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0.0), st.floats(1e-3, 5.0))
+    q = np.array(draw(st.lists(entry, min_size=rows * n, max_size=rows * n)))
+    q = q.reshape(rows, n)
+    starved = np.array(draw(st.lists(st.booleans(), min_size=rows, max_size=rows)))
+    harvest = params.eta * (q @ (f.p * f.h**2))
+    for r in np.flatnonzero(starved):
+        if harvest[r] > 0.0:
+            q[r] *= draw(st.floats(0.0, 0.999)) * params.p_proc / harvest[r]
+    return params, f, q, starved
+
+
+@settings(max_examples=100, deadline=None)
+@given(q_batches())
+def test_codeword_waterfill_batch_matches_rows(args):
+    params, f, q, _ = args
+    p, h2 = f.p, f.h**2
+    values, p_ehu = _codeword_waterfill(params, p, h2, q)
+    assert values.shape == q.shape[:1] and p_ehu.shape == q.shape
+    for r in range(q.shape[0]):
+        v_r, pe_r = _codeword_waterfill(params, p, h2, q[r])
+        assert v_r == values[r]
+        assert np.array_equal(pe_r, p_ehu[r])
+    # Any leading shape, not only a 2-D batch.
+    v3, pe3 = _codeword_waterfill(params, p, h2, q[:, None, :])
+    assert np.array_equal(v3[:, 0], values) and np.array_equal(pe3[:, 0], p_ehu)
+
+
+@settings(max_examples=100, deadline=None)
+@given(q_batches())
+def test_codeword_waterfill_unfunded_rows_are_zero(args):
+    params, f, q, starved = args
+    values, p_ehu = _codeword_waterfill(params, f.p, f.h**2, q)
+    assert np.all(values[starved] == 0.0)
+    assert np.all(p_ehu[starved] == 0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(q_batches())
+def test_codeword_waterfill_closes_energy_balance(args):
+    # sum p (w - noise) cancels digits when the budget is orders below the
+    # water level, so the tolerance is relative to the larger of the two.
+    params, f, q, _ = args
+    p, h2 = f.p, f.h**2
+    one_m_rho = 1.0 - params.rho
+    _, p_ehu = _codeword_waterfill(params, p, h2, q)
+    for r in range(q.shape[0]):
+        harvest = params.eta * float(p @ (h2 * q[r]))
+        if harvest <= params.p_proc:
+            assert np.all(p_ehu[r] == 0.0)
+            continue
+        consumed = one_m_rho * float(p @ p_ehu[r]) + params.p_proc
+        act = p_ehu[r] > 0.0
+        assert np.any(act)
+        with np.errstate(divide="ignore"):
+            noise = (params.sigma2_sq + params.alpha2 * q[r]) / h2
+        level = one_m_rho * float(p[act] @ (p_ehu[r, act] + noise[act]))
+        assert abs(harvest - consumed) <= 1e-12 * max(harvest, level)
+
+
+@settings(max_examples=300, deadline=None)
+@given(flash_links())
+def test_case1_shortcut_matches_codeword_waterfill(link):
+    # waterfill_case1 reads the noise floor reversed instead of sorting it;
+    # at q = p_et in every state it must give the shared law's answer.
+    params, f = link
+    p, h2 = f.p, f.h**2
+    _, alloc = waterfill_case1(params, f)
+    value, p_ehu = _codeword_waterfill(params, p, h2, np.full(f.n_states, params.p_et))
+    cap = capacity_case1(params, f, alloc)
+    assert abs(cap - value) <= 1e-12 * max(1.0, value)
+    s = params.sigma2_sq + params.p_et * params.alpha2
+    act = p_ehu > 0.0
+    level = float(np.max(p_ehu[act] + s / h2[act]))
+    assert np.all(np.abs(alloc.p_ehu - p_ehu) <= 1e-12 * level)
 
 
 # ---------------------------------------------------------------------------
@@ -555,6 +670,24 @@ def test_oracle_reproduces_no_fading():
     orc = brute_force_oracle(params, fading.deterministic(1.0))
     assert orc.capacity_low == pytest.approx(HALF_LOG2_5, rel=1e-6)
     assert orc.capacity_high >= orc.capacity_low
+
+
+def test_oracle_allocation_reevaluates_to_its_capacity():
+    # The allocation the oracle returns is the one it scored: its (1/2) log2
+    # rates give capacity_low and its codeword power spends the harvest.
+    rng = np.random.default_rng(5)
+    for trial in range(20):
+        params, f = _random_instance(rng, table_scale=trial % 2 == 0)
+        orc = brute_force_oracle(params, f)
+        a = orc.allocation
+        h2 = f.h**2
+        q = a.x2**2
+        s = params.sigma2_sq + params.alpha2 * q
+        cap = float(f.p @ (0.5 * np.log2(1.0 + h2 * a.p_ehu / s)))
+        assert abs(cap - orc.capacity_low) <= 1e-12 * max(1.0, orc.capacity_low)
+        harvest = params.eta * float(f.p @ (h2 * q))
+        consumed = (1.0 - params.rho) * float(f.p @ a.p_ehu) + params.p_proc
+        assert abs(harvest - consumed) <= 1e-9 * harvest
 
 
 def test_oracle_rejects_large_instances():
