@@ -212,13 +212,7 @@ def cmd_simulate(args) -> int:
         trace.to_csv(args.out)
         sys.stdout.write(summary)
     else:
-        lines = ["slot,h,transmitted,slot_rate_bits,battery_j"]
-        for i in range(trace.h.size):
-            lines.append(
-                f"{i},{_fmt(trace.h[i])},{int(trace.transmitted[i])},"
-                f"{_fmt(trace.slot_rate_bits[i])},{_fmt(trace.battery_j[i])}"
-            )
-        sys.stdout.write("\n".join(lines) + "\n")
+        trace.write_csv(sys.stdout)
         sys.stderr.write(summary)
     return 0
 

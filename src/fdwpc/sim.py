@@ -7,7 +7,13 @@ battery at slot start covers the slot's full expected demand
 k * (p_proc + p_ehu(h)); otherwise it sleeps and only harvests. Per channel
 use the battery absorbs the harvested energy (channel signal plus recycled
 self-interference) and releases min(level, demand), so it can never go
-negative.
+negative. That per-use law closes over a whole slot in one step (see
+``_close_slot``), so no channel use is stepped through in Python.
+
+Symbols are drawn for every slot the allocation wants to transmit in, outage
+slots included, in slot order: k codeword symbols, then (when alpha1 > 0) k
+self-interference gains. Slots are processed in blocks of ``_BLOCK``; the
+draws do not depend on the block size.
 
 Slot rates are analytic (decoding is not simulated); receiver noises and the
 transmitter's own residual self-interference are therefore never drawn --
@@ -27,6 +33,14 @@ from .solver import PowerAllocation, _rate_bits
 from .units import LinkParams
 
 __all__ = ["SimConfig", "SimTrace", "simulate"]
+
+# Slots whose symbols are drawn and summed per numpy call. Larger blocks save
+# little and raise peak memory (2 * k floats per slot, several temporaries).
+_BLOCK = 32
+# Trace rows formatted per write.
+_CSV_CHUNK = 1024
+_CSV_HEADER = "slot,h,transmitted,slot_rate_bits,battery_j\n"
+_CSV_ROW = "%d,%.12e,%d,%.12e,%.12e\n"
 
 
 @dataclass(frozen=True)
@@ -67,16 +81,52 @@ class SimTrace:
     energy_in_total: float
     energy_out_total: float
     battery_final: float
+    # Slots before the first transmission (n_slots if none transmits).
+    warmup_slots: int
+    # Transmitting slots whose battery ran dry inside the slot, so that some
+    # channel use released less than its demand.
+    depleted_slots: int
+
+    def write_csv(self, fh) -> None:
+        """Write the per-slot trace to a text stream: slot, h, transmitted,
+        rate, battery; floats as ``%.12e``."""
+        fh.write(_CSV_HEADER)
+        cols = (self.h, self.transmitted, self.slot_rate_bits, self.battery_j)
+        for lo in range(0, self.h.size, _CSV_CHUNK):
+            hi = lo + _CSV_CHUNK
+            rows = zip(range(lo, hi), *(c[lo:hi].tolist() for c in cols))
+            fh.write("".join([_CSV_ROW % row for row in rows]))
 
     def to_csv(self, path) -> None:
-        """Write the per-slot trace: slot, h, transmitted, rate, battery."""
+        """Write the per-slot trace to the file at ``path``."""
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("slot,h,transmitted,slot_rate_bits,battery_j\n")
-            for i in range(self.h.size):
-                fh.write(
-                    f"{i},{self.h[i]:.12e},{int(self.transmitted[i])},"
-                    f"{self.slot_rate_bits[i]:.12e},{self.battery_j[i]:.12e}\n"
-                )
+            self.write_csv(fh)
+
+
+def _slot_sums(e_in: np.ndarray, demand: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per row (one slot's uses): harvest, demand, net change ``c[-1]`` and
+    ``floor = max(e_in - c)``, with ``c`` the prefix sums of ``e_in - demand``.
+    A battery starting the slot at or above ``floor`` never runs short."""
+    cum = np.cumsum(e_in - demand, axis=1)
+    return e_in.sum(axis=1), demand.sum(axis=1), cum[:, -1], (e_in - cum).max(axis=1)
+
+
+def _close_slot(
+    level: float, e_sum: float, d_sum: float, net: float, floor: float
+) -> tuple[float, float, bool]:
+    """Battery after one transmitting slot: (end level, energy released,
+    whether the battery ran dry inside the slot).
+
+    Per use the battery takes ``level' = level + e - min(level, d)``, which
+    is ``max(level + e - d, e)``, so ``level' - c`` is the running maximum of
+    ``level`` and ``e - c`` and the slot ends at ``net + max(level, floor)``
+    (terms from ``_slot_sums``). When ``level >= floor`` no use is short and
+    the slot spends its whole demand ``d_sum``.
+    """
+    if level >= floor:
+        return level + (e_sum - d_sum), d_sum, False
+    end = net + floor
+    return end, level + e_sum - end, True
 
 
 def simulate(
@@ -100,47 +150,57 @@ def simulate(
     h = fading.h
     rates = _rate_bits(h**2, p_ehu, params.sigma2_sq + params.alpha2 * x2**2)
     g1_sd = math.sqrt(params.alpha1)
+    hx2 = h * x2
+    x1_sd = np.sqrt(p_ehu)
+    gate = (k * (params.p_proc + p_ehu)).tolist()
+    # Sleeping: the user spends nothing and only harvests the transmitter's
+    # signal.
+    sleep_in = (k * params.eta * hx2 * hx2).tolist()
+    wanted = p_ehu[states] > 0.0
 
     level = 0.0
     e_in_total = 0.0
     e_out_total = 0.0
+    depleted = 0
     transmitted = np.zeros(n_slots, dtype=bool)
     battery_end = np.zeros(n_slots)
-    for i in range(n_slots):
-        st = int(states[i])
-        hx2 = h[st] * x2[st]
-        demand_slot = k * (params.p_proc + p_ehu[st])
-        if p_ehu[st] > 0.0 and level >= demand_slot:
-            transmitted[i] = True
-            x1 = rng.normal(0.0, math.sqrt(p_ehu[st]), k)
-            g1 = rng.normal(0.0, g1_sd, k) if g1_sd > 0.0 else np.zeros(k)
-            amp = hx2 + (params.g1_mean + g1) * x1
-            e_in = params.eta * amp * amp
-            demand = x1 * x1 + params.p_proc
-            # Fast path: if the battery never dips below the running demand,
-            # the min clause never engages and the slot reduces to sums.
-            delta = np.cumsum(e_in - demand)
-            if level + float(np.min(delta - e_in)) >= 0.0:
-                e_out = float(np.sum(demand))
-                e_in_sum = float(np.sum(e_in))
-                level += e_in_sum - e_out
-                e_in_total += e_in_sum
-                e_out_total += e_out
-            else:
-                for j in range(k):
-                    draw = min(level, float(demand[j]))
-                    level += float(e_in[j]) - draw
-                    e_in_total += float(e_in[j])
-                    e_out_total += draw
+    for lo in range(0, n_slots, _BLOCK):
+        hi = lo + _BLOCK
+        st = states[lo:hi]
+        want = wanted[lo:hi]
+        # Every wanted slot draws, outage or not, so the stream depends on
+        # neither the battery nor the block size.
+        ws = st[want]
+        if g1_sd > 0.0:
+            z = rng.standard_normal((ws.size, 2, k))
+            x1 = x1_sd[ws, None] * z[:, 0]
+            gain = params.g1_mean + g1_sd * z[:, 1]
         else:
-            # Sleeping: the user spends nothing and only harvests the
-            # transmitter's signal.
-            e_in_sum = k * params.eta * hx2 * hx2
-            level += e_in_sum
-            e_in_total += e_in_sum
-        battery_end[i] = level
+            x1 = x1_sd[ws, None] * rng.standard_normal((ws.size, k))
+            gain = params.g1_mean
+        amp = hx2[ws, None] + gain * x1
+        e_in = params.eta * amp * amp
+        demand = x1 * x1 + params.p_proc
+        slots = zip(*(a.tolist() for a in _slot_sums(e_in, demand)))
+        sent = []
+        levels = []
+        for s_i, w_i in zip(st.tolist(), want.tolist()):
+            if w_i:
+                e_sum, d_sum, net, floor = next(slots)
+            go = w_i and level >= gate[s_i]
+            if go:
+                level, e_out, dry = _close_slot(level, e_sum, d_sum, net, floor)
+                e_in_total += e_sum
+                e_out_total += e_out
+                depleted += dry
+            else:
+                level += sleep_in[s_i]
+                e_in_total += sleep_in[s_i]
+            sent.append(go)
+            levels.append(level)
+        transmitted[lo:hi] = sent
+        battery_end[lo:hi] = levels
 
-    wanted = p_ehu[states] > 0.0
     n_outage = int((wanted & ~transmitted).sum())
     empirical = float(rates[states[transmitted]].sum()) / n_slots
     uses = n_slots * k
@@ -157,4 +217,6 @@ def simulate(
         energy_in_total=e_in_total,
         energy_out_total=e_out_total,
         battery_final=level,
+        warmup_slots=int(transmitted.argmax()) if transmitted.any() else n_slots,
+        depleted_slots=depleted,
     )

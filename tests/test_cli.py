@@ -171,6 +171,18 @@ def test_simulate_stdout_trace(capsys):
     assert err.splitlines()[0] == "empirical_rate,analytic_capacity,outage_fraction"
 
 
+def test_simulate_stdout_trace_matches_out_file(tmp_path, capsys):
+    argv = ["simulate", "--k", "20", "--slots", "1500", "--seed", "2", "--pp-watts", "0",
+            "--fading-states", "4"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0
+    trace_path = tmp_path / "trace.csv"
+    code, summary, _ = run_cli(argv + ["--out", str(trace_path)], capsys)
+    assert code == 0
+    assert out.encode("utf-8") == trace_path.read_bytes()
+    assert err == summary
+
+
 def test_fading_file_roundtrip(tmp_path, capsys):
     fpath = tmp_path / "states.txt"
     fpath.write_text("1.0e-4 0.5\n2.0e-4 0.5\n")

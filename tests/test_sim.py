@@ -1,9 +1,13 @@
 """Battery dynamics and the slotted Monte Carlo achievability run."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fdwpc import fading
+from fdwpc import fading, sim
 from fdwpc.sim import SimConfig, simulate
 from fdwpc.solver import PowerAllocation, solve
 from fdwpc.units import LinkParams
@@ -51,6 +55,7 @@ def test_infeasible_processing_cost_never_transmits():
     tr = simulate(params, f, res.allocation, SimConfig(k=50, n_slots=200, seed=1))
     assert tr.empirical_rate == 0.0
     assert not np.any(tr.transmitted)
+    assert tr.warmup_slots == 200
 
 
 def test_energy_conservation_and_nonnegativity():
@@ -120,6 +125,65 @@ def test_mid_slot_depletion_respects_battery():
     assert np.all(tr.battery_j >= 0.0)
     drift = abs(tr.energy_in_total - tr.energy_out_total - tr.battery_final)
     assert drift <= 1e-9 * max(tr.energy_in_total, 1e-300)
+    assert tr.depleted_slots > 0
+    assert tr.transmitted.any()
+    assert tr.warmup_slots == int(np.flatnonzero(tr.transmitted)[0])
+
+
+_energy = st.floats(0.0, 10.0, allow_subnormal=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    level=st.one_of(st.just(0.0), _energy),
+    uses=st.lists(st.tuples(_energy, _energy), min_size=1, max_size=40),
+)
+def test_closed_form_slot_matches_per_use_loop(level, uses):
+    # Demands drawn on the same scale as the harvest and the start level
+    # make most slots run dry part-way.
+    e_in = np.array([[e for e, _ in uses]])
+    demand = np.array([[d for _, d in uses]])
+    sums = [float(a[0]) for a in sim._slot_sums(e_in, demand)]
+    end, e_out, _ = sim._close_slot(level, *sums)
+    ref_level, ref_out = level, 0.0
+    for e, d in uses:
+        draw = min(ref_level, d)
+        ref_level += e - draw
+        ref_out += draw
+    # The one-step law cancels sums of the slot's whole harvest and demand.
+    scale = level + e_in.sum() + demand.sum()
+    assert end >= 0.0
+    assert abs(end - ref_level) <= 1e-12 * scale
+    assert abs(e_out - ref_out) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize(
+    "params, alloc",
+    [
+        (sim_params(), None),
+        (
+            sim_params(p_proc=0.0, alpha1=0.0, g1_mean=0.0),
+            PowerAllocation(np.array([1.0]), np.array([5.0])),
+        ),
+    ],
+    ids=["recycling", "no-recycling"],
+)
+def test_block_size_does_not_change_the_run(monkeypatch, params, alloc):
+    f = fading.rayleigh(1.0, 8) if alloc is None else fading.deterministic(1.0)
+    alloc = alloc or solve(params, f).allocation
+    cfg = SimConfig(k=20, n_slots=300, seed=4)
+    runs = []
+    for block in (1, 7, sim._BLOCK):
+        monkeypatch.setattr(sim, "_BLOCK", block)
+        runs.append(simulate(params, f, alloc, cfg))
+    first = runs[0]
+    assert first.transmitted.any() and not first.transmitted.all()
+    for tr in runs[1:]:
+        assert np.array_equal(tr.battery_j, first.battery_j)
+        assert np.array_equal(tr.transmitted, first.transmitted)
+        assert tr.energy_in_total == first.energy_in_total
+        assert tr.energy_out_total == first.energy_out_total
+        assert tr.depleted_slots == first.depleted_slots
 
 
 def test_trace_csv(tmp_path):
@@ -134,6 +198,33 @@ def test_trace_csv(tmp_path):
     assert len(lines) == 51
     first = lines[1].split(",")
     assert first[0] == "0" and first[2] in {"0", "1"}
+
+
+def test_trace_csv_format_is_pinned(tmp_path):
+    params = sim_params()
+    f = fading.rayleigh(1.0, 4)
+    res = solve(params, f)
+    tr = simulate(params, f, res.allocation, SimConfig(k=20, n_slots=10, seed=2))
+    # More rows than one write chunk, mixing zeros, denormals, huge values
+    # and infinities with ordinary ones.
+    rng = np.random.default_rng(0)
+    special = np.array([0.0, 5e-324, 2.2e-310, 1.7976931348623157e308, 1e300, np.inf])
+    n = 2500
+    cols = [
+        np.where(rng.random(n) < 0.3, rng.choice(special, n), rng.lognormal(0.0, 30.0, n))
+        for _ in range(3)
+    ]
+    tr = dataclasses.replace(
+        tr, h=cols[0], transmitted=rng.random(n) < 0.5, slot_rate_bits=cols[1], battery_j=cols[2]
+    )
+    out = tmp_path / "trace.csv"
+    tr.to_csv(out)
+    expected = "slot,h,transmitted,slot_rate_bits,battery_j\n" + "".join(
+        f"{i},{tr.h[i]:.12e},{int(tr.transmitted[i])},"
+        f"{tr.slot_rate_bits[i]:.12e},{tr.battery_j[i]:.12e}\n"
+        for i in range(n)
+    )
+    assert out.read_bytes() == expected.encode("utf-8")
 
 
 def test_sim_config_validation():
