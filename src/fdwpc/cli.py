@@ -85,16 +85,8 @@ def _add_scenario_args(p: argparse.ArgumentParser, *, pp_list: bool = False) -> 
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
 
 
-def _grid(args) -> np.ndarray:
-    if args.step <= 0.0:
-        raise ValueError("--step must be > 0")
-    n = int(math.floor((args.stop - args.start) / args.step + 1e-9)) + 1
-    if n < 1:
-        raise ValueError("empty sweep range")
-    return args.start + args.step * np.arange(n)
-
-
-def _scenario_fading(args, omega: float) -> fading_mod.FadingDistribution:
+def _scenario_fading(args) -> fading_mod.FadingDistribution:
+    omega = omega_from_path_loss(PathLossParams(_F_C_HZ, args.distance_m, _GAMMA))
     if args.fading_file is not None:
         return fading_mod.from_file(args.fading_file)
     if args.fading_states == 1:
@@ -102,104 +94,93 @@ def _scenario_fading(args, omega: float) -> fading_mod.FadingDistribution:
     return fading_mod.rayleigh(omega, args.fading_states)
 
 
-def _scenario_params(
-    args, *, pet_w=None, pp_w=None, alpha1=None, suppression_db=None
-) -> LinkParams:
-    if pp_w is None:
-        pp_w = (
-            args.pp_watts
-            if getattr(args, "pp_watts", None) is not None
-            else dbm_to_watt(args.pp_dbm)
+def _scenario_params(args, **fields) -> LinkParams:
+    """The link the scenario flags describe, with ``fields`` set directly.
+
+    A flag is converted only when ``fields`` leaves its field unset, so the
+    flag a sweep replaces is never read: its value may be out of range and
+    ``pcost-compare``'s ``--pp-dbm`` may be a list.
+    """
+    if "p_proc" not in fields:
+        fields["p_proc"] = (
+            args.pp_watts if args.pp_watts is not None else dbm_to_watt(args.pp_dbm)
         )
-    supp = suppression_db if suppression_db is not None else args.suppression_db
-    return LinkParams(
-        eta=args.eta,
-        p_proc=pp_w,
-        p_et=pet_w if pet_w is not None else dbm_to_watt(args.pet_dbm),
-        sigma2_sq=args.noise_watts,
-        g1_mean=args.g1_mean,
-        alpha1=alpha1 if alpha1 is not None else args.alpha1,
-        alpha2=1.0 / db_to_linear(supp),
+    if "p_et" not in fields:
+        fields["p_et"] = dbm_to_watt(args.pet_dbm)
+    if "alpha2" not in fields:
+        fields["alpha2"] = 1.0 / db_to_linear(args.suppression_db)
+    scenario = dict(
+        eta=args.eta, sigma2_sq=args.noise_watts, g1_mean=args.g1_mean, alpha1=args.alpha1
     )
+    return LinkParams(**(scenario | fields))
 
 
-def _emit(args, lines: list[str]) -> None:
+def _capacity_rows(args, fad, pet_dbm: float):
+    params = _scenario_params(args, p_et=dbm_to_watt(pet_dbm))
+    res = solver.solve(params, fad)
+    bench = hd.solve_hd(params, fad)
+    yield f"{_fmt(pet_dbm)},{_fmt(res.capacity)},{_fmt(bench.rate)},{res.case}"
+
+
+def _ratio_rows(args, fad, supp: float):
+    params = _scenario_params(args, alpha2=1.0 / db_to_linear(supp))
+    res = solver.solve(params, fad)
+    bench = hd.solve_hd(params, fad)
+    ratio = res.capacity / bench.rate if bench.rate > 0.0 else math.nan
+    yield f"{_fmt(supp)},{_fmt(ratio)}"
+
+
+def _recycle_rows(args, fad, rec: float):
+    res = solver.solve(_scenario_params(args, alpha1=rec), fad)
+    yield f"{_fmt(rec)},{_fmt(res.capacity)}"
+
+
+def _pcost_rows(args, fad, pet_dbm: float):
+    pp_values = [dbm_to_watt(v) for v in args.pp_dbm]
+    if args.pp_zero:
+        pp_values = [0.0] + pp_values
+    for pp_w in pp_values:
+        params = _scenario_params(args, p_et=dbm_to_watt(pet_dbm), p_proc=pp_w)
+        res = solver.solve(params, fad)
+        yield f"{_fmt(pet_dbm)},{_fmt(pp_w)},{_fmt(res.capacity)}"
+
+
+def cmd_sweep(args) -> int:
+    """Write ``args.header`` and ``args.rows``' lines at each grid value as CSV."""
+    if args.step <= 0.0:
+        raise ValueError("--step must be > 0")
+    n = int(math.floor((args.stop - args.start) / args.step + 1e-9)) + 1
+    if n < 1:
+        raise ValueError("empty sweep range")
+    grid = args.start + args.step * np.arange(n)
+    fad = _scenario_fading(args)
+    lines = [args.header]
+    for value in grid:
+        lines.extend(args.rows(args, fad, float(value)))
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _omega(args) -> float:
-    return omega_from_path_loss(PathLossParams(_F_C_HZ, args.distance_m, _GAMMA))
-
-
-def cmd_capacity_sweep(args) -> int:
-    grid = _grid(args)
-    om = _omega(args)
-    fad = _scenario_fading(args, om)
-    lines = ["variable,capacity_fd_bits,rate_hd_bits,case_tag"]
-    for pet_dbm in grid:
-        params = _scenario_params(args, pet_w=dbm_to_watt(float(pet_dbm)))
-        res = solver.solve(params, fad)
-        bench = hd.solve_hd(params, fad)
-        lines.append(
-            f"{_fmt(float(pet_dbm))},{_fmt(res.capacity)},{_fmt(bench.rate)},{res.case}"
-        )
-    _emit(args, lines)
     return 0
 
 
-def cmd_ratio_sweep(args) -> int:
-    grid = _grid(args)
-    om = _omega(args)
-    fad = _scenario_fading(args, om)
-    lines = ["suppression_db,ratio_fd_hd"]
-    for supp in grid:
-        params = _scenario_params(args, suppression_db=float(supp))
-        res = solver.solve(params, fad)
-        bench = hd.solve_hd(params, fad)
-        ratio = res.capacity / bench.rate if bench.rate > 0.0 else math.nan
-        lines.append(f"{_fmt(float(supp))},{_fmt(ratio)}")
-    _emit(args, lines)
-    return 0
-
-
-def cmd_recycle_sweep(args) -> int:
-    grid = _grid(args)
-    om = _omega(args)
-    fad = _scenario_fading(args, om)
-    lines = ["recycle,capacity_fd_bits"]
-    for rec in grid:
-        params = _scenario_params(args, alpha1=float(rec))
-        res = solver.solve(params, fad)
-        lines.append(f"{_fmt(float(rec))},{_fmt(res.capacity)}")
-    _emit(args, lines)
-    return 0
-
-
-def cmd_pcost_compare(args) -> int:
-    grid = _grid(args)
-    om = _omega(args)
-    fad = _scenario_fading(args, om)
-    pp_values = [dbm_to_watt(v) for v in args.pp_dbm]
-    if args.pp_zero:
-        pp_values = [0.0] + pp_values
-    lines = ["pet_dbm,pp_watts,capacity_fd_bits"]
-    for pet_dbm in grid:
-        for pp_w in pp_values:
-            params = _scenario_params(args, pet_w=dbm_to_watt(float(pet_dbm)), pp_w=pp_w)
-            res = solver.solve(params, fad)
-            lines.append(f"{_fmt(float(pet_dbm))},{_fmt(pp_w)},{_fmt(res.capacity)}")
-    _emit(args, lines)
-    return 0
+# name, help, swept variable, default (start, stop, step), CSV header, rows
+_SWEEPS = (
+    ("capacity-sweep", "capacity and benchmark vs ET power", "ET power, dBm",
+     (0.0, 35.0, 5.0), "variable,capacity_fd_bits,rate_hd_bits,case_tag", _capacity_rows),
+    ("ratio-sweep", "FD/HD rate ratio vs suppression", "suppression, dB",
+     (40.0, 100.0, 10.0), "suppression_db,ratio_fd_hd", _ratio_rows),
+    ("recycle-sweep", "capacity vs recycle gain", "recycle gain",
+     (0.0, 1.2, 0.1), "recycle,capacity_fd_bits", _recycle_rows),
+    ("pcost-compare", "capacity vs ET power per processing cost", "ET power, dBm",
+     (0.0, 35.0, 5.0), "pet_dbm,pp_watts,capacity_fd_bits", _pcost_rows),
+)
 
 
 def cmd_simulate(args) -> int:
-    om = _omega(args)
-    fad = _scenario_fading(args, om)
+    fad = _scenario_fading(args)
     params = _scenario_params(args)
     res = solver.solve(params, fad)
     cfg = sim.SimConfig(k=args.k, n_slots=args.slots, seed=args.seed)
@@ -225,33 +206,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("capacity-sweep", help="capacity and benchmark vs ET power")
-    p.add_argument("--start", type=float, default=0.0, help="first ET power, dBm")
-    p.add_argument("--stop", type=float, default=35.0, help="last ET power, dBm")
-    p.add_argument("--step", type=float, default=5.0)
-    _add_scenario_args(p)
-    p.set_defaults(func=cmd_capacity_sweep)
-
-    p = sub.add_parser("ratio-sweep", help="FD/HD rate ratio vs suppression")
-    p.add_argument("--start", type=float, default=40.0, help="first suppression, dB")
-    p.add_argument("--stop", type=float, default=100.0, help="last suppression, dB")
-    p.add_argument("--step", type=float, default=10.0)
-    _add_scenario_args(p)
-    p.set_defaults(func=cmd_ratio_sweep)
-
-    p = sub.add_parser("recycle-sweep", help="capacity vs recycle gain")
-    p.add_argument("--start", type=float, default=0.0, help="first recycle gain")
-    p.add_argument("--stop", type=float, default=1.2, help="last recycle gain")
-    p.add_argument("--step", type=float, default=0.1)
-    _add_scenario_args(p)
-    p.set_defaults(func=cmd_recycle_sweep)
-
-    p = sub.add_parser("pcost-compare", help="capacity vs ET power per processing cost")
-    p.add_argument("--start", type=float, default=0.0, help="first ET power, dBm")
-    p.add_argument("--stop", type=float, default=35.0, help="last ET power, dBm")
-    p.add_argument("--step", type=float, default=5.0)
-    _add_scenario_args(p, pp_list=True)
-    p.set_defaults(func=cmd_pcost_compare)
+    for name, help_, variable, (start, stop, step), header, rows in _SWEEPS:
+        p = sub.add_parser(name, help=help_)
+        p.add_argument("--start", type=float, default=start, help=f"first {variable}")
+        p.add_argument("--stop", type=float, default=stop, help=f"last {variable}")
+        p.add_argument("--step", type=float, default=step)
+        _add_scenario_args(p, pp_list=name == "pcost-compare")
+        p.set_defaults(func=cmd_sweep, header=header, rows=rows)
 
     p = sub.add_parser("simulate", help="slotted Monte Carlo achievability run")
     p.add_argument("--k", type=int, default=200, help="channel uses per slot")
@@ -271,6 +232,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"fdwpc: {exc}\n")
+        return 2
+    except (OverflowError, ZeroDivisionError) as exc:
+        # A numeric flag whose unit conversion leaves the float range.
+        sys.stderr.write(f"fdwpc: value out of range: {exc}\n")
         return 2
 
 

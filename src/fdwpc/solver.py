@@ -142,15 +142,13 @@ class CapacityResult:
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Best objective found by the brute-force search, with a bracket.
+    """Best objective found by the brute-force search.
 
     ``capacity_low`` is the exactly-evaluated objective of the best allocation
-    found (a true lower bound). ``capacity_high`` adds a heuristic resolution
-    allowance estimated from the final refinement's improvement.
+    found (a true lower bound).
     """
 
     capacity_low: float
-    capacity_high: float
     allocation: PowerAllocation
 
 
@@ -696,7 +694,7 @@ def brute_force_oracle(params: LinkParams, fading: FadingDistribution) -> Oracle
     h2 = fading.h**2
     p_et = params.p_et
     if _is_zero_link(params, fading):
-        return OracleResult(0.0, 0.0, _zero_allocation(n))
+        return OracleResult(0.0, _zero_allocation(n))
 
     def value_of(q: np.ndarray) -> float:
         return float(_codeword_waterfill(params, p, h2, q)[0])
@@ -765,16 +763,12 @@ def brute_force_oracle(params: LinkParams, fading: FadingDistribution) -> Oracle
         if v_cd > best_v:
             best_v, best_q = v_cd, q_cd
 
-    last_gain = 0.0
     spans = spans0 / (_ORACLE_GRID - 1)
     for _ in range(_ORACLE_REFINEMENTS):
         spans = spans * 4.0 / (_ORACLE_GRID - 1)
         q_cd, v_cd = coordinate_descent(best_q, spans)
-        last_gain = max(v_cd - best_v, 0.0)
         if v_cd > best_v:
             best_v, best_q = v_cd, q_cd
 
     _, p_ehu = _codeword_waterfill(params, p, h2, best_q)
-    alloc = PowerAllocation(np.sqrt(best_q), p_ehu)
-    hi_bracket = best_v + 2.0 * last_gain + 1e-9
-    return OracleResult(best_v, hi_bracket, alloc)
+    return OracleResult(best_v, PowerAllocation(np.sqrt(best_q), p_ehu))

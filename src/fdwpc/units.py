@@ -32,9 +32,6 @@ class LinkParams:
     p_proc : processing power drawn per channel use while transmitting, W.
     p_et : energy-transmitter average power budget, W.
     sigma2_sq : receiver noise power at the energy transmitter, W.
-    sigma1_sq : receiver noise power at the harvesting user, W. Carried for
-        documentation only; the harvesting model excludes receiver noise, so
-        no capacity or energy computation reads it.
     g1_mean : mean amplitude gain of the harvesting user's self-interference
         channel (dimensionless).
     alpha1 : variance of the harvesting user's self-interference gain.
@@ -49,7 +46,6 @@ class LinkParams:
     g1_mean: float = 0.0
     alpha1: float = 0.0
     alpha2: float = 0.0
-    sigma1_sq: float = 0.0
     # Recycle coefficient eta*(g1_mean^2 + alpha1); cached because every
     # energy balance divides by (1 - rho).
     rho: float = field(init=False, repr=False)
@@ -57,7 +53,7 @@ class LinkParams:
     def __post_init__(self) -> None:
         if not (0.0 < self.eta < 1.0):
             raise ValueError(f"eta must be in (0, 1), got {self.eta}")
-        for name in ("p_proc", "p_et", "sigma2_sq", "sigma1_sq", "alpha1", "alpha2"):
+        for name in ("p_proc", "p_et", "sigma2_sq", "alpha1", "alpha2"):
             v = getattr(self, name)
             if not math.isfinite(v) or v < 0.0:
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")

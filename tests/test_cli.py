@@ -232,3 +232,95 @@ def test_ratio_nan_on_dead_channel(tmp_path, capsys):
     )
     assert code == 0
     assert rows(out)[1][1] == "nan"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["capacity-sweep", "--start", "4000", "--stop", "4000", "--step", "5"],
+        ["simulate", "--pet-dbm", "4000"],
+        ["ratio-sweep", "--start", "-4000", "--stop", "-4000", "--step", "5"],
+        ["capacity-sweep", "--start", "0", "--stop", "inf", "--step", "5"],
+    ],
+)
+def test_exit_2_on_out_of_range_value(argv, capsys):
+    # dB-to-linear conversions that overflow or underflow to zero, and an
+    # infinite grid, are usage errors with a one-line diagnostic.
+    code, out, err = run_cli(argv + FAST, capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("fdwpc: ")
+
+
+# Every scenario flag away from its default; each sweep replaces one of them
+# (capacity-sweep --pet-dbm, recycle-sweep --alpha1) with its grid.
+ALL_FLAGS = [
+    "--eta", "0.6", "--alpha1", "0.2", "--g1-mean", "0.3", "--suppression-db", "140",
+    "--noise-watts", "3e-13", "--distance-m", "4", "--pet-dbm", "25", "--pp-dbm", "-60",
+]
+
+PINNED = [
+    (
+        ["pcost-compare", "--pp-zero"],
+        """pet_dbm,pp_watts,capacity_fd_bits
+0.000000000000e+00,0.000000000000e+00,8.107833910912e-03
+0.000000000000e+00,1.000000000000e-04,0.000000000000e+00
+0.000000000000e+00,1.000000000000e-02,0.000000000000e+00
+5.000000000000e+00,0.000000000000e+00,2.164829696602e-02
+5.000000000000e+00,1.000000000000e-04,0.000000000000e+00
+5.000000000000e+00,1.000000000000e-02,0.000000000000e+00
+1.000000000000e+01,0.000000000000e+00,5.445646746585e-02
+1.000000000000e+01,1.000000000000e-04,0.000000000000e+00
+1.000000000000e+01,1.000000000000e-02,0.000000000000e+00
+1.500000000000e+01,0.000000000000e+00,1.279287915468e-01
+1.500000000000e+01,1.000000000000e-04,0.000000000000e+00
+1.500000000000e+01,1.000000000000e-02,0.000000000000e+00
+2.000000000000e+01,0.000000000000e+00,2.774397526169e-01
+2.000000000000e+01,1.000000000000e-04,0.000000000000e+00
+2.000000000000e+01,1.000000000000e-02,0.000000000000e+00
+2.500000000000e+01,0.000000000000e+00,5.478758804829e-01
+2.500000000000e+01,1.000000000000e-04,0.000000000000e+00
+2.500000000000e+01,1.000000000000e-02,0.000000000000e+00
+3.000000000000e+01,0.000000000000e+00,9.736865419172e-01
+3.000000000000e+01,1.000000000000e-04,0.000000000000e+00
+3.000000000000e+01,1.000000000000e-02,0.000000000000e+00
+3.500000000000e+01,0.000000000000e+00,1.553424331823e+00
+3.500000000000e+01,1.000000000000e-04,0.000000000000e+00
+3.500000000000e+01,1.000000000000e-02,0.000000000000e+00
+""",
+    ),
+    (
+        ["capacity-sweep", "--start", "-10", "--stop", "20", "--step", "10"] + ALL_FLAGS,
+        """variable,capacity_fd_bits,rate_hd_bits,case_tag
+-1.000000000000e+01,0.000000000000e+00,1.355252229113e-03,Zero
+0.000000000000e+00,0.000000000000e+00,1.186752520525e-02,Zero
+1.000000000000e+01,2.361691391082e-01,7.491604327617e-02,Case2
+2.000000000000e+01,8.680785279380e-01,3.376403481619e-01,Case2
+""",
+    ),
+    (
+        ["recycle-sweep", "--stop", "0.6", "--step", "0.3"] + ALL_FLAGS,
+        """recycle,capacity_fd_bits
+0.000000000000e+00,1.343883765401e+00
+3.000000000000e-01,1.457582096957e+00
+6.000000000000e-01,1.608020975213e+00
+""",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, expected", PINNED, ids=[a[0] for a, _ in PINNED])
+def test_pinned_sweep_values(argv, expected, capsys):
+    # Each row pins what the sweep forwards to the solver: on these links
+    # putting any one forwarded flag back to its default moves a number.
+    code, out, err = run_cli(argv + FAST, capsys)
+    assert code == 0
+    got, want = rows(out), rows(expected)
+    assert got[0] == want[0] and len(got) == len(want)
+    for g_row, w_row in zip(got[1:], want[1:]):
+        assert len(g_row) == len(w_row)
+        for g, w in zip(g_row, w_row):
+            if w[0].isalpha():  # case tag
+                assert g == w
+            else:
+                assert float(g) == pytest.approx(float(w), rel=1e-12, abs=0.0)

@@ -3,11 +3,12 @@
 import math
 import re
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fdwpc import fading
@@ -329,11 +330,25 @@ def test_pruned_flash_matches_full_enumeration(link):
 # ---------------------------------------------------------------------------
 
 
+def _starve(params, f, row, scale):
+    """``row`` scaled to harvest ``scale`` (at most 0.999) times the processing
+    cost, or zero if the harvest as the energy-balance test computes it is
+    above 0.999 of the cost. Near the smallest subnormals the scaled row rounds
+    to a harvest of a whole ulp or more, which only a zero row stays below."""
+    harvest = params.eta * float(row @ (f.p * f.h**2))
+    if harvest > 0.0:
+        row = row * (scale * params.p_proc / harvest)
+    harvest = params.eta * float(f.p @ (f.h**2 * row))
+    if Fraction(harvest) > Fraction(999, 1000) * Fraction(params.p_proc):
+        return np.zeros_like(row)
+    return row
+
+
 @st.composite
 def q_batches(draw):
     """A ``flash_links`` link and 1-6 transmit-power rows with zero entries.
-    Rows flagged in ``starved`` are scaled so that their harvest is at most
-    0.999 of the processing cost (all zero when p_proc = 0)."""
+    Rows flagged in ``starved`` harvest at most 0.999 of the processing cost
+    (all zero when p_proc = 0)."""
     params, f = draw(flash_links())
     n = f.n_states
     rows = draw(st.integers(1, 6))
@@ -341,11 +356,20 @@ def q_batches(draw):
     q = np.array(draw(st.lists(entry, min_size=rows * n, max_size=rows * n)))
     q = q.reshape(rows, n)
     starved = np.array(draw(st.lists(st.booleans(), min_size=rows, max_size=rows)))
-    harvest = params.eta * (q @ (f.p * f.h**2))
     for r in np.flatnonzero(starved):
-        if harvest[r] > 0.0:
-            q[r] *= draw(st.floats(0.0, 0.999)) * params.p_proc / harvest[r]
+        q[r] = _starve(params, f, q[r], draw(st.floats(0.0, 0.999)))
     return params, f, q, starved
+
+
+def _subnormal_cost_draw():
+    """A q_batches draw at p_proc = 5e-324. Scaled to 0.999 of the cost, its
+    starved row harvests 1e-323 > p_proc in the energy-balance test's
+    arithmetic, so the generator returns it as a zero row."""
+    h = np.array([0.0] * 25 + [2.0] * 4)
+    f = fading.custom(h, np.full(29, 1.0 / 29.0))
+    params = LinkParams(eta=0.8, p_proc=5e-324, p_et=1.0, sigma2_sq=1.0, alpha2=1.0)
+    row = np.where(np.arange(29) >= 27, 1.0, 0.0)
+    return params, f, _starve(params, f, row, 0.999)[None, :], np.array([True])
 
 
 @settings(max_examples=100, deadline=None)
@@ -375,6 +399,7 @@ def test_codeword_waterfill_unfunded_rows_are_zero(args):
 
 @settings(max_examples=100, deadline=None)
 @given(q_batches())
+@example(_subnormal_cost_draw())
 def test_codeword_waterfill_closes_energy_balance(args):
     # sum p (w - noise) cancels digits when the budget is orders below the
     # water level, so the tolerance is relative to the larger of the two.
@@ -652,14 +677,6 @@ def test_rayleigh_closed_form_noiseless_limit():
     assert lam2 == pytest.approx(1.0 / (params.eta * params.p_et), rel=1e-12)
 
 
-def test_receiver_noise_at_user_is_documentation_only():
-    # sigma1_sq is carried for reporting; no capacity or energy path reads it.
-    f = fading.rayleigh(1.0, 16)
-    a = solve(simple_params(sigma2_sq=0.1, alpha2=0.05), f)
-    b = solve(simple_params(sigma2_sq=0.1, alpha2=0.05, sigma1_sq=123.0), f)
-    assert a.capacity == b.capacity
-
-
 # ---------------------------------------------------------------------------
 # Brute-force oracle self-checks
 # ---------------------------------------------------------------------------
@@ -669,7 +686,6 @@ def test_oracle_reproduces_no_fading():
     params = simple_params(alpha2=0.1)
     orc = brute_force_oracle(params, fading.deterministic(1.0))
     assert orc.capacity_low == pytest.approx(HALF_LOG2_5, rel=1e-6)
-    assert orc.capacity_high >= orc.capacity_low
 
 
 def test_oracle_allocation_reevaluates_to_its_capacity():
