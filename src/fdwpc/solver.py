@@ -16,9 +16,10 @@ transmitter regimes are solved and compared:
   power, linear after that), so no optimum has an interior q. Flash k funds
   the budget B_k = (eta*p_et*h_k^2 - p_proc)/(1-rho); its value is bounded
   above by water-filling B_k over the self-interference-free noise floor
-  sigma2_sq/h^2. B_k and so the bound fall with the gain, so candidates are
-  scored exactly (inner water-filling) strongest first, and the search stops
-  at the first bound that cannot beat the best value found. The Lambert-W
+  sigma2_sq/h^2 with the same ``_water_level`` kernel. B_k and so the bound
+  fall with the gain, so candidates are scored exactly (inner water-filling)
+  strongest first, and the search stops at the first unfunded state (B_k <= 0)
+  or the first bound that cannot beat the best value found. The Lambert-W
   closed form ``x0_of_h`` gives the per-state stationary point of that
   Lagrangian, which is a minimum in q, so ``solve`` does not evaluate it.
 
@@ -34,6 +35,7 @@ Capacities are in bits per channel use throughout.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -293,36 +295,13 @@ def capacity_case1(
 # ---------------------------------------------------------------------------
 
 
-def _flash_bounds(params: LinkParams, fading: FadingDistribution):
-    """Flash candidates, strongest gain first, each with an upper bound.
-
-    Returns ``(states, bounds)``: the live states whose flash harvest covers
-    the processing cost, and the SI-free water-filling value of each, at
-    noise sigma2_sq/h^2 and budget B_k = (eta*p_et*h_k^2 - p_proc)/(1-rho).
-    B_k falls along ``states``, so ``bounds`` does too.
-    """
-    n = fading.n_states
-    g = fading.h[::-1] ** 2
-    p = fading.p[::-1]
-    budget = (params.eta * params.p_et * g - params.p_proc) / (1.0 - params.rho)
-    cand = budget > 0.0
-    states, budget = (n - 1 - np.arange(n))[cand], budget[cand]
-    live = g > 0.0
-    g, p = g[live], p[live]
-    noise = params.sigma2_sq / g
-    cw = np.cumsum(p)
-    cwn = np.cumsum(p * noise)
-    # Budget that lifts the water to each state's noise floor in turn:
-    # water-filling at budget B keeps the states whose threshold lies below B.
-    thresholds = cw * noise - cwn
-    m = np.searchsorted(thresholds, budget) - 1
-    w = (budget + cwn[m]) / cw[m]
-    # Logs relative to the strongest state keep sigma2_sq out of the prefix
-    # sum; a noiseless link (sigma2_sq = 0) bounds every candidate at inf.
-    log_rel = np.cumsum(p * np.log(g[0] / g))
-    with np.errstate(divide="ignore"):
-        bounds = _C_BITS * (cw[m] * np.log(w / noise[0]) - log_rel[m])
-    return states, bounds
+def _si_free_value(noise: np.ndarray, p: np.ndarray, budget: float) -> float:
+    """Upper bound on a flash's value: ``budget`` water-filled over the
+    self-interference-free floor ``noise`` (ascending, aligned with ``p``).
+    A noiseless link is worth inf."""
+    w = _water_level(noise, p, budget)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _C_BITS * float((p * np.log(np.maximum(w / noise, 1.0))).sum())
 
 
 def _best_flash(
@@ -331,18 +310,24 @@ def _best_flash(
     """Best single-state flash: all ET power on one state, q_k = p_et/p_k.
 
     Returns ``(allocation, value_bits)``. Candidates are scored exactly in
-    descending-gain order until the next bound cannot beat the best value
-    found (see the module docstring).
+    descending-gain order until the next one is unfunded or its bound cannot
+    beat the best value found (see the module docstring).
     """
     n = fading.n_states
+    p = fading.p
     h2 = fading.h**2
+    # Gains are stored ascending, so this floor is ascending as _water_level
+    # needs it.
+    free = _noise_floor(h2[::-1], params.sigma2_sq)
+    p_desc = p[::-1]
     best, best_value = _zero_allocation(n), 0.0
-    for k, bound in zip(*_flash_bounds(params, fading)):
-        if bound <= best_value:
+    for k in range(n - 1, -1, -1):
+        budget = (params.eta * params.p_et * h2[k] - params.p_proc) / (1.0 - params.rho)
+        if budget <= 0.0 or _si_free_value(free, p_desc, budget) <= best_value:
             break
         q = np.zeros(n)
-        q[k] = params.p_et / fading.p[k]
-        value, p_ehu = _codeword_waterfill(params, fading.p, h2, q)
+        q[k] = params.p_et / p[k]
+        value, p_ehu = _codeword_waterfill(params, p, h2, q)
         if value > best_value:
             best, best_value = PowerAllocation(np.sqrt(q), p_ehu), float(value)
     return best, best_value
@@ -526,7 +511,10 @@ def closed_form_x2_errors(
 
 
 def _allocation_residuals(
-    params: LinkParams, fading: FadingDistribution, alloc: PowerAllocation
+    params: LinkParams,
+    fading: FadingDistribution,
+    alloc: PowerAllocation,
+    mult: MultiplierSet,
 ) -> dict:
     p = fading.p
     h2 = fading.h**2
@@ -537,13 +525,12 @@ def _allocation_residuals(
     consumed = one_m_rho * float((alloc.p_ehu * p).sum()) + params.p_proc
     c2_rel = (harvest - consumed) / max(abs(harvest), 1e-300)
     s = params.sigma2_sq + params.alpha2 * q
-    w = _allocation_water_level(params, fading, alloc)
+    # With no active state lambda2 is inf and the mask is empty.
+    lam2_1mr = mult.lambda2 * one_m_rho
     stat = np.full(fading.n_states, np.nan)
-    if math.isfinite(w):
-        lam2_1mr = 1.0 / w
-        act = alloc.p_ehu > 0.0
-        lhs = h2[act] / (s[act] + h2[act] * alloc.p_ehu[act])
-        stat[act] = np.abs(lhs - lam2_1mr) / lam2_1mr
+    act = alloc.p_ehu > 0.0
+    lhs = h2[act] / (s[act] + h2[act] * alloc.p_ehu[act])
+    stat[act] = np.abs(lhs - lam2_1mr) / lam2_1mr
     return {
         "c1_slack": params.p_et - spent,
         "c2_residual_rel": c2_rel,
@@ -578,7 +565,7 @@ def solve(params: LinkParams, fading: FadingDistribution) -> CapacityResult:
 
     # The multipliers are part of the result, recovered once from the winner.
     mult = recover_multipliers(params, fading, alloc)
-    res = _allocation_residuals(params, fading, alloc)
+    res = _allocation_residuals(params, fading, alloc, mult)
     res["case1_capacity"] = cap_c1
     res["case2_capacity"] = cap_c2
     return CapacityResult(case, capacity, alloc, mult, res)
@@ -644,34 +631,20 @@ def rayleigh_capacity_closed_form(
         lt = one_m_rho / target
         return lt / one_m_rho, math.inf
 
-    def mean_power(lt: float) -> float:
-        x = lt * s / omega
-        if x > 700.0:
-            return 0.0
-        return math.exp(-x) / lt - (s / omega) * exp_e1(x)
-
-    def surplus(lt: float) -> float:
-        return one_m_rho * mean_power(lt) - target
-
-    lo = 1e-280
-    hi = 1.0
-    for _ in range(4000):
-        if surplus(hi) < 0.0:
-            break
-        hi *= 4.0
-    while surplus(lo) <= 0.0 and lo > 1e-320:
-        lo *= 1e-6
-    for _ in range(300):
+    # With x = lt*s/omega the balance reads g(x) = exp(-x)/x - E1(x) = r, and
+    # g falls from inf to 0: bisect log x between the smallest normal double
+    # and 800, past which g underflows; 64 halvings resolve x to 1e-16.
+    r = target * omega / (one_m_rho * s)
+    lo, hi = math.log(sys.float_info.min), math.log(800.0)
+    for _ in range(64):
         mid = 0.5 * (lo + hi)
-        if surplus(mid) > 0.0:
+        x = math.exp(mid)
+        if math.exp(-x) / x - exp_e1(x) > r:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-15 * hi:
-            break
-    lt = 0.5 * (lo + hi)
-    capacity = exp_e1(lt * s / omega) / (2.0 * _LN2)
-    return lt / one_m_rho, capacity
+    x = math.exp(0.5 * (lo + hi))
+    return x * omega / (s * one_m_rho), exp_e1(x) / (2.0 * _LN2)
 
 
 # ---------------------------------------------------------------------------

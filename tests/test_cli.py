@@ -195,6 +195,24 @@ def test_fading_file_roundtrip(tmp_path, capsys):
     assert float(rows(out)[1][1]) > 0.0
 
 
+def test_fading_file_ignores_distance(tmp_path, capsys):
+    # The path loss only scales the Rayleigh and unfaded models, so a fading
+    # file run never reads --distance-m; without a file, 0 m is a usage error.
+    fpath = tmp_path / "states.txt"
+    fpath.write_text("1.0e-4 0.5\n2.0e-4 0.5\n")
+    argv = ["recycle-sweep", "--pp-watts", "0"]
+    code, out, _ = run_cli(argv + ["--fading-file", str(fpath)], capsys)
+    assert code == 0
+    code, out_d0, _ = run_cli(
+        argv + ["--fading-file", str(fpath), "--distance-m", "0"], capsys
+    )
+    assert code == 0
+    assert out_d0.encode("utf-8") == out.encode("utf-8")
+    code, _, err = run_cli(argv + FAST + ["--distance-m", "0"], capsys)
+    assert code == 2
+    assert err.strip() != ""
+
+
 def test_exit_2_on_bad_range(capsys):
     code, out, err = run_cli(
         ["capacity-sweep", "--start", "10", "--stop", "0", "--step", "5"], capsys

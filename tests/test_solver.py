@@ -6,6 +6,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -17,7 +18,8 @@ from fdwpc.solver import (
     CapacityResult,
     MultiplierSet,
     _codeword_waterfill,
-    _flash_bounds,
+    _noise_floor,
+    _si_free_value,
     _water_level,
     brute_force_oracle,
     capacity_case1,
@@ -317,12 +319,14 @@ def test_pruned_flash_matches_full_enumeration(link):
     # ulps, so small capacities are compared in absolute terms.
     tol = 1e-12 * max(1.0, best)
     assert abs(cap - best) <= tol
-    # Every flash worth anything is a candidate, and its bound holds.
-    states, bounds = _flash_bounds(params, f)
-    rest = np.ones(f.n_states, dtype=bool)
-    rest[states] = False
-    assert np.all(values[rest] == 0.0)
-    assert np.all(bounds >= values[states] - tol)
+    # Every flash worth anything is funded, and its SI-free bound holds.
+    budget = (params.eta * params.p_et * h2 - params.p_proc) / (1.0 - params.rho)
+    funded = budget > 0.0
+    assert np.all(values[~funded] == 0.0)
+    desc = np.argsort(-h2, kind="stable")
+    free = _noise_floor(h2[desc], params.sigma2_sq)
+    for k in np.flatnonzero(funded):
+        assert _si_free_value(free, p[desc], budget[k]) >= values[k] - tol
 
 
 # ---------------------------------------------------------------------------
@@ -654,6 +658,35 @@ def test_rayleigh_closed_form_matches_discretization():
     _, alloc = waterfill_case1(params, f)
     cap_disc = capacity_case1(params, f, alloc)
     assert cap == pytest.approx(cap_disc, rel=1e-4)
+
+
+def test_rayleigh_closed_form_closes_the_continuous_balance():
+    # The returned lambda2 solves the docstring's balance, evaluated with
+    # mpmath's E1 at 40 digits, on links whose x = lt*s/omega spans 1e-21..40.
+    rng = np.random.default_rng(3)
+    worst = 0.0
+    with mpmath.workdps(40):
+        for _ in range(200):
+            eta = rng.uniform(0.1, 1.0)
+            p_et = 10.0 ** rng.uniform(-4.0, 2.0)
+            omega = 10.0 ** rng.uniform(-8.0, 1.0)
+            params = LinkParams(
+                eta=eta,
+                p_et=p_et,
+                sigma2_sq=10.0 ** rng.uniform(-20.0, 0.0),
+                alpha2=10.0 ** rng.uniform(-14.0, 0.0),
+                alpha1=rng.uniform(0.0, 0.9),
+                p_proc=rng.uniform(0.0, 0.95) * eta * p_et * omega,
+            )
+            lam2, _ = rayleigh_capacity_closed_form(params, omega)
+            one_m_rho = 1 - mpmath.mpf(params.rho)
+            s = mpmath.mpf(params.sigma2_sq) + mpmath.mpf(p_et) * params.alpha2
+            lt = mpmath.mpf(lam2) * one_m_rho
+            x = lt * s / omega
+            mean_power = mpmath.exp(-x) / lt - (s / omega) * mpmath.e1(x)
+            target = mpmath.mpf(eta) * p_et * omega - params.p_proc
+            worst = max(worst, float(abs(one_m_rho * mean_power - target) / target))
+    assert worst <= 1e-12
 
 
 def test_rayleigh_closed_form_monotone_in_omega():
