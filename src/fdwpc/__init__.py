@@ -13,7 +13,6 @@ from .solver import (
     capacity_no_fading,
     rayleigh_capacity_closed_form,
     solve,
-    solve_case2,
     waterfill_case1,
     x0_of_h,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "capacity_no_fading",
     "rayleigh_capacity_closed_form",
     "solve",
-    "solve_case2",
     "waterfill_case1",
     "x0_of_h",
     "exp_e1",

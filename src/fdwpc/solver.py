@@ -17,17 +17,23 @@ transmitter regimes are solved and compared:
   the budget B_k = (eta*p_et*h_k^2 - p_proc)/(1-rho); its value is bounded
   above by water-filling B_k over the self-interference-free noise floor
   sigma2_sq/h^2 with the same ``_water_level`` kernel. B_k and so the bound
-  fall with the gain, so candidates are scored exactly (inner water-filling)
-  strongest first, and the search stops at the first unfunded state (B_k <= 0)
-  or the first bound that cannot beat the best value found. The Lambert-W
-  closed form ``x0_of_h`` gives the per-state stationary point of that
-  Lagrangian, which is a minimum in q, so ``solve`` does not evaluate it.
+  fall with the gain, so the funded candidates (B_k > 0) are scored exactly
+  (inner water-filling) strongest first, and the search stops at the first
+  bound that cannot beat the best positive value found. The Lambert-W closed form
+  ``x0_of_h`` gives the per-state stationary point of that Lagrangian, which
+  is a minimum in q, so ``solve`` does not evaluate it.
+
+A regime that funds no codeword scores 0, and ``solve`` reports the zero
+allocation (case "Zero") only when both regimes score 0. The processing cost
+is charged in every fading state, so that happens exactly when even the
+strongest state's flash harvest eta*p_et*max h^2 cannot cover p_proc.
 
 Every transmit-power vector q is scored by one exact inner water-filling of
 the codeword power, ``_codeword_waterfill``. ``brute_force_oracle`` searches
 gridded per-state amplitudes with it (exhaustive seed for tiny instances,
 cyclic coordinate descent otherwise, two grid refinements around the
-incumbent), providing an independent answer for small instances.
+incumbent). It shares that scoring with ``solve``, so it checks the search
+over q, not the inner water-filling.
 
 Capacities are in bits per channel use throughout.
 """
@@ -55,7 +61,6 @@ __all__ = [
     "waterfill_case1",
     "capacity_case1",
     "x0_of_h",
-    "solve_case2",
     "solve",
     "capacity_no_fading",
     "rayleigh_capacity_closed_form",
@@ -175,12 +180,6 @@ def _zero_result(fading: FadingDistribution) -> CapacityResult:
     )
 
 
-def _is_zero_link(params: LinkParams, fading: FadingDistribution) -> bool:
-    """The Zero convention: the constant-amplitude harvest eta*p_et*E[h^2]
-    cannot cover the processing cost, and the capacity is taken to be 0."""
-    return params.eta * params.p_et * fading.mean_square <= params.p_proc
-
-
 def _rate_bits(h2: np.ndarray, p_ehu: np.ndarray, s) -> np.ndarray:
     """Per-state rate (1/2) log2(1 + h^2 P / s), safe at P = 0 and s = 0."""
     s_arr = np.broadcast_to(np.asarray(s, dtype=float), h2.shape)
@@ -263,15 +262,16 @@ def waterfill_case1(
     ``[1/(lambda2*(1-rho)) - (sigma2_sq + p_et*alpha2)/h^2]^+`` and the water
     level ``1/(lambda2*(1-rho))`` spends the harvested budget exactly.
 
-    If the average harvested power cannot cover the processing cost, the zero
-    allocation is returned with ``lambda2 = inf``.
+    If the budget is <= 0 (the average harvest eta*p_et*E[h^2] cannot cover
+    the processing cost), the zero allocation is returned with
+    ``lambda2 = inf``.
     """
-    if _is_zero_link(params, fading):
-        return math.inf, _zero_allocation(fading.n_states)
     one_m_rho = 1.0 - params.rho
+    budget = (params.eta * params.p_et * fading.mean_square - params.p_proc) / one_m_rho
+    if budget <= 0.0:
+        return math.inf, _zero_allocation(fading.n_states)
     s = params.sigma2_sq + params.p_et * params.alpha2
     noise = _noise_floor(fading.h**2, s)
-    budget = (params.eta * params.p_et * fading.mean_square - params.p_proc) / one_m_rho
     # Gains are stored ascending, so this noise floor is sorted descending and
     # reversing it replaces the argsort of _codeword_waterfill, which made
     # solve 10-12% slower at 2000 and 8192 states on a 2-CPU host.
@@ -309,9 +309,10 @@ def _best_flash(
 ) -> tuple[PowerAllocation, float]:
     """Best single-state flash: all ET power on one state, q_k = p_et/p_k.
 
-    Returns ``(allocation, value_bits)``. Candidates are scored exactly in
-    descending-gain order until the next one is unfunded or its bound cannot
-    beat the best value found (see the module docstring).
+    Returns ``(allocation, value_bits)``, the zero allocation and 0 when no
+    flash is funded. Funded candidates are scored exactly in descending-gain
+    order until the next one's bound cannot beat a positive best value (see
+    the module docstring).
     """
     n = fading.n_states
     p = fading.p
@@ -320,32 +321,22 @@ def _best_flash(
     # needs it.
     free = _noise_floor(h2[::-1], params.sigma2_sq)
     p_desc = p[::-1]
+    q_flash = params.p_et / p
+    # Rounded as _codeword_waterfill rounds a one-state row, so a flash is
+    # skipped here exactly when its scoring would fund nothing.
+    budget = (params.eta * (q_flash * (p * h2)) - params.p_proc) / (1.0 - params.rho)
     best, best_value = _zero_allocation(n), 0.0
-    for k in range(n - 1, -1, -1):
-        budget = (params.eta * params.p_et * h2[k] - params.p_proc) / (1.0 - params.rho)
-        if budget <= 0.0 or _si_free_value(free, p_desc, budget) <= best_value:
+    for k in np.flatnonzero(budget > 0.0)[::-1]:
+        # Only a scored flash prunes: a funded flash whose bound rounds to 0
+        # is still scored, so no bound decides that the link is Zero.
+        if best_value > 0.0 and _si_free_value(free, p_desc, budget[k]) <= best_value:
             break
         q = np.zeros(n)
-        q[k] = params.p_et / p[k]
+        q[k] = q_flash[k]
         value, p_ehu = _codeword_waterfill(params, p, h2, q)
         if value > best_value:
             best, best_value = PowerAllocation(np.sqrt(q), p_ehu), float(value)
     return best, best_value
-
-
-def solve_case2(
-    params: LinkParams, fading: FadingDistribution
-) -> tuple[MultiplierSet, PowerAllocation]:
-    """Solve the fading-adapted transmitter regime: the best single-state flash.
-
-    Returns the recovered multipliers and the primal allocation. When the
-    average constant-amplitude harvest cannot cover the processing cost the
-    result is the zero allocation (with ``lambda2 = inf``), as in ``solve``.
-    """
-    if _is_zero_link(params, fading):
-        return MultiplierSet(0.0, math.inf, 0.0), _zero_allocation(fading.n_states)
-    alloc, _ = _best_flash(params, fading)
-    return recover_multipliers(params, fading, alloc), alloc
 
 
 # ---------------------------------------------------------------------------
@@ -542,19 +533,20 @@ def solve(params: LinkParams, fading: FadingDistribution) -> CapacityResult:
     """Capacity of the link: solve both transmitter regimes, keep the better.
 
     Case 1 water-fills under the constant amplitude; Case 2 is the best
-    single-state flash. Ties within numerical tolerance go to the
-    constant-amplitude regime (the simpler transmitter). When the average
-    harvested power cannot cover the processing cost, the result is the zero
-    allocation with zero capacity.
+    single-state flash. A regime that funds no codeword scores 0; when both
+    score 0 (eta*p_et*max h^2 <= p_proc, a dead channel included) the result
+    is the zero allocation with case "Zero". Ties within numerical tolerance
+    go to the constant-amplitude regime (the simpler transmitter) when it
+    scores above 0.
     """
-    if _is_zero_link(params, fading):
-        return _zero_result(fading)
     _, alloc_c1 = waterfill_case1(params, fading)
     cap_c1 = capacity_case1(params, fading, alloc_c1)
     alloc_c2, cap_c2 = _best_flash(params, fading)
+    if cap_c1 == 0.0 and cap_c2 == 0.0:
+        return _zero_result(fading)
 
     tie_tol = 1e-7 * max(1.0, cap_c1)
-    if cap_c2 > cap_c1 + tie_tol:
+    if cap_c1 == 0.0 or cap_c2 > cap_c1 + tie_tol:
         case = "Case2"
         alloc = alloc_c2
         capacity = cap_c2
@@ -582,9 +574,10 @@ def capacity_no_fading(params: LinkParams, h: float) -> float:
     The codeword power is the full harvested budget
     ``[(eta*p_et*h^2 - p_proc)/(1-rho)]^+``; at h = 1 and zero processing
     cost this is the classical recycling-boosted budget ``eta*p_et/(1-rho)``.
+    Raises ValueError unless h is finite and >= 0.
     """
-    if h < 0.0:
-        raise ValueError(f"gain must be >= 0, got {h}")
+    if h < 0.0 or not math.isfinite(h):
+        raise ValueError(f"gain must be finite and >= 0, got {h}")
     h2 = h * h
     p_ehu = max((params.eta * params.p_et * h2 - params.p_proc), 0.0) / (
         1.0 - params.rho
@@ -612,13 +605,13 @@ def rayleigh_capacity_closed_form(
     and the capacity is ``E1(lt*s/omega) / (2 ln 2)``. Returns
     ``(lambda2, capacity_bits)``.
 
-    Raises ValueError when the harvested power cannot cover the processing
-    cost.
+    Raises ValueError unless omega is finite and > 0, and when the harvested
+    power cannot cover the processing cost.
     """
     from .specfun import exp_e1
 
-    if omega <= 0.0:
-        raise ValueError(f"omega must be > 0, got {omega}")
+    if omega <= 0.0 or not math.isfinite(omega):
+        raise ValueError(f"omega must be finite and > 0, got {omega}")
     target = params.eta * params.p_et * omega - params.p_proc
     if target <= 0.0:
         raise ValueError(
@@ -653,7 +646,7 @@ def rayleigh_capacity_closed_form(
 
 
 def brute_force_oracle(params: LinkParams, fading: FadingDistribution) -> OracleResult:
-    """Independent grid search over per-state transmit amplitudes.
+    """Grid search over per-state transmit amplitudes.
 
     Coordinate descent over an amplitude grid per state (with an exhaustive
     product-grid seed for up to three states), exact inner water-filling for
@@ -666,8 +659,6 @@ def brute_force_oracle(params: LinkParams, fading: FadingDistribution) -> Oracle
     p = fading.p
     h2 = fading.h**2
     p_et = params.p_et
-    if _is_zero_link(params, fading):
-        return OracleResult(0.0, _zero_allocation(n))
 
     def value_of(q: np.ndarray) -> float:
         return float(_codeword_waterfill(params, p, h2, q)[0])
@@ -704,7 +695,8 @@ def brute_force_oracle(params: LinkParams, fading: FadingDistribution) -> Oracle
         np.zeros(n),
     ]
     ms = float((p * h2).sum())
-    starts.append(np.where(h2 > 0.0, p_et * h2 / ms, 0.0))
+    if ms > 0.0:
+        starts.append(p_et * h2 / ms)
     # Full-budget concentration on every live state: coordinate moves cannot
     # migrate the whole budget between states once one of them holds it all.
     for i in range(n):

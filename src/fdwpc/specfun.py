@@ -10,8 +10,7 @@ a library:
 * ``exp_e1``: alternating power series for small arguments, modified-Lentz
   continued fraction for large ones.
 
-Both target 1e-12 relative accuracy; the dual-level solvers downstream stop
-at 1e-9, leaving an order of safety per composition level.
+Both target 1e-12 relative accuracy.
 """
 
 from __future__ import annotations

@@ -29,7 +29,9 @@ class LinkParams:
     Attributes
     ----------
     eta : dimensionless harvesting efficiency, 0 < eta < 1.
-    p_proc : processing power drawn per channel use while transmitting, W.
+    p_proc : processing power of the harvesting user, W. ``solver`` charges it
+        in every fading state, idle ones included; ``hd`` charges it for the
+        whole transmit phase; ``sim.simulate`` only in slots it transmits.
     p_et : energy-transmitter average power budget, W.
     sigma2_sq : receiver noise power at the energy transmitter, W.
     g1_mean : mean amplitude gain of the harvesting user's self-interference

@@ -29,8 +29,9 @@ def test_capacity_sweep_contract(capsys):
     table = rows(out)
     assert table[0] == ["variable", "capacity_fd_bits", "rate_hd_bits", "case_tag"]
     assert len(table) == 9  # header + 8 grid points
-    # The reference processing cost of -10 dBm exceeds the harvest at these
-    # link budgets: every row is the zero allocation.
+    # The reference processing cost of -10 dBm exceeds even the strongest
+    # fading state's harvest at these link budgets: every row is the zero
+    # allocation.
     assert all(float(r[1]) == 0.0 for r in table[1:])
     assert all(r[3] == "Zero" for r in table[1:])
 
@@ -311,7 +312,7 @@ PINNED = [
         ["capacity-sweep", "--start", "-10", "--stop", "20", "--step", "10"] + ALL_FLAGS,
         """variable,capacity_fd_bits,rate_hd_bits,case_tag
 -1.000000000000e+01,0.000000000000e+00,1.355252229113e-03,Zero
-0.000000000000e+00,0.000000000000e+00,1.186752520525e-02,Zero
+0.000000000000e+00,3.907400947240e-02,1.186752520525e-02,Case2
 1.000000000000e+01,2.361691391082e-01,7.491604327617e-02,Case2
 2.000000000000e+01,8.680785279380e-01,3.376403481619e-01,Case2
 """,

@@ -1,5 +1,6 @@
 """Capacity solver: both regimes, closed forms, duals, and the oracle."""
 
+import dataclasses
 import math
 import re
 import time
@@ -17,6 +18,7 @@ from fdwpc.hd import solve_hd
 from fdwpc.solver import (
     CapacityResult,
     MultiplierSet,
+    _best_flash,
     _codeword_waterfill,
     _noise_floor,
     _si_free_value,
@@ -27,7 +29,6 @@ from fdwpc.solver import (
     closed_form_x2_errors,
     rayleigh_capacity_closed_form,
     solve,
-    solve_case2,
     waterfill_case1,
     x0_of_h,
 )
@@ -157,6 +158,49 @@ def test_capacity_zero_iff_no_codeword_power():
     assert live.capacity > 0.0 and np.any(live.allocation.p_ehu > 0.0)
 
 
+def flash_only_link(n_states):
+    """Rayleigh link whose processing cost is 1.05 times the mean harvest:
+    Case 1 is unfunded, but the top state's flash harvest is about ln(2n)
+    times the mean."""
+    f = fading.rayleigh(1.0, n_states)
+    return simple_params(sigma2_sq=0.1, alpha2=0.05, p_proc=1.05 * 0.8 * f.mean_square), f
+
+
+def test_flash_funds_a_link_whose_mean_harvest_cannot():
+    params, f = flash_only_link(16)
+    alloc, value = _best_flash(params, f)
+    r = solve(params, f)
+    assert r.residuals["case1_capacity"] == 0.0
+    assert r.case == "Case2"
+    assert value == pytest.approx(1.7817, abs=1e-4)
+    assert abs(r.capacity - value) <= 1e-12
+    assert np.array_equal(r.allocation.p_ehu, alloc.p_ehu)
+
+
+def test_oracle_agrees_where_only_a_flash_is_funded():
+    params, f = flash_only_link(8)
+    r = solve(params, f)
+    orc = brute_force_oracle(params, f)
+    assert r.case == "Case2" and r.capacity > 0.0
+    assert orc.capacity_low > 0.0
+    assert abs(r.capacity - orc.capacity_low) <= 1e-3
+
+
+@pytest.mark.parametrize("cost", [0.99, 1.0 - 1e-9, 1.0, 1.01])
+def test_zero_exactly_when_the_top_flash_is_unfunded(cost):
+    # Just below the top harvest the flash is worth less than solve's tie
+    # tolerance, and still wins over the unfunded Case 1.
+    params, f = flash_only_link(16)
+    top_harvest = params.eta * params.p_et * float(np.max(f.h**2))
+    params = dataclasses.replace(params, p_proc=cost * top_harvest)
+    r = solve(params, f)
+    if top_harvest <= params.p_proc:
+        assert r.case == "Zero" and r.capacity == 0.0
+    else:
+        assert r.case == "Case2"
+        assert r.capacity == r.residuals["case2_capacity"] > 0.0
+
+
 # ---------------------------------------------------------------------------
 # Adaptive-amplitude regime
 # ---------------------------------------------------------------------------
@@ -165,7 +209,7 @@ def test_capacity_zero_iff_no_codeword_power():
 def test_case2_matches_case1_on_single_state():
     params = simple_params(alpha2=0.1)
     f = fading.deterministic(1.0)
-    mult, alloc = solve_case2(params, f)
+    alloc = _best_flash(params, f)[0]
     lam2, alloc1 = waterfill_case1(params, f)
     c2 = capacity_case1(params, f, alloc)  # same noise: x2 = sqrt(p_et)
     assert alloc.x2[0] == pytest.approx(alloc1.x2[0], rel=1e-6)
@@ -183,7 +227,7 @@ def test_case2_five_state_against_oracle():
 def test_case2_silences_dead_and_weak_states():
     f = fading.custom([1e-6, 0.9, 1.0, 1.1], [0.25, 0.25, 0.25, 0.25])
     params = simple_params(sigma2_sq=0.1, alpha2=0.05)
-    mult, alloc = solve_case2(params, f)
+    alloc = _best_flash(params, f)[0]
     assert alloc.x2[0] <= 1e-6 * np.max(alloc.x2)
     assert alloc.p_ehu[0] == 0.0
 
@@ -251,7 +295,8 @@ def test_residual_keys_match_the_docs():
     for params, f in (
         (simple_params(alpha2=0.1), fading.deterministic(1.0)),
         (simple_params(alpha2=0.1), fading.rayleigh(1.0, 12)),
-        (simple_params(p_proc=2.0), fading.rayleigh(1.0, 12)),
+        # Above the top state's flash harvest, 0.8 * ln 24 = 2.54.
+        (simple_params(p_proc=3.0), fading.rayleigh(1.0, 12)),
     ):
         r = solve(params, f)
         keys[r.case] = set(r.residuals)
@@ -304,23 +349,51 @@ def flash_links(draw):
     return params, f
 
 
+def _edge_link(h, p):
+    return LinkParams(eta=0.8, p_proc=0.0, p_et=1.0, sigma2_sq=1.0, alpha2=1.0), fading.custom(h, p)
+
+
+# At cost 1 a flash is funded by one ulp of its rounded harvest and worth
+# about 1e-17 bits: in the first link (p_et/p)*(p*h^2) rounds above h^2; in
+# the second, the funded flash's SI-free bound rounds to 0.
+_ONE_ULP_FLASH = _edge_link(
+    [0.0] * 7 + [0.8450181135839563],
+    [0.21660320471973005] * 3
+    + [0.1830336314485058, 0.05415080117993251, 0.0021660320471973003]
+    + [0.0025383188053093365, 0.10830160235986502],
+)
+_TIED_ULP_FLASH = _edge_link(
+    [0.0] * 25 + [0.6302898483685093] * 3,
+    [0.007089679242128297] * 24
+    + [0.3050059410752684, 0.007089679242128297, 0.4468552854502412]
+    + [0.07089679242128298],
+)
+
+
 @settings(max_examples=300, deadline=None)
-@given(flash_links())
-def test_pruned_flash_matches_full_enumeration(link):
+@given(flash_links(), st.floats(0.0, 1.2))
+@example(link=_ONE_ULP_FLASH, cost=1.0)
+@example(link=_TIED_ULP_FLASH, cost=1.0)
+def test_pruned_flash_matches_full_enumeration(link, cost):
+    # The processing cost runs from 0 past the strongest state's flash
+    # harvest, through the links where a flash is funded and Case 1 is not.
     params, f = link
     p, h2 = f.p, f.h**2
+    top_harvest = params.eta * params.p_et * float(np.max(h2))
+    params = dataclasses.replace(params, p_proc=cost * top_harvest)
     flashes = np.diag(np.where(h2 > 0.0, params.p_et / p, 0.0))
     values, _ = _codeword_waterfill(params, p, h2, flashes)
     best = float(np.max(values))
-    _, alloc = solve_case2(params, f)
-    s = params.sigma2_sq + params.alpha2 * alloc.x2**2
-    cap = float(p @ (0.5 * np.log2(1.0 + h2 * alloc.p_ehu / s)))
+    r = solve(params, f)
     # Each log(w/noise) term carries an absolute rounding error of a few
     # ulps, so small capacities are compared in absolute terms.
     tol = 1e-12 * max(1.0, best)
-    assert abs(cap - best) <= tol
-    # Every flash worth anything is funded, and its SI-free bound holds.
-    budget = (params.eta * params.p_et * h2 - params.p_proc) / (1.0 - params.rho)
+    assert abs(r.residuals["case2_capacity"] - best) <= tol
+    assert (r.case == "Zero") == bool(np.all(values == 0.0))
+    # Every flash worth anything is funded, and its SI-free bound holds. The
+    # harvest is rounded as the enumeration's rows round it.
+    harvest = params.eta * (flashes * (p * h2)).sum(axis=-1)
+    budget = (harvest - params.p_proc) / (1.0 - params.rho)
     funded = budget > 0.0
     assert np.all(values[~funded] == 0.0)
     desc = np.argsort(-h2, kind="stable")
@@ -611,7 +684,7 @@ def test_closed_form_reproduces_primal_amplitudes():
             alpha2=float(rng.uniform(0.01, 0.3)),
         )
         f = fading.custom(h, p)
-        mult, alloc = solve_case2(params, f)
+        alloc = _best_flash(params, f)[0]
         errs = closed_form_x2_errors(params, f, alloc)
         if errs.size:
             checked += 1
@@ -631,8 +704,9 @@ def test_no_fading_values():
     params_b = simple_params(p_proc=0.8, alpha2=0.1)
     assert capacity_no_fading(params_b, 1.0) == 0.0
     assert capacity_no_fading(params_b, 0.0) == 0.0
-    with pytest.raises(ValueError):
-        capacity_no_fading(params, -1.0)
+    for h in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            capacity_no_fading(params, h)
 
 
 def test_no_fading_matches_solver():
@@ -699,6 +773,9 @@ def test_rayleigh_closed_form_infeasible():
     params = LinkParams(eta=0.8, p_proc=1.0, p_et=1.0, sigma2_sq=1e-3)
     with pytest.raises(ValueError):
         rayleigh_capacity_closed_form(params, 0.5)
+    for omega in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            rayleigh_capacity_closed_form(simple_params(), omega)
 
 
 def test_rayleigh_closed_form_noiseless_limit():
@@ -747,3 +824,12 @@ def test_oracle_rejects_large_instances():
 def test_oracle_zero_when_infeasible():
     orc = brute_force_oracle(simple_params(p_proc=5.0), fading.deterministic(1.0))
     assert orc.capacity_low == 0.0
+
+
+@pytest.mark.parametrize("p_proc", [0.0, 0.1])
+def test_oracle_zero_on_a_dead_channel(p_proc):
+    # The proportional start divides by E[h^2]; RuntimeWarnings are errors.
+    for f in (fading.deterministic(0.0), fading.custom([0.0, 0.0], [0.5, 0.5])):
+        orc = brute_force_oracle(simple_params(p_proc=p_proc), f)
+        assert orc.capacity_low == 0.0
+        assert np.all(orc.allocation.p_ehu == 0.0)
