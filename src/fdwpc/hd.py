@@ -1,21 +1,23 @@
 """Half-duplex time-switching benchmark.
 
-The link alternates within each slot: the energy transmitter radiates for a
-fraction of the slot while the harvesting user only harvests, then stays
-silent while the user transmits over a clean channel. Neither node suffers
-self-interference, so there is no energy recycling and the decoder sees only
-thermal noise.
+The energy transmitter radiates for a fraction tau of each slot, then the user
+transmits. Neither suffers self-interference: alpha1, alpha2, g1_mean are unused.
 
-For a fixed harvest fraction the user's power allocation is plain
-water-filling funded by the harvested energy; the fraction itself is
-maximized by golden-section search (the rate is unimodal in the fraction:
-zero at both endpoints, concave energy/time trade inside).
+At a fixed tau the user water-fills b = tau*A/(1 - tau) - p_proc, with
+A = eta*p_et*E[h^2], over the floors n = sigma2_sq/h^2, for the rate
+(1 - tau)*F(b) = A*F(b)/(A + p_proc + b). F is concave in b (F' = 1/(w ln 2)
+at water level w): a concave function over a positive affine one is unimodal,
+so the rate is unimodal in b and in tau = (p_proc + b)/(A + p_proc + b).
+With P, N, L the prefix sums of p, p*n, p*ln n over the ascending floors below
+w and c = A + p_proc - N, stationarity is g(w) = c/w + P - P ln w + L = 0. g is
+continuous, strictly decreasing and positive at the lowest floor, so the root
+is on the last prefix whose floor has g > 0: w = exp(y + 1 + L/P), with
+y = W0((c/P) exp(-1 - L/P)) > -1.
 
-Rate convention: the benchmark rates each state with log2(1 + h^2 P / sigma2_sq),
-the complex-Gaussian form, while every full-duplex rate in ``solver`` uses
-(1/2) log2, the real-Gaussian form. The two are not comparable as they stand:
-on an ideal unfaded link (alpha2 = 0, p_proc = 0, h = 1) the benchmark beats
-full duplex, which time-switching cannot do.
+Rate convention: the benchmark rates each state with log2(1 + h^2 P/sigma2_sq)
+(complex Gaussian), every full-duplex rate in ``solver`` with (1/2) log2 (real
+Gaussian), so the two are not comparable: on an ideal unfaded link (alpha2 = 0,
+p_proc = 0, h = 1) the benchmark beats full duplex, which time-switching cannot.
 """
 
 from __future__ import annotations
@@ -25,16 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import specfun
 from .fading import FadingDistribution
 from .solver import _noise_floor, _water_level
 from .units import LinkParams
 
 __all__ = ["HdResult", "solve_hd", "hd_rate_at_fraction"]
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
-# Golden-section steps that shrink [0, 1] to |delta tau| <= 1e-6.
-_GOLDEN_STEPS = math.ceil(math.log(1e-6) / math.log(_INV_PHI))
 
 
 @dataclass(frozen=True)
@@ -61,7 +59,6 @@ def _inner_waterfill(
     (1 - tau_h) * (p_proc + E[P]) = tau_h * eta * p_et * E[h^2],
     and the rate is (1 - tau_h) * E[log2(1 + h^2 P / sigma2_sq)].
     """
-    h2 = fading.h**2
     p = fading.p
     if tau_h <= 0.0 or tau_h >= 1.0:
         return 0.0, math.inf, np.zeros(fading.n_states)
@@ -69,14 +66,15 @@ def _inner_waterfill(
     budget = harvested / (1.0 - tau_h) - params.p_proc
     if budget <= 0.0:
         return 0.0, math.inf, np.zeros(fading.n_states)
-    noise = _noise_floor(h2, params.sigma2_sq)
+    noise = _noise_floor(fading.h**2, params.sigma2_sq)
     # Gains are stored ascending, so the noise floor is sorted descending.
     w = float(_water_level(noise[::-1], p[::-1], budget))
     if not math.isfinite(w):
         return 0.0, math.inf, np.zeros(fading.n_states)
     p_ehu = np.maximum(w - noise, 0.0)
     act = p_ehu > 0.0
-    rate = (1.0 - tau_h) * float((p[act] * np.log2(w / noise[act])).sum())
+    with np.errstate(divide="ignore"):
+        rate = (1.0 - tau_h) * float((p[act] * np.log2(w / noise[act])).sum())
     return rate, 1.0 / w, p_ehu
 
 
@@ -89,31 +87,33 @@ def hd_rate_at_fraction(
 
 
 def solve_hd(params: LinkParams, fading: FadingDistribution) -> HdResult:
-    """Maximize the half-duplex rate over the harvesting fraction.
+    """Maximize the half-duplex rate over the harvesting fraction, exactly.
 
-    Golden-section search on [0, 1] to |delta tau| <= 1e-6. Self-interference
-    parameters of ``params`` are ignored: the benchmark has none.
+    The stationary water level is one Lambert-W root (module docstring). It
+    and a neighbouring prefix's root, clipped to their segments, are scored
+    by ``hd_rate_at_fraction``, so rounding of g near a floor cannot mislead.
     """
     if params.p_et <= 0.0 or fading.mean_square <= 0.0:
         return HdResult(0.0, math.inf, 0.0, np.zeros(fading.n_states))
-
-    a, b = 0.0, 1.0
-    h_span = b - a
-    c = a + _INV_PHI_SQ * h_span
-    d = a + _INV_PHI * h_span
-    yc = hd_rate_at_fraction(params, fading, c)
-    yd = hd_rate_at_fraction(params, fading, d)
-    for _ in range(_GOLDEN_STEPS):
-        if yc > yd:
-            b, d, yd = d, c, yc
-            h_span *= _INV_PHI
-            c = a + _INV_PHI_SQ * h_span
-            yc = hd_rate_at_fraction(params, fading, c)
-        else:
-            a, c, yc = c, d, yd
-            h_span *= _INV_PHI
-            d = a + _INV_PHI * h_span
-            yd = hd_rate_at_fraction(params, fading, d)
-    t_star = c if yc > yd else d
+    a_pp = params.eta * params.p_et * fading.mean_square + params.p_proc
+    # Noiseless, every funded fraction is worth inf: take the one midway to 1.
+    t_star = (a_pp + params.p_proc) / (2.0 * a_pp)
+    if params.sigma2_sq > 0.0:
+        h2 = fading.h[::-1] ** 2
+        n = params.sigma2_sq / h2[h2 > 0.0]
+        ln_n, p = np.log(n), fading.p[::-1][h2 > 0.0]
+        cp, cn, cl = np.cumsum(p), np.cumsum(p * n), np.cumsum(p * ln_n)
+        c = a_pp - cn
+        m = max(int(np.count_nonzero(c / n + cp * (1.0 - ln_n) + cl > 0.0)) - 1, 0)
+        tried = []
+        for k in (m, m + 1) if m + 1 < n.size else (m - 1, m) if m > 0 else (m,):
+            r, shift = c[k] / cp[k], 1.0 + cl[k] / cp[k]
+            # Below -1/e there is no root: g < 0 and w = -c/P clips to the floor.
+            y = (specfun.lambert_w0_of_log(math.log(r) - shift) if r > 0.0
+                 else specfun.lambert_w0(max(r * math.exp(-shift), specfun.BRANCH_POINT)))
+            top = n[k + 1] if k + 1 < n.size else math.inf
+            b = cp[k] * min(max(math.exp(y + shift), n[k]), top) - cn[k]
+            tried.append((params.p_proc + b) / (a_pp + b))
+        t_star = max(tried, key=lambda t: hd_rate_at_fraction(params, fading, t))
     rate, lam, p_ehu = _inner_waterfill(params, fading, t_star)
     return HdResult(float(t_star), lam, rate, p_ehu)

@@ -163,7 +163,7 @@ def _zero_allocation(n: int) -> PowerAllocation:
     return PowerAllocation(np.zeros(n), np.zeros(n))
 
 
-def _zero_result(fading: FadingDistribution) -> CapacityResult:
+def _zero_result(params: LinkParams, fading: FadingDistribution) -> CapacityResult:
     n = fading.n_states
     return CapacityResult(
         case="Zero",
@@ -171,7 +171,7 @@ def _zero_result(fading: FadingDistribution) -> CapacityResult:
         allocation=_zero_allocation(n),
         multipliers=MultiplierSet(0.0, math.inf, 0.0),
         residuals={
-            "c1_slack": 0.0,
+            "c1_slack": params.p_et,  # the zero allocation spends nothing
             "c2_residual_rel": 0.0,
             "stationarity_rel": np.full(n, np.nan),
             "case1_capacity": 0.0,
@@ -543,7 +543,7 @@ def solve(params: LinkParams, fading: FadingDistribution) -> CapacityResult:
     cap_c1 = capacity_case1(params, fading, alloc_c1)
     alloc_c2, cap_c2 = _best_flash(params, fading)
     if cap_c1 == 0.0 and cap_c2 == 0.0:
-        return _zero_result(fading)
+        return _zero_result(params, fading)
 
     tie_tol = 1e-7 * max(1.0, cap_c1)
     if cap_c1 == 0.0 or cap_c2 > cap_c1 + tie_tol:

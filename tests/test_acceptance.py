@@ -8,6 +8,7 @@ qualitative trend it tracks is verified instead under criterion 5 and the
 benchmark test module.
 """
 
+import dataclasses
 import math
 import time
 
@@ -113,6 +114,17 @@ def _random_instance(rng, table_scale: bool):
     return params, fading.custom(h, p)
 
 
+def _flash_only_instance(rng, table_scale: bool):
+    """A ``_random_instance`` link whose processing cost lies between the mean
+    harvest and the top state's harvest, so that only a flash is funded."""
+    while True:
+        params, f = _random_instance(rng, table_scale)
+        mean = params.eta * params.p_et * f.mean_square
+        top = params.eta * params.p_et * float(f.h[-1] ** 2)
+        if top > mean:
+            return dataclasses.replace(params, p_proc=float(rng.uniform(mean, top))), f
+
+
 def test_criterion_2_oracle_equivalence():
     t0 = time.perf_counter()
     rng = np.random.default_rng(20240817)
@@ -122,10 +134,26 @@ def test_criterion_2_oracle_equivalence():
         res = solve(params, f)
         orc = brute_force_oracle(params, f)
         worst = max(worst, abs(res.capacity - orc.capacity_low))
+    # _random_instance keeps p_proc below the mean harvest; these reach the
+    # regime where Case 1 is unfunded and only a flash is.
+    rng = np.random.default_rng(20260418)
+    flash_only = 0
+    for trial in range(40):
+        params, f = _flash_only_instance(rng, table_scale=trial % 2 == 0)
+        res = solve(params, f)
+        orc = brute_force_oracle(params, f)
+        flash_only += res.case == "Case2" and res.residuals["case1_capacity"] == 0.0
+        worst = max(worst, abs(res.capacity - orc.capacity_low))
     elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-3 and elapsed < 60.0
-    report(2, ok, f"max |solve-oracle| {worst:.2e} bits over 100 instances, {elapsed:.1f}s")
+    ok = worst <= 1e-3 and flash_only == 40 and elapsed < 60.0
+    report(
+        2,
+        ok,
+        f"max |solve-oracle| {worst:.2e} bits over 100 + 40 flash-only instances, "
+        f"{elapsed:.1f}s",
+    )
     assert worst <= 1e-3
+    assert flash_only == 40
     assert elapsed < 60.0
 
 

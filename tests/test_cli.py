@@ -311,7 +311,7 @@ PINNED = [
     (
         ["capacity-sweep", "--start", "-10", "--stop", "20", "--step", "10"] + ALL_FLAGS,
         """variable,capacity_fd_bits,rate_hd_bits,case_tag
--1.000000000000e+01,0.000000000000e+00,1.355252229113e-03,Zero
+-1.000000000000e+01,0.000000000000e+00,1.355252229124e-03,Zero
 0.000000000000e+00,3.907400947240e-02,1.186752520525e-02,Case2
 1.000000000000e+01,2.361691391082e-01,7.491604327617e-02,Case2
 2.000000000000e+01,8.680785279380e-01,3.376403481619e-01,Case2

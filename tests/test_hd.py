@@ -1,12 +1,16 @@
 """Half-duplex time-switching benchmark."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from fdwpc import fading
 from fdwpc.hd import hd_rate_at_fraction, solve_hd
 from fdwpc.solver import solve
-from fdwpc.units import LinkParams
+from fdwpc.units import LinkParams, PathLossParams, dbm_to_watt, omega_from_path_loss
 
 
 def hd_params(**kw):
@@ -48,6 +52,70 @@ def test_golden_section_beats_coarse_grid():
     grid = np.linspace(0.0, 1.0, 1001)
     best_grid = max(hd_rate_at_fraction(params, f, float(t)) for t in grid)
     assert best_grid <= res.rate + 1e-6
+
+
+def reference_rate(params, h, p, v):
+    """Benchmark rate at harvest fraction 1 - v, water-filled here by
+    enumerating the active set of the ascending noise floors."""
+    harvest = params.eta * params.p_et * float(p @ h**2)
+    budget = (1.0 - v) * harvest / v - params.p_proc
+    if budget <= 0.0:
+        return 0.0
+    order = np.argsort(-h)
+    floor, q = params.sigma2_sq / h[order] ** 2, p[order]
+    for k in range(1, floor.size + 1):
+        level = (budget + q[:k] @ floor[:k]) / q[:k].sum()
+        if k == floor.size or level <= floor[k]:
+            return v * float(q[:k] @ np.log2(level / floor[:k]))
+
+
+@pytest.mark.parametrize("with_cost", [False, True], ids=["no_cost", "cost"])
+def test_rate_is_the_maximum_over_the_fraction(with_cost):
+    # Bounded Brent on ln(1 - tau) from the best point of a coarse scan.
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        n = int(rng.integers(1, 9))
+        h, p = rng.uniform(0.05, 2.0, n), rng.dirichlet(np.ones(n))
+        params = hd_params(p_et=10 ** rng.uniform(-2, 1), sigma2_sq=10 ** rng.uniform(-3, 0))
+        share = float(rng.uniform(0.0, 3.0)) if with_cost else 0.0
+        harvest = params.eta * params.p_et * float(p @ h**2)
+        params = dataclasses.replace(params, p_proc=share * harvest)
+
+        def loss(u):
+            return -reference_rate(params, h, p, math.exp(u))
+
+        grid = np.linspace(math.log(1e-12), 0.0, 400)
+        j = int(np.argmin([loss(u) for u in grid]))
+        res = minimize_scalar(
+            loss, bounds=(grid[max(j - 1, 0)], grid[min(j + 1, grid.size - 1)]),
+            method="bounded", options={"xatol": 1e-12},
+        )
+        rate = solve_hd(params, fading.custom(h, p)).rate
+        assert rate >= -res.fun * (1.0 - 1e-13)
+
+
+def test_rate_is_the_maximum_at_the_cli_defaults():
+    # p_proc = -10 dBm, 0 dBm ET, 2000 states at 10 m: the optimum sits at
+    # 1 - tau = 6.3e-7, finer than a 1e-6 search over tau can resolve.
+    omega = omega_from_path_loss(PathLossParams(2.4e9, 10.0, 3.0))
+    f = fading.rayleigh(omega, 2000)
+    params = LinkParams(eta=0.8, p_proc=1e-4, p_et=dbm_to_watt(0.0), sigma2_sq=1e-14)
+    rate = solve_hd(params, f).rate
+    scan = [hd_rate_at_fraction(params, f, 1.0 - v) for v in np.logspace(-9, 0, 4001)]
+    assert rate >= max(scan) * (1.0 - 1e-13)
+    assert rate > 1.04 * 4.327394655866e-06  # the 1e-6 golden-section rate
+
+
+@pytest.mark.parametrize(
+    "f",
+    [fading.deterministic(1.0), fading.rayleigh(1.0, 16), fading.custom([0.0, 1.0], [0.5, 0.5])],
+    ids=["unfaded", "rayleigh", "dead_state"],
+)
+def test_noiseless_link_is_worth_inf(f):
+    # Warnings are errors in this suite, so this also checks that none is raised.
+    res = solve_hd(hd_params(sigma2_sq=0.0), f)
+    assert res.rate == math.inf
+    assert 0.0 < res.t_star < 1.0
 
 
 def test_inner_energy_balance_tight():

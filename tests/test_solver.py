@@ -18,6 +18,7 @@ from fdwpc.hd import solve_hd
 from fdwpc.solver import (
     CapacityResult,
     MultiplierSet,
+    _allocation_residuals,
     _best_flash,
     _codeword_waterfill,
     _noise_floor,
@@ -149,6 +150,16 @@ def test_dead_channel_is_zero():
     params = simple_params()
     r = solve(params, fading.deterministic(0.0))
     assert r.case == "Zero" and r.capacity == 0.0
+
+
+@pytest.mark.parametrize("h", [0.0, 1.0], ids=["dead", "unfunded"])
+def test_zero_result_reports_the_slack_of_its_allocation(h):
+    params = simple_params(p_proc=2.0, p_et=1.5)
+    f = fading.deterministic(h)
+    r = solve(params, f)
+    assert r.case == "Zero"
+    ref = _allocation_residuals(params, f, r.allocation, r.multipliers)
+    assert r.residuals["c1_slack"] == ref["c1_slack"] == params.p_et
 
 
 def test_capacity_zero_iff_no_codeword_power():
