@@ -6,9 +6,7 @@ from .sim import SimConfig, SimTrace, simulate
 from .solver import (
     CapacityResult,
     MultiplierSet,
-    OracleResult,
     PowerAllocation,
-    brute_force_oracle,
     capacity_case1,
     capacity_no_fading,
     rayleigh_capacity_closed_form,
@@ -44,9 +42,7 @@ __all__ = [
     "simulate",
     "CapacityResult",
     "MultiplierSet",
-    "OracleResult",
     "PowerAllocation",
-    "brute_force_oracle",
     "capacity_case1",
     "capacity_no_fading",
     "rayleigh_capacity_closed_form",

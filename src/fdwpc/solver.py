@@ -29,11 +29,7 @@ is charged in every fading state, so that happens exactly when even the
 strongest state's flash harvest eta*p_et*max h^2 cannot cover p_proc.
 
 Every transmit-power vector q is scored by one exact inner water-filling of
-the codeword power, ``_codeword_waterfill``. ``brute_force_oracle`` searches
-gridded per-state amplitudes with it (exhaustive seed for tiny instances,
-cyclic coordinate descent otherwise, two grid refinements around the
-incumbent). It shares that scoring with ``solve``, so it checks the search
-over q, not the inner water-filling.
+the codeword power, ``_codeword_waterfill``.
 
 Capacities are in bits per channel use throughout.
 """
@@ -57,14 +53,12 @@ __all__ = [
     "PowerAllocation",
     "MultiplierSet",
     "CapacityResult",
-    "OracleResult",
     "waterfill_case1",
     "capacity_case1",
     "x0_of_h",
     "solve",
     "capacity_no_fading",
     "rayleigh_capacity_closed_form",
-    "brute_force_oracle",
     "recover_multipliers",
     "closed_form_x2_errors",
 ]
@@ -72,12 +66,6 @@ __all__ = [
 _LN2 = math.log(2.0)
 # 1/(2 ln 2): converts (1/2) log2 rates to a natural-log slope.
 _C_BITS = 0.5 / _LN2
-
-# Brute-force oracle: amplitude grid points per coordinate move, grid
-# refinements around the incumbent, and coordinate sweeps per descent.
-_ORACLE_GRID = 25
-_ORACLE_REFINEMENTS = 2
-_ORACLE_SWEEPS = 60
 
 
 @dataclass(frozen=True)
@@ -145,18 +133,6 @@ class CapacityResult:
     allocation: PowerAllocation
     multipliers: MultiplierSet
     residuals: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class OracleResult:
-    """Best objective found by the brute-force search.
-
-    ``capacity_low`` is the exactly-evaluated objective of the best allocation
-    found (a true lower bound).
-    """
-
-    capacity_low: float
-    allocation: PowerAllocation
 
 
 def _zero_allocation(n: int) -> PowerAllocation:
@@ -638,102 +614,3 @@ def rayleigh_capacity_closed_form(
             hi = mid
     x = math.exp(0.5 * (lo + hi))
     return x * omega / (s * one_m_rho), exp_e1(x) / (2.0 * _LN2)
-
-
-# ---------------------------------------------------------------------------
-# Brute-force oracle
-# ---------------------------------------------------------------------------
-
-
-def brute_force_oracle(params: LinkParams, fading: FadingDistribution) -> OracleResult:
-    """Grid search over per-state transmit amplitudes.
-
-    Coordinate descent over an amplitude grid per state (with an exhaustive
-    product-grid seed for up to three states), exact inner water-filling for
-    the codeword powers, and two grid refinements around the incumbent. Only
-    meant for small instances; refuses more than 8 states.
-    """
-    n = fading.n_states
-    if n > 8:
-        raise ValueError(f"oracle is limited to 8 states, got {n}")
-    p = fading.p
-    h2 = fading.h**2
-    p_et = params.p_et
-
-    def value_of(q: np.ndarray) -> float:
-        return float(_codeword_waterfill(params, p, h2, q)[0])
-
-    def coordinate_descent(q: np.ndarray, spans: np.ndarray) -> tuple:
-        q = q.copy()
-        best = value_of(q)
-        for _ in range(_ORACLE_SWEEPS):
-            improved = False
-            for i in range(n):
-                if h2[i] <= 0.0:
-                    continue
-                cap_i = (p_et - float(np.delete(p, i) @ np.delete(q, i))) / p[i]
-                if cap_i <= 0.0:
-                    continue
-                lo = max(0.0, q[i] - spans[i])
-                hi = min(cap_i, q[i] + spans[i])
-                amp = np.linspace(math.sqrt(lo), math.sqrt(hi), _ORACLE_GRID)
-                cand = np.tile(q, (_ORACLE_GRID, 1))
-                cand[:, i] = amp**2
-                vals, _ = _codeword_waterfill(params, p, h2, cand)
-                k = int(np.argmax(vals))
-                if vals[k] > best + 1e-15:
-                    best = float(vals[k])
-                    q = cand[k]
-                    improved = True
-            if not improved:
-                break
-        return q, best
-
-    cap_full = p_et / float(np.min(p))
-    starts = [
-        np.where(h2 > 0.0, p_et, 0.0),
-        np.zeros(n),
-    ]
-    ms = float((p * h2).sum())
-    if ms > 0.0:
-        starts.append(p_et * h2 / ms)
-    # Full-budget concentration on every live state: coordinate moves cannot
-    # migrate the whole budget between states once one of them holds it all.
-    for i in range(n):
-        if h2[i] <= 0.0:
-            continue
-        q = np.zeros(n)
-        q[i] = p_et / p[i]
-        starts.append(q)
-    if n <= 3:
-        # Exhaustive product grid as an extra seed.
-        axes = []
-        for i in range(n):
-            hi = p_et / p[i]
-            axes.append(np.linspace(0.0, math.sqrt(hi), 9) ** 2)
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-        ok = mesh @ p <= p_et * (1.0 + 1e-12)
-        mesh = mesh[ok]
-        vals, _ = _codeword_waterfill(params, p, h2, mesh)
-        starts.append(mesh[int(np.argmax(vals))])
-
-    best_q = None
-    best_v = -math.inf
-    spans0 = np.full(n, cap_full)
-    for q0 in starts:
-        q0 = np.minimum(q0, cap_full)
-        if float(p @ q0) > p_et:
-            q0 = q0 * (p_et / float(p @ q0))
-        q_cd, v_cd = coordinate_descent(q0, spans0)
-        if v_cd > best_v:
-            best_v, best_q = v_cd, q_cd
-
-    spans = spans0 / (_ORACLE_GRID - 1)
-    for _ in range(_ORACLE_REFINEMENTS):
-        spans = spans * 4.0 / (_ORACLE_GRID - 1)
-        q_cd, v_cd = coordinate_descent(best_q, spans)
-        if v_cd > best_v:
-            best_v, best_q = v_cd, q_cd
-
-    _, p_ehu = _codeword_waterfill(params, p, h2, best_q)
-    return OracleResult(best_v, PowerAllocation(np.sqrt(best_q), p_ehu))
