@@ -10,6 +10,14 @@ self-interference) and releases min(level, demand), so it can never go
 negative. That per-use law closes over a whole slot in one step (see
 ``_close_slot``), so no channel use is stepped through in Python.
 
+Most slots cannot run dry, and for them only the slot's two sums are needed.
+Every harvest is >= 0, so the level that keeps each use covered is at most
+the slot's whole demand ``d_sum``. A slot starting at or above
+``d_sum + 4 (k + 2) eps (e_sum + d_sum)`` (``_dry_free_level``; the margin
+covers the rounding of the prefix sums) ends at ``level + (e_sum - d_sum)``.
+Only a slot below that level, or with a non-finite sum, takes the prefix sums
+of ``_slot_sums``; the result is the same to the bit either way.
+
 Symbols are drawn for every slot the allocation wants to transmit in, outage
 slots included, in slot order: k codeword symbols, then (when alpha1 > 0) k
 self-interference gains. Slots are processed in blocks of ``_BLOCK``; the
@@ -34,13 +42,15 @@ from .units import LinkParams
 
 __all__ = ["SimConfig", "SimTrace", "simulate"]
 
-# Slots whose symbols are drawn and summed per numpy call. Larger blocks save
-# little and raise peak memory (2 * k floats per slot, several temporaries).
+# Slots whose symbols are drawn and summed per numpy call. The draws are most
+# of the cost whatever the block size (128 and 512 measured no faster), and
+# peak memory grows with it (2 * k floats per slot, several temporaries).
 _BLOCK = 32
 # Trace rows formatted per write.
 _CSV_CHUNK = 1024
 _CSV_HEADER = "slot,h,transmitted,slot_rate_bits,battery_j\n"
-_CSV_ROW = "%d,%.12e,%d,%.12e,%.12e\n"
+# h and the rate arrive preformatted (``_format_distinct``).
+_CSV_ROW = "%d,%s,%d,%s,%.12e\n"
 
 
 @dataclass(frozen=True)
@@ -86,12 +96,21 @@ class SimTrace:
     # Transmitting slots whose battery ran dry inside the slot, so that some
     # channel use released less than its demand.
     depleted_slots: int
+    # Extremes of the slot-end battery levels ``battery_j``.
+    battery_min_j: float
+    battery_max_j: float
 
     def write_csv(self, fh) -> None:
         """Write the per-slot trace to a text stream: slot, h, transmitted,
         rate, battery; floats as ``%.12e``."""
         fh.write(_CSV_HEADER)
-        cols = (self.h, self.transmitted, self.slot_rate_bits, self.battery_j)
+        # A run has one gain and one rate per fading state: format each once.
+        cols = (
+            _format_distinct(self.h),
+            self.transmitted,
+            _format_distinct(self.slot_rate_bits),
+            self.battery_j,
+        )
         for lo in range(0, self.h.size, _CSV_CHUNK):
             hi = lo + _CSV_CHUNK
             rows = zip(range(lo, hi), *(c[lo:hi].tolist() for c in cols))
@@ -101,6 +120,16 @@ class SimTrace:
         """Write the per-slot trace to the file at ``path``."""
         with open(path, "w", encoding="utf-8") as fh:
             self.write_csv(fh)
+
+
+def _format_distinct(x: np.ndarray) -> np.ndarray:
+    """``%.12e`` of every entry, as an object array, formatting each distinct
+    bit pattern once (so -0.0 and every NaN keep their own text)."""
+    bits, inverse = np.unique(
+        np.ascontiguousarray(x, dtype=np.float64).view(np.int64), return_inverse=True
+    )
+    text = np.array(["%.12e" % v for v in bits.view(np.float64).tolist()], dtype=object)
+    return text[inverse]
 
 
 def _slot_sums(e_in: np.ndarray, demand: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -122,11 +151,33 @@ def _close_slot(
     ``level`` and ``e - c`` and the slot ends at ``net + max(level, floor)``
     (terms from ``_slot_sums``). When ``level >= floor`` no use is short and
     the slot spends its whole demand ``d_sum``.
+
+    ``floor`` is at most ``d_sum``: ``e - c`` at use j is the demand of uses
+    1..j less the harvest of uses 1..j-1. So a slot starting at
+    ``_dry_free_level`` or above takes that first branch, and ``simulate``
+    closes it from ``e_sum`` and ``d_sum`` alone, without ``_slot_sums``.
     """
     if level >= floor:
         return level + (e_sum - d_sum), d_sum, False
     end = net + floor
     return end, level + e_sum - end, True
+
+
+def _dry_free_level(e_sum: np.ndarray, d_sum: np.ndarray, k: int) -> np.ndarray:
+    """Per slot of ``k`` uses: a start level at or above which the battery
+    cannot run dry, i.e. not below ``_slot_sums``' rounded ``floor``.
+
+    Rounding can lift ``floor`` above ``d_sum`` by at most about
+    ``(k + 1) eps (e_sum + d_sum)``: ``k eps / 2`` from the prefix sums of
+    ``e_in - demand``, ``eps / 2`` from ``e_in - c`` and ``k eps / 2`` from
+    the row sum ``d_sum``. The margin ``4 (k + 2) eps (e_sum + d_sum)``
+    covers that with room to spare. A non-finite level is NaN, which no
+    level reaches.
+    """
+    margin = 4 * (k + 2) * np.finfo(np.float64).eps
+    level = d_sum + margin * (e_sum + d_sum)
+    level[~np.isfinite(level)] = np.nan
+    return level
 
 
 def simulate(
@@ -181,18 +232,28 @@ def simulate(
         amp = hx2[ws, None] + gain * x1
         e_in = params.eta * amp * amp
         demand = x1 * x1 + params.p_proc
-        slots = zip(*(a.tolist() for a in _slot_sums(e_in, demand)))
+        e_sums = e_in.sum(axis=1)
+        d_sums = demand.sum(axis=1)
+        safe = _dry_free_level(e_sums, d_sums, k)
+        slots = zip(range(ws.size), e_sums.tolist(), d_sums.tolist(), safe.tolist())
         sent = []
         levels = []
         for s_i, w_i in zip(st.tolist(), want.tolist()):
             if w_i:
-                e_sum, d_sum, net, floor = next(slots)
+                row, e_sum, d_sum, safe_i = next(slots)
             go = w_i and level >= gate[s_i]
             if go:
-                level, e_out, dry = _close_slot(level, e_sum, d_sum, net, floor)
+                if level >= safe_i:
+                    # ``_close_slot``'s no-shortfall branch, with no prefix sums.
+                    level += e_sum - d_sum
+                    e_out = d_sum
+                else:
+                    one = slice(row, row + 1)
+                    _, _, net, floor = (float(a[0]) for a in _slot_sums(e_in[one], demand[one]))
+                    level, e_out, dry = _close_slot(level, e_sum, d_sum, net, floor)
+                    depleted += dry
                 e_in_total += e_sum
                 e_out_total += e_out
-                depleted += dry
             else:
                 level += sleep_in[s_i]
                 e_in_total += sleep_in[s_i]
@@ -219,4 +280,6 @@ def simulate(
         battery_final=level,
         warmup_slots=int(transmitted.argmax()) if transmitted.any() else n_slots,
         depleted_slots=depleted,
+        battery_min_j=float(battery_end.min()),
+        battery_max_j=float(battery_end.max()),
     )

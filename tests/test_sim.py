@@ -1,11 +1,13 @@
 """Battery dynamics and the slotted Monte Carlo achievability run."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fdwpc import fading, sim
 from fdwpc.sim import SimConfig, simulate
@@ -19,6 +21,59 @@ def sim_params(**kw):
     )
     base.update(kw)
     return LinkParams(**base)
+
+
+def every_row_reference(params, f, alloc, cfg):
+    """The slot loop without the skip rule: the same draws in the same order,
+    then ``_slot_sums`` on every drawn row and ``_close_slot`` on every
+    transmitting slot."""
+    rng = np.random.default_rng([cfg.seed, 0x5107])
+    k = cfg.k
+    states = f.sample_indices(cfg.seed, cfg.n_slots)
+    hx2 = f.h * alloc.x2
+    x1_sd = np.sqrt(alloc.p_ehu)
+    g1_sd = math.sqrt(params.alpha1)
+    gate = k * (params.p_proc + alloc.p_ehu)
+    sleep_in = k * params.eta * hx2 * hx2
+    wanted = alloc.p_ehu[states] > 0.0
+    level = e_in_total = e_out_total = 0.0
+    depleted = 0
+    transmitted = np.zeros(cfg.n_slots, dtype=bool)
+    battery = np.zeros(cfg.n_slots)
+    for lo in range(0, cfg.n_slots, sim._BLOCK):
+        st_, want = states[lo : lo + sim._BLOCK], wanted[lo : lo + sim._BLOCK]
+        ws = st_[want]
+        if g1_sd > 0.0:
+            z = rng.standard_normal((ws.size, 2, k))
+            x1 = x1_sd[ws, None] * z[:, 0]
+            gain = params.g1_mean + g1_sd * z[:, 1]
+        else:
+            x1 = x1_sd[ws, None] * rng.standard_normal((ws.size, k))
+            gain = params.g1_mean
+        amp = hx2[ws, None] + gain * x1
+        sums = sim._slot_sums(params.eta * amp * amp, x1 * x1 + params.p_proc)
+        rows = zip(*(a.tolist() for a in sums))
+        for i, (s_i, w_i) in enumerate(zip(st_.tolist(), want.tolist()), start=lo):
+            if w_i:
+                row = next(rows)
+            if w_i and level >= gate[s_i]:
+                level, e_out, dry = sim._close_slot(level, *row)
+                e_in_total += row[0]
+                e_out_total += e_out
+                depleted += dry
+                transmitted[i] = True
+            else:
+                level += sleep_in[s_i]
+                e_in_total += sleep_in[s_i]
+            battery[i] = level
+    return dict(
+        battery_j=battery,
+        transmitted=transmitted,
+        energy_in_total=e_in_total,
+        energy_out_total=e_out_total,
+        battery_final=level,
+        depleted_slots=depleted,
+    )
 
 
 def test_harvest_per_use_statistical_mean():
@@ -116,18 +171,111 @@ def test_harvested_covers_consumed():
     assert tr.mean_harvest_w >= tr.mean_consumed_w - 1e-12
 
 
-def test_mid_slot_depletion_respects_battery():
+def depletion_link():
     # A tiny slot gate with large symbol variance forces the min clause.
     params = sim_params(p_proc=0.0, alpha1=0.0, g1_mean=0.0)
     f = fading.deterministic(1.0)
     alloc = PowerAllocation(np.array([1.0]), np.array([5.0]))
-    tr = simulate(params, f, alloc, SimConfig(k=3, n_slots=400, seed=7))
+    return params, f, alloc, SimConfig(k=3, n_slots=400, seed=7)
+
+
+def solved_link(**kw):
+    params = sim_params(**kw)
+    f = fading.rayleigh(1.0, 8)
+    return params, f, solve(params, f).allocation, SimConfig(k=100, n_slots=3000, seed=0)
+
+
+def test_mid_slot_depletion_respects_battery():
+    tr = simulate(*depletion_link())
     assert np.all(tr.battery_j >= 0.0)
     drift = abs(tr.energy_in_total - tr.energy_out_total - tr.battery_final)
     assert drift <= 1e-9 * max(tr.energy_in_total, 1e-300)
     assert tr.depleted_slots > 0
     assert tr.transmitted.any()
     assert tr.warmup_slots == int(np.flatnonzero(tr.transmitted)[0])
+
+
+def test_battery_extremes():
+    params, f, alloc, cfg = depletion_link()
+    tr = simulate(params, f, alloc, cfg)
+    assert tr.battery_min_j == tr.battery_j.min()
+    assert tr.battery_max_j == tr.battery_j.max()
+    # Each use ends at or above its own harvest, even in a slot that ran dry;
+    # a transmitting slot starts at or above its gate k * p_ehu.
+    assert tr.depleted_slots > 0
+    assert tr.battery_min_j >= params.eta * (1 - 1e-12)
+    assert tr.battery_max_j >= cfg.k * alloc.p_ehu[0]
+
+
+@pytest.mark.parametrize(
+    "link",
+    [solved_link, lambda: solved_link(alpha1=0.0, g1_mean=0.0), depletion_link],
+    ids=["recycling", "no-recycling", "depletion"],
+)
+def test_skip_rule_matches_every_row_loop_bit_for_bit(link):
+    params, f, alloc, cfg = link()
+    tr = simulate(params, f, alloc, cfg)
+    ref = every_row_reference(params, f, alloc, cfg)
+    assert tr.transmitted.any() and not tr.transmitted.all()
+    for name, value in ref.items():
+        assert np.array_equal(getattr(tr, name), value), name
+
+
+def test_exact_slot_path_runs_only_where_the_battery_could_run_dry(monkeypatch):
+    # Guards the saved pass: the per-use prefix sums run on a handful of
+    # slots, not on every slot drawn.
+    params = LinkParams(
+        eta=0.8, p_proc=1e-11, p_et=1.0, sigma2_sq=1e-14, alpha1=0.5, alpha2=1e-10
+    )
+    f = fading.rayleigh(9.880961210318490e-08, 16)
+    alloc = solve(params, f).allocation
+    cfg = SimConfig(k=200, n_slots=2000, seed=0)
+    shapes, closes = [], []
+    slot_sums, close_slot = sim._slot_sums, sim._close_slot
+
+    def spy_sums(e_in, demand):
+        shapes.append(e_in.shape)
+        return slot_sums(e_in, demand)
+
+    def spy_close(level, e_sum, d_sum, net, floor):
+        closes.append((level, e_sum, d_sum))
+        return close_slot(level, e_sum, d_sum, net, floor)
+
+    monkeypatch.setattr(sim, "_slot_sums", spy_sums)
+    monkeypatch.setattr(sim, "_close_slot", spy_close)
+    tr = simulate(params, f, alloc, cfg)
+    n_sent = int(tr.transmitted.sum())
+    assert n_sent > 0.5 * cfg.n_slots
+    assert shapes == [(1, cfg.k)] * len(closes)
+    assert len(closes) < 0.01 * n_sent
+    for level, e_sum, d_sum in closes:
+        safe = sim._dry_free_level(np.array([e_sum]), np.array([d_sum]), cfg.k)[0]
+        assert not level >= safe
+
+
+# Nonnegative energies over many decades, zeros included.
+_wide = st.one_of(st.just(0.0), st.floats(1e-30, 1e30))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.integers(1, 1000).flatmap(
+        lambda k: st.tuples(
+            hnp.arrays(np.float64, (1, k), elements=_wide),
+            hnp.arrays(np.float64, (1, k), elements=_wide),
+        )
+    )
+)
+# No harvest: the sequential prefix sums of the demand round above its
+# pairwise row sum, so a zero margin would skip a slot that runs dry.
+@example(rows=(np.zeros((1, 8)), np.array([[1.0] + [3 * 2.0**-54] * 7])))
+def test_skip_rule_never_skips_a_slot_that_runs_dry(rows):
+    e_in, demand = rows
+    e_sum, d_sum, _, floor = sim._slot_sums(e_in, demand)
+    safe = sim._dry_free_level(e_sum, d_sum, e_in.shape[1])
+    for level in (safe[0], np.nextafter(safe[0], np.inf)):
+        if level >= safe[0]:
+            assert floor[0] <= level
 
 
 _energy = st.floats(0.0, 10.0, allow_subnormal=False)
@@ -205,15 +353,19 @@ def test_trace_csv_format_is_pinned(tmp_path):
     f = fading.rayleigh(1.0, 4)
     res = solve(params, f)
     tr = simulate(params, f, res.allocation, SimConfig(k=20, n_slots=10, seed=2))
-    # More rows than one write chunk, mixing zeros, denormals, huge values
-    # and infinities with ordinary ones.
+    # More rows than one write chunk, mixing signed zeros, denormals, huge
+    # values, infinities and NaN with ordinary ones, and a run of one value.
     rng = np.random.default_rng(0)
-    special = np.array([0.0, 5e-324, 2.2e-310, 1.7976931348623157e308, 1e300, np.inf])
+    special = np.array(
+        [0.0, -0.0, 5e-324, 2.2e-310, 1.7976931348623157e308, 1e300, np.inf, -np.inf, np.nan]
+    )
     n = 2500
     cols = [
         np.where(rng.random(n) < 0.3, rng.choice(special, n), rng.lognormal(0.0, 30.0, n))
         for _ in range(3)
     ]
+    for c in cols:
+        c[1000:1300] = c[999]
     tr = dataclasses.replace(
         tr, h=cols[0], transmitted=rng.random(n) < 0.5, slot_rate_bits=cols[1], battery_j=cols[2]
     )
