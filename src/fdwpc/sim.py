@@ -13,15 +13,28 @@ negative. That per-use law closes over a whole slot in one step (see
 Most slots cannot run dry, and for them only the slot's two sums are needed.
 Every harvest is >= 0, so the level that keeps each use covered is at most
 the slot's whole demand ``d_sum``. A slot starting at or above
-``d_sum + 4 (k + 2) eps (e_sum + d_sum)`` (``_dry_free_level``; the margin
-covers the rounding of the prefix sums) ends at ``level + (e_sum - d_sum)``.
-Only a slot below that level, or with a non-finite sum, takes the prefix sums
-of ``_slot_sums``; the result is the same to the bit either way.
+``d_sum + 4 (k + 2) eps (e_sum + d_sum + tiny)`` (``_dry_free_level``; the
+margin covers the rounding of the prefix sums, underflow included) ends at
+``level + (e_sum - d_sum)``. Only a slot below that level, or with a
+non-finite sum, takes the prefix sums of ``_slot_sums``; the result is the
+same to the bit either way.
 
-Symbols are drawn for every slot the allocation wants to transmit in, outage
-slots included, in slot order: k codeword symbols, then (when alpha1 > 0) k
-self-interference gains. Slots are processed in blocks of ``_BLOCK``; the
-draws do not depend on the block size.
+What is drawn depends on the self-interference gain. Every slot the
+allocation wants to transmit in draws, outage slots included, in slot order,
+so the stream depends on neither the battery nor the block size.
+
+* ``alpha1 > 0``: the gain of each use multiplies its symbol, so each wanted
+  slot draws its k codeword symbols, then its k gains, in blocks of
+  ``_BLOCK`` slots.
+* ``alpha1 == 0``: the gain is the constant ``g1_mean``, and a slot's sums
+  depend on its codeword z only through S1 = sum(z) ~ N(0, k) and the
+  squared deviation R = sum((z - mean z)^2) ~ chi2(k - 1), independent of
+  S1. Both are drawn for every wanted slot up front (``_draw_sums``) and
+  give the slot's sums in closed form (``_closed_sums``). Only a slot that
+  could run dry draws symbols: z conditioned on (S1, R) is the mean plus
+  sqrt(R) times a direction uniform on the sphere orthogonal to the
+  all-ones vector (``_conditional_path``), taken from a generator keyed by
+  the slot, so a path does not depend on which other slots needed one.
 
 Slot rates are analytic (decoding is not simulated); receiver noises and the
 transmitter's own residual self-interference are therefore never drawn --
@@ -42,10 +55,15 @@ from .units import LinkParams
 
 __all__ = ["SimConfig", "SimTrace", "simulate"]
 
-# Slots whose symbols are drawn and summed per numpy call. The draws are most
-# of the cost whatever the block size (128 and 512 measured no faster), and
-# peak memory grows with it (2 * k floats per slot, several temporaries).
+# Slots processed per numpy call and per list conversion. With alpha1 > 0 a
+# block's symbols are drawn and summed at once; the draws are most of the cost
+# whatever the block size (128 and 512 measured no faster), and peak memory
+# grows with it (2 * k floats per slot, several temporaries). With
+# alpha1 == 0 a block converts its slice of the run's sums to lists.
 _BLOCK = 32
+# Stream of the per-slot draws, after the seed. The fading draws hash the bare
+# seed, and a no-recycling slot's path generator appends the slot index.
+_STREAM = 0x5107
 # Trace rows formatted per write.
 _CSV_CHUNK = 1024
 _CSV_HEADER = "slot,h,transmitted,slot_rate_bits,battery_j\n"
@@ -96,6 +114,9 @@ class SimTrace:
     # Transmitting slots whose battery ran dry inside the slot, so that some
     # channel use released less than its demand.
     depleted_slots: int
+    # Transmitting slots closed from their per-use path (``_slot_sums``)
+    # because their start level was below ``_dry_free_level``.
+    exact_path_slots: int
     # Extremes of the slot-end battery levels ``battery_j``.
     battery_min_j: float
     battery_max_j: float
@@ -130,6 +151,51 @@ def _format_distinct(x: np.ndarray) -> np.ndarray:
     )
     text = np.array(["%.12e" % v for v in bits.view(np.float64).tolist()], dtype=object)
     return text[inverse]
+
+
+def _use_energies(
+    x1: np.ndarray, gain, hx2, eta: float, p_proc: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per use: harvest ``eta (h x2 + gain x1)^2`` and demand ``x1^2 + p_proc``."""
+    amp = hx2 + gain * x1
+    return eta * amp * amp, x1 * x1 + p_proc
+
+
+def _draw_sums(rng: np.random.Generator, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """For ``n`` slots of ``k`` i.i.d. standard normals z: the sums
+    S1 ~ N(0, k), then the squared deviations R = sum((z - mean z)^2)
+    ~ chi2(k - 1), independent of S1 (R is 0 when k = 1)."""
+    s1 = math.sqrt(k) * rng.standard_normal(n)
+    return s1, 2.0 * rng.standard_gamma((k - 1) / 2, n)
+
+
+def _closed_sums(s1, r, k: int, hx2, x1_sd, g: float, eta: float, p_proc: float):
+    """Harvest and demand sums of a slot with a fixed gain ``g`` whose
+    codeword is ``x1 = x1_sd * z``, z having sum ``s1`` and squared
+    deviations ``r``. With ``a = sum x1 = x1_sd s1`` and
+    ``b^2 = sum (x1 - mean x1)^2 = x1_sd^2 r``:
+    ``sum (h x2 + g x1)^2 = (k h x2 + g a)^2 / k + g^2 b^2`` and
+    ``sum x1^2 = a^2 / k + b^2``. Both are >= 0. Each factor is formed before
+    it is squared, so a product that underflows is never scaled up after."""
+    a = x1_sd * s1
+    b = x1_sd * np.sqrt(r)
+    amp = k * hx2 + g * a
+    gb = g * b
+    return eta * (amp * amp / k + gb * gb), a * a / k + b * b + k * p_proc
+
+
+def _conditional_path(s1: float, r: float, v: np.ndarray) -> np.ndarray:
+    """k symbols with sum ``s1`` and squared deviations ``r``, from k
+    standard normals ``v``: the mean plus ``v``'s deviations scaled to
+    ``r``. Given i.i.d. normal symbols' (S1, R), their deviations point in
+    a uniform direction on the sphere orthogonal to the all-ones vector,
+    independent of (S1, R), and so do ``v``'s: the path is exact in law."""
+    u = v - v.mean()
+    ss = float((u * u).sum())
+    # k = 1 has no deviation (and r = 0). Square roots first: r / ss could
+    # underflow.
+    scale = math.sqrt(r) / math.sqrt(ss) if ss > 0.0 else 0.0
+    return s1 / v.size + scale * u
 
 
 def _slot_sums(e_in: np.ndarray, demand: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -170,12 +236,16 @@ def _dry_free_level(e_sum: np.ndarray, d_sum: np.ndarray, k: int) -> np.ndarray:
     Rounding can lift ``floor`` above ``d_sum`` by at most about
     ``(k + 1) eps (e_sum + d_sum)``: ``k eps / 2`` from the prefix sums of
     ``e_in - demand``, ``eps / 2`` from ``e_in - c`` and ``k eps / 2`` from
-    the row sum ``d_sum``. The margin ``4 (k + 2) eps (e_sum + d_sum)``
-    covers that with room to spare. A non-finite level is NaN, which no
-    level reaches.
+    the row sum ``d_sum``. Sums from ``_closed_sums`` differ from those of
+    the path ``_conditional_path`` builds by a few eps more. Below the
+    smallest normal float ``tiny`` a product errs by up to ``eps tiny / 2``
+    absolute rather than ``eps / 2`` relative, so the margin is taken on
+    ``e_sum + d_sum + tiny``. The margin ``4 (k + 2) eps (e_sum + d_sum +
+    tiny)`` covers all that with room to spare. A non-finite level is NaN,
+    which no level reaches.
     """
-    margin = 4 * (k + 2) * np.finfo(np.float64).eps
-    level = d_sum + margin * (e_sum + d_sum)
+    fi = np.finfo(np.float64)
+    level = d_sum + 4 * (k + 2) * fi.eps * (e_sum + d_sum + fi.tiny)
     level[~np.isfinite(level)] = np.nan
     return level
 
@@ -191,54 +261,60 @@ def simulate(
     Battery starts empty; the initial silent slots are the warm-up and stay
     in the rate denominator. Fully reproducible for a fixed seed.
     """
-    # Distinct stream from the fading draws, which hash the bare seed.
-    rng = np.random.default_rng([cfg.seed, 0x5107])
+    rng = np.random.default_rng([cfg.seed, _STREAM])
     k = cfg.k
     n_slots = cfg.n_slots
+    eta = params.eta
+    p_proc = params.p_proc
     states = fading.sample_indices(cfg.seed, n_slots)
     x2 = alloc.x2
     p_ehu = alloc.p_ehu
     h = fading.h
     rates = _rate_bits(h**2, p_ehu, params.sigma2_sq + params.alpha2 * x2**2)
     g1_sd = math.sqrt(params.alpha1)
+    g = params.g1_mean
     hx2 = h * x2
     x1_sd = np.sqrt(p_ehu)
-    gate = (k * (params.p_proc + p_ehu)).tolist()
+    gate = (k * (p_proc + p_ehu)).tolist()
     # Sleeping: the user spends nothing and only harvests the transmitter's
     # signal.
-    sleep_in = (k * params.eta * hx2 * hx2).tolist()
+    sleep_in = (k * eta * hx2 * hx2).tolist()
     wanted = p_ehu[states] > 0.0
+    if g1_sd == 0.0:
+        # Two numbers per wanted slot, drawn for the whole run at once.
+        ws_all = states[wanted]
+        s1, r = _draw_sums(rng, ws_all.size, k)
+        e_all, d_all = _closed_sums(s1, r, k, hx2[ws_all], x1_sd[ws_all], g, eta, p_proc)
+        safe_all = _dry_free_level(e_all, d_all, k)
 
     level = 0.0
     e_in_total = 0.0
     e_out_total = 0.0
     depleted = 0
+    exact = 0
+    n_drawn = 0
     transmitted = np.zeros(n_slots, dtype=bool)
     battery_end = np.zeros(n_slots)
     for lo in range(0, n_slots, _BLOCK):
         hi = lo + _BLOCK
         st = states[lo:hi]
         want = wanted[lo:hi]
-        # Every wanted slot draws, outage or not, so the stream depends on
-        # neither the battery nor the block size.
         ws = st[want]
+        first = n_drawn
+        n_drawn += ws.size
         if g1_sd > 0.0:
             z = rng.standard_normal((ws.size, 2, k))
             x1 = x1_sd[ws, None] * z[:, 0]
-            gain = params.g1_mean + g1_sd * z[:, 1]
+            e_in, demand = _use_energies(x1, g + g1_sd * z[:, 1], hx2[ws, None], eta, p_proc)
+            e_sums = e_in.sum(axis=1)
+            d_sums = demand.sum(axis=1)
+            safe = _dry_free_level(e_sums, d_sums, k)
         else:
-            x1 = x1_sd[ws, None] * rng.standard_normal((ws.size, k))
-            gain = params.g1_mean
-        amp = hx2[ws, None] + gain * x1
-        e_in = params.eta * amp * amp
-        demand = x1 * x1 + params.p_proc
-        e_sums = e_in.sum(axis=1)
-        d_sums = demand.sum(axis=1)
-        safe = _dry_free_level(e_sums, d_sums, k)
-        slots = zip(range(ws.size), e_sums.tolist(), d_sums.tolist(), safe.tolist())
+            e_sums, d_sums, safe = (a[first:n_drawn] for a in (e_all, d_all, safe_all))
+        slots = zip(range(first, n_drawn), e_sums.tolist(), d_sums.tolist(), safe.tolist())
         sent = []
         levels = []
-        for s_i, w_i in zip(st.tolist(), want.tolist()):
+        for slot, s_i, w_i in zip(range(lo, hi), st.tolist(), want.tolist()):
             if w_i:
                 row, e_sum, d_sum, safe_i = next(slots)
             go = w_i and level >= gate[s_i]
@@ -248,10 +324,17 @@ def simulate(
                     level += e_sum - d_sum
                     e_out = d_sum
                 else:
-                    one = slice(row, row + 1)
-                    _, _, net, floor = (float(a[0]) for a in _slot_sums(e_in[one], demand[one]))
+                    if g1_sd > 0.0:
+                        one = slice(row - first, row - first + 1)
+                        e_row, d_row = e_in[one], demand[one]
+                    else:
+                        v = np.random.default_rng([cfg.seed, _STREAM, slot]).standard_normal(k)
+                        x1 = x1_sd[s_i] * _conditional_path(float(s1[row]), float(r[row]), v)
+                        e_row, d_row = _use_energies(x1[None], g, hx2[s_i], eta, p_proc)
+                    _, _, net, floor = (float(a[0]) for a in _slot_sums(e_row, d_row))
                     level, e_out, dry = _close_slot(level, e_sum, d_sum, net, floor)
                     depleted += dry
+                    exact += 1
                 e_in_total += e_sum
                 e_out_total += e_out
             else:
@@ -280,6 +363,7 @@ def simulate(
         battery_final=level,
         warmup_slots=int(transmitted.argmax()) if transmitted.any() else n_slots,
         depleted_slots=depleted,
+        exact_path_slots=exact,
         battery_min_j=float(battery_end.min()),
         battery_max_j=float(battery_end.max()),
     )

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.stats import ks_2samp
 
 from fdwpc import fading, sim
 from fdwpc.sim import SimConfig, simulate
@@ -25,47 +26,60 @@ def sim_params(**kw):
 
 def every_row_reference(params, f, alloc, cfg):
     """The slot loop without the skip rule: the same draws in the same order,
-    then ``_slot_sums`` on every drawn row and ``_close_slot`` on every
-    transmitting slot."""
+    then every wanted slot's net and floor from its per-use path
+    (``_slot_sums``) and ``_close_slot`` on every transmitting slot.
+
+    With alpha1 > 0 a path is the slot's drawn symbols and gains. With
+    alpha1 == 0 it is built from the slot's (S1, R) and the generator keyed
+    by the slot, and the slot closes with the closed-form sums."""
     rng = np.random.default_rng([cfg.seed, 0x5107])
     k = cfg.k
     states = f.sample_indices(cfg.seed, cfg.n_slots)
     hx2 = f.h * alloc.x2
     x1_sd = np.sqrt(alloc.p_ehu)
-    g1_sd = math.sqrt(params.alpha1)
     gate = k * (params.p_proc + alloc.p_ehu)
     sleep_in = k * params.eta * hx2 * hx2
     wanted = alloc.p_ehu[states] > 0.0
+    ws = states[wanted]
+    if params.alpha1 > 0.0:
+        z = rng.standard_normal((ws.size, 2, k))
+        x1 = x1_sd[ws, None] * z[:, 0]
+        gain = params.g1_mean + math.sqrt(params.alpha1) * z[:, 1]
+        amp = hx2[ws, None] + gain * x1
+        sums = sim._slot_sums(params.eta * amp * amp, x1 * x1 + params.p_proc)
+        rows = list(zip(*(a.tolist() for a in sums)))
+    else:
+        s1, r = sim._draw_sums(rng, ws.size, k)
+        e_sum, d_sum = sim._closed_sums(
+            s1, r, k, hx2[ws], x1_sd[ws], params.g1_mean, params.eta, params.p_proc
+        )
+        rows = []
+        for j, slot in enumerate(np.flatnonzero(wanted).tolist()):
+            v = np.random.default_rng([cfg.seed, 0x5107, slot]).standard_normal(k)
+            x1 = x1_sd[ws[j]] * sim._conditional_path(float(s1[j]), float(r[j]), v)
+            amp = hx2[ws[j]] + params.g1_mean * x1
+            _, _, net, floor = sim._slot_sums(
+                (params.eta * amp * amp)[None], (x1 * x1 + params.p_proc)[None]
+            )
+            rows.append((float(e_sum[j]), float(d_sum[j]), float(net[0]), float(floor[0])))
+    rows = iter(rows)
     level = e_in_total = e_out_total = 0.0
     depleted = 0
     transmitted = np.zeros(cfg.n_slots, dtype=bool)
     battery = np.zeros(cfg.n_slots)
-    for lo in range(0, cfg.n_slots, sim._BLOCK):
-        st_, want = states[lo : lo + sim._BLOCK], wanted[lo : lo + sim._BLOCK]
-        ws = st_[want]
-        if g1_sd > 0.0:
-            z = rng.standard_normal((ws.size, 2, k))
-            x1 = x1_sd[ws, None] * z[:, 0]
-            gain = params.g1_mean + g1_sd * z[:, 1]
+    for i, (s_i, w_i) in enumerate(zip(states.tolist(), wanted.tolist())):
+        if w_i:
+            row = next(rows)
+        if w_i and level >= gate[s_i]:
+            level, e_out, dry = sim._close_slot(level, *row)
+            e_in_total += row[0]
+            e_out_total += e_out
+            depleted += dry
+            transmitted[i] = True
         else:
-            x1 = x1_sd[ws, None] * rng.standard_normal((ws.size, k))
-            gain = params.g1_mean
-        amp = hx2[ws, None] + gain * x1
-        sums = sim._slot_sums(params.eta * amp * amp, x1 * x1 + params.p_proc)
-        rows = zip(*(a.tolist() for a in sums))
-        for i, (s_i, w_i) in enumerate(zip(st_.tolist(), want.tolist()), start=lo):
-            if w_i:
-                row = next(rows)
-            if w_i and level >= gate[s_i]:
-                level, e_out, dry = sim._close_slot(level, *row)
-                e_in_total += row[0]
-                e_out_total += e_out
-                depleted += dry
-                transmitted[i] = True
-            else:
-                level += sleep_in[s_i]
-                e_in_total += sleep_in[s_i]
-            battery[i] = level
+            level += sleep_in[s_i]
+            e_in_total += sleep_in[s_i]
+        battery[i] = level
     return dict(
         battery_j=battery,
         transmitted=transmitted,
@@ -207,10 +221,22 @@ def test_battery_extremes():
     assert tr.battery_max_j >= cfg.k * alloc.p_ehu[0]
 
 
+def single_use_link():
+    # k = 1: no squared deviation (R = 0); a quarter of the slots sent run dry.
+    params, f, alloc, cfg = depletion_link()
+    return params, f, alloc, dataclasses.replace(cfg, k=1)
+
+
 @pytest.mark.parametrize(
     "link",
-    [solved_link, lambda: solved_link(alpha1=0.0, g1_mean=0.0), depletion_link],
-    ids=["recycling", "no-recycling", "depletion"],
+    [
+        solved_link,
+        lambda: solved_link(alpha1=0.0, g1_mean=0.0),
+        lambda: solved_link(alpha1=0.0, g1_mean=0.5),
+        depletion_link,
+        single_use_link,
+    ],
+    ids=["recycling", "no-recycling", "fixed-gain", "depletion", "single-use"],
 )
 def test_skip_rule_matches_every_row_loop_bit_for_bit(link):
     params, f, alloc, cfg = link()
@@ -223,13 +249,8 @@ def test_skip_rule_matches_every_row_loop_bit_for_bit(link):
 
 def test_exact_slot_path_runs_only_where_the_battery_could_run_dry(monkeypatch):
     # Guards the saved pass: the per-use prefix sums run on a handful of
-    # slots, not on every slot drawn.
-    params = LinkParams(
-        eta=0.8, p_proc=1e-11, p_et=1.0, sigma2_sq=1e-14, alpha1=0.5, alpha2=1e-10
-    )
-    f = fading.rayleigh(9.880961210318490e-08, 16)
-    alloc = solve(params, f).allocation
-    cfg = SimConfig(k=200, n_slots=2000, seed=0)
+    # slots, not on every slot drawn, whether the slot's symbols were drawn
+    # (recycling) or are built from its two sums only when needed.
     shapes, closes = [], []
     slot_sums, close_slot = sim._slot_sums, sim._close_slot
 
@@ -243,14 +264,23 @@ def test_exact_slot_path_runs_only_where_the_battery_could_run_dry(monkeypatch):
 
     monkeypatch.setattr(sim, "_slot_sums", spy_sums)
     monkeypatch.setattr(sim, "_close_slot", spy_close)
-    tr = simulate(params, f, alloc, cfg)
-    n_sent = int(tr.transmitted.sum())
-    assert n_sent > 0.5 * cfg.n_slots
-    assert shapes == [(1, cfg.k)] * len(closes)
-    assert len(closes) < 0.01 * n_sent
-    for level, e_sum, d_sum in closes:
-        safe = sim._dry_free_level(np.array([e_sum]), np.array([d_sum]), cfg.k)[0]
-        assert not level >= safe
+    f = fading.rayleigh(9.880961210318490e-08, 16)
+    cfg = SimConfig(k=200, n_slots=2000, seed=0)
+    for alpha1, g1_mean in ((0.5, 0.0), (0.0, 0.5)):
+        params = LinkParams(
+            eta=0.8, p_proc=1e-11, p_et=1.0, sigma2_sq=1e-14,
+            g1_mean=g1_mean, alpha1=alpha1, alpha2=1e-10,
+        )
+        shapes.clear()
+        closes.clear()
+        tr = simulate(params, f, solve(params, f).allocation, cfg)
+        n_sent = int(tr.transmitted.sum())
+        assert n_sent > 0.5 * cfg.n_slots
+        assert shapes == [(1, cfg.k)] * len(closes)
+        assert tr.exact_path_slots == len(closes) < 0.01 * n_sent
+        for level, e_sum, d_sum in closes:
+            safe = sim._dry_free_level(np.array([e_sum]), np.array([d_sum]), cfg.k)[0]
+            assert not level >= safe
 
 
 # Nonnegative energies over many decades, zeros included.
@@ -276,6 +306,91 @@ def test_skip_rule_never_skips_a_slot_that_runs_dry(rows):
     for level in (safe[0], np.nextafter(safe[0], np.inf)):
         if level >= safe[0]:
             assert floor[0] <= level
+
+
+# Powers, gains and amplitudes over many decades, subnormals included.
+_decades = st.one_of(st.just(0.0), st.floats(1e-150, 1e50))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k=st.integers(1, 1000),
+    seed=st.integers(0, 2**32 - 1),
+    s1=st.floats(-1e6, 1e6),
+    r=st.floats(0.0, 1e8),
+    p=st.floats(1e-250, 1e100),
+    g=_decades,
+    hx2=_decades,
+    p_proc=st.floats(0.0, 1e100),
+)
+# The mean alone would cancel the channel signal: hx2 + g sqrt(p) s1 / k = 0.
+@example(k=2, seed=0, s1=-2.0, r=1e-6, p=1.0, g=1.0, hx2=1.0, p_proc=0.0)
+# Underflow: s1^2 / k and r / sum(u^2) are subnormal, so a relative margin
+# alone would skip these slots.
+@example(k=2, seed=0, s1=1.3018599728112058e-157, r=0.0, p=0.25, g=0.0, hx2=0.0, p_proc=0.0)
+@example(k=100, seed=100, s1=0.0, r=2.225073858507e-311, p=10.0, g=0.0, hx2=0.0, p_proc=0.0)
+def test_skip_rule_never_skips_a_conditional_path_that_runs_dry(
+    k, seed, s1, r, p, g, hx2, p_proc
+):
+    # A no-recycling slot is scored from its closed-form sums, but one that
+    # could run dry closes on a path built from (S1, R): the rounded floor
+    # of that path must not exceed the level the closed-form sums clear.
+    r = r if k > 1 else 0.0
+    sd = math.sqrt(p)
+    z = sim._conditional_path(s1, r, np.random.default_rng(seed).standard_normal(k))
+    e_in, demand = sim._use_energies(sd * z[None], g, hx2, 0.8, p_proc)
+    floor = sim._slot_sums(e_in, demand)[3][0]
+    e_sum, d_sum = sim._closed_sums(np.array([s1]), np.array([r]), k, hx2, sd, g, 0.8, p_proc)
+    assert floor <= sim._dry_free_level(e_sum, d_sum, k)[0]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 200])
+def test_conditional_path_reproduces_its_sums(k):
+    rng = np.random.default_rng(k)
+    for s1, r in zip(*sim._draw_sums(rng, 5, k)):
+        z = sim._conditional_path(float(s1), float(r), rng.standard_normal(k))
+        dev = float(((z - z.mean()) ** 2).sum())
+        assert z.shape == (k,)
+        assert abs(z.sum() - s1) <= 1e-12 * abs(s1)
+        if k == 1:
+            assert r == 0.0 and dev == 0.0
+        else:
+            assert abs(dev - r) <= 1e-12 * r
+
+
+@pytest.mark.parametrize("g", [0.0, 0.5])
+@pytest.mark.parametrize("k", [3, 200])
+def test_closed_form_sums_match_per_use_draws(k, g):
+    # The two-number law against k brute-force symbols per slot.
+    n, hx2, sd, eta, p_proc = 3000, 0.7, 1.3, 0.8, 0.05
+    s1, r = sim._draw_sums(np.random.default_rng(1), n, k)
+    e_sum, d_sum = sim._closed_sums(s1, r, k, hx2, sd, g, eta, p_proc)
+    x1 = sd * np.random.default_rng(2).standard_normal((n, k))
+    e_ref = (eta * (hx2 + g * x1) ** 2).sum(axis=1)
+    d_ref = (x1**2 + p_proc).sum(axis=1)
+    assert ks_2samp(d_sum, d_ref).pvalue > 1e-3
+    if g == 0.0:
+        # Only the transmitter's signal is harvested: k * eta * hx2^2, rounded.
+        np.testing.assert_allclose(e_sum, e_ref, rtol=1e-14)
+    else:
+        assert ks_2samp(e_sum, e_ref).pvalue > 1e-3
+    assert np.all(e_sum >= 0.0) and np.all(d_sum >= k * p_proc)
+
+
+def test_harvest_per_use_statistical_mean_without_gain_variance():
+    # With alpha1 = 0 the recycled harvest per transmitting use is
+    # eta * g1_mean^2 * p_ehu on top of the signal's eta * h^2 * x2^2.
+    params = sim_params(alpha1=0.0, g1_mean=0.5)
+    f = fading.deterministic(1.0)
+    res = solve(params, f)
+    tr = simulate(params, f, res.allocation, SimConfig(k=200, n_slots=5000, seed=5))
+    h, x2, p_ehu = f.h[0], res.allocation.x2[0], res.allocation.p_ehu[0]
+    share = float(np.mean(tr.transmitted))
+    recycled = params.g1_mean**2 * p_ehu * share
+    expected = params.eta * (h**2 * x2**2 + recycled)
+    # Recycling is about a fifth of the harvest, far above the 1% bound.
+    assert 0.2 < share < 1.0 and recycled > 0.1 * h**2 * x2**2
+    assert tr.mean_harvest_w == pytest.approx(expected, rel=0.01)
 
 
 _energy = st.floats(0.0, 10.0, allow_subnormal=False)
