@@ -39,7 +39,8 @@ __all__ = ["HdResult", "solve_hd", "hd_rate_at_fraction"]
 class HdResult:
     """Optimal time split and rate of the half-duplex benchmark.
 
-    ``t_star`` is the harvesting fraction of the slot, ``lam`` the inner
+    ``t_star`` is the harvesting fraction of the slot (it may round to 1.0
+    where the rate is still positive), ``lam`` the inner
     water-filling multiplier at the optimum, ``rate`` in bits per channel
     use, and ``p_ehu_of_h`` the per-state transmit powers.
     """
@@ -51,20 +52,19 @@ class HdResult:
 
 
 def _inner_waterfill(
-    params: LinkParams, fading: FadingDistribution, tau_h: float
+    params: LinkParams, fading: FadingDistribution, budget: float, one_m_tau: float
 ) -> tuple[float, float, np.ndarray]:
-    """Rate, multiplier and powers for a fixed harvesting fraction.
+    """Rate, multiplier and powers for the codeword budget E[P] = ``budget``
+    and the transmitting fraction ``one_m_tau`` = 1 - tau_h that funds it.
 
     The transmit-side energy balance is
     (1 - tau_h) * (p_proc + E[P]) = tau_h * eta * p_et * E[h^2],
-    and the rate is (1 - tau_h) * E[log2(1 + h^2 P / sigma2_sq)].
+    and the rate is (1 - tau_h) * E[log2(1 + h^2 P / sigma2_sq)]. Both
+    arguments come in directly: near tau_h = 1, 1 - tau_h keeps no digits,
+    and the budget recovered from tau_h cancels against p_proc.
     """
     p = fading.p
-    if tau_h <= 0.0 or tau_h >= 1.0:
-        return 0.0, math.inf, np.zeros(fading.n_states)
-    harvested = tau_h * params.eta * params.p_et * fading.mean_square
-    budget = harvested / (1.0 - tau_h) - params.p_proc
-    if budget <= 0.0:
+    if budget <= 0.0 or one_m_tau <= 0.0:
         return 0.0, math.inf, np.zeros(fading.n_states)
     noise = _noise_floor(fading.h**2, params.sigma2_sq)
     # Gains are stored ascending, so the noise floor is sorted descending.
@@ -74,7 +74,7 @@ def _inner_waterfill(
     p_ehu = np.maximum(w - noise, 0.0)
     act = p_ehu > 0.0
     with np.errstate(divide="ignore"):
-        rate = (1.0 - tau_h) * float((p[act] * np.log2(w / noise[act])).sum())
+        rate = one_m_tau * float((p[act] * np.log2(w / noise[act])).sum())
     return rate, 1.0 / w, p_ehu
 
 
@@ -82,7 +82,12 @@ def hd_rate_at_fraction(
     params: LinkParams, fading: FadingDistribution, tau_h: float
 ) -> float:
     """Benchmark rate at a given harvesting fraction, bits per channel use."""
-    rate, _, _ = _inner_waterfill(params, fading, tau_h)
+    if tau_h <= 0.0 or tau_h >= 1.0:
+        return 0.0
+    harvested = tau_h * params.eta * params.p_et * fading.mean_square
+    rate, _, _ = _inner_waterfill(
+        params, fading, harvested / (1.0 - tau_h) - params.p_proc, 1.0 - tau_h
+    )
     return rate
 
 
@@ -90,14 +95,19 @@ def solve_hd(params: LinkParams, fading: FadingDistribution) -> HdResult:
     """Maximize the half-duplex rate over the harvesting fraction, exactly.
 
     The stationary water level is one Lambert-W root (module docstring). It
-    and a neighbouring prefix's root, clipped to their segments, are scored
+    and a neighbouring prefix's root, clipped to their segments, are ranked
     by ``hd_rate_at_fraction``, so rounding of g near a floor cannot mislead.
+    The winner is scored at its budget b and 1 - tau = A/(A + p_proc + b),
+    so the rate stays exact where tau itself rounds to 1 (p_proc about 1e16
+    times A).
     """
     if params.p_et <= 0.0 or fading.mean_square <= 0.0:
         return HdResult(0.0, math.inf, 0.0, np.zeros(fading.n_states))
-    a_pp = params.eta * params.p_et * fading.mean_square + params.p_proc
-    # Noiseless, every funded fraction is worth inf: take the one midway to 1.
-    t_star = (a_pp + params.p_proc) / (2.0 * a_pp)
+    harvest = params.eta * params.p_et * fading.mean_square
+    a_pp = harvest + params.p_proc
+    # Noiseless, every funded fraction is worth inf: take the one midway to 1,
+    # which b = a_pp funds.
+    b_star = a_pp
     if params.sigma2_sq > 0.0:
         h2 = fading.h[::-1] ** 2
         n = params.sigma2_sq / h2[h2 > 0.0]
@@ -106,14 +116,23 @@ def solve_hd(params: LinkParams, fading: FadingDistribution) -> HdResult:
         c = a_pp - cn
         m = max(int(np.count_nonzero(c / n + cp * (1.0 - ln_n) + cl > 0.0)) - 1, 0)
         tried = []
-        for k in (m, m + 1) if m + 1 < n.size else (m - 1, m) if m > 0 else (m,):
+        # Prefix m's root first: it wins a tie, where tau rounds the rates to 0.
+        for k in (m, m + 1) if m + 1 < n.size else (m, m - 1) if m > 0 else (m,):
             r, shift = c[k] / cp[k], 1.0 + cl[k] / cp[k]
             # Below -1/e there is no root: g < 0 and w = -c/P clips to the floor.
             y = (specfun.lambert_w0_of_log(math.log(r) - shift) if r > 0.0
                  else specfun.lambert_w0(max(r * math.exp(-shift), specfun.BRANCH_POINT)))
             top = n[k + 1] if k + 1 < n.size else math.inf
-            b = cp[k] * min(max(math.exp(y + shift), n[k]), top) - cn[k]
-            tried.append((params.p_proc + b) / (a_pp + b))
-        t_star = max(tried, key=lambda t: hd_rate_at_fraction(params, fading, t))
-    rate, lam, p_ehu = _inner_waterfill(params, fading, t_star)
-    return HdResult(float(t_star), lam, rate, p_ehu)
+            tried.append(cp[k] * min(max(math.exp(y + shift), n[k]), top) - cn[k])
+        b_star = max(
+            tried, key=lambda b: hd_rate_at_fraction(params, fading, _fraction(params, a_pp, b))
+        )
+    # tau rounds to 1 long before its complement harvest/(a_pp + b) underflows.
+    rate, lam, p_ehu = _inner_waterfill(params, fading, b_star, harvest / (a_pp + b_star))
+    return HdResult(float(_fraction(params, a_pp, b_star)), lam, rate, p_ehu)
+
+
+def _fraction(params: LinkParams, a_pp: float, b: float) -> float:
+    """Harvesting fraction tau = (p_proc + b)/(a_pp + b) that funds the
+    codeword budget b."""
+    return (params.p_proc + b) / (a_pp + b)

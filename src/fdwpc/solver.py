@@ -16,20 +16,22 @@ transmitter regimes are solved and compared:
   power, linear after that), so no optimum has an interior q. Flash k funds
   the budget B_k = (eta*p_et*h_k^2 - p_proc)/(1-rho); its value is bounded
   above by water-filling B_k over the self-interference-free noise floor
-  sigma2_sq/h^2 with the same ``_water_level`` kernel. B_k and so the bound
-  fall with the gain, so the funded candidates (B_k > 0) are scored exactly
-  (inner water-filling) strongest first, and the search stops at the first
-  bound that cannot beat the best positive value found. The Lambert-W closed form
-  ``x0_of_h`` gives the per-state stationary point of that Lagrangian, which
-  is a minimum in q, so ``solve`` does not evaluate it.
+  sigma2_sq/h^2, which is ascending in storage order reversed. Flash k is
+  scored exactly on that same floor with state k's entry moved up to its
+  flash floor (sigma2_sq + alpha2*q_k)/h_k^2, one ``searchsorted`` instead of
+  a sort. B_k and so the bound fall with the gain, so the funded candidates
+  (B_k > 0) are scored strongest first, and the search stops at the first
+  bound that cannot beat the best positive value found. The Lambert-W closed
+  form ``x0_of_h`` gives the per-state stationary point of that Lagrangian,
+  which is a minimum in q, so ``solve`` does not evaluate it.
 
 A regime that funds no codeword scores 0, and ``solve`` reports the zero
 allocation (case "Zero") only when both regimes score 0. The processing cost
 is charged in every fading state, so that happens exactly when even the
 strongest state's flash harvest eta*p_et*max h^2 cannot cover p_proc.
 
-Every transmit-power vector q is scored by one exact inner water-filling of
-the codeword power, ``_codeword_waterfill``.
+Both regimes, the flash bound and the half-duplex benchmark share one
+water-level law, ``_water_level``, over a floor sorted ascending.
 
 Capacities are in bits per channel use throughout.
 """
@@ -85,7 +87,7 @@ class PowerAllocation:
         pe = np.asarray(self.p_ehu, dtype=float)
         if x2.shape != pe.shape or x2.ndim != 1:
             raise ValueError("x2 and p_ehu must be equal-length 1-D arrays")
-        if np.any(x2 < 0.0) or np.any(pe < 0.0):
+        if x2.min(initial=0.0) < 0.0 or pe.min(initial=0.0) < 0.0:
             raise ValueError("amplitudes and powers must be >= 0")
         x2 = np.ascontiguousarray(x2)
         pe = np.ascontiguousarray(pe)
@@ -157,14 +159,18 @@ def _zero_result(params: LinkParams, fading: FadingDistribution) -> CapacityResu
 
 
 def _rate_bits(h2: np.ndarray, p_ehu: np.ndarray, s) -> np.ndarray:
-    """Per-state rate (1/2) log2(1 + h^2 P / s), safe at P = 0 and s = 0."""
-    s_arr = np.broadcast_to(np.asarray(s, dtype=float), h2.shape)
-    out = np.zeros_like(h2, dtype=float)
-    act = p_ehu > 0.0
-    if np.any(act):
-        with np.errstate(divide="ignore"):
-            snr = h2[act] * p_ehu[act] / s_arr[act]
-        out[act] = 0.5 * np.log2(1.0 + snr)
+    """Per-state rate (1/2) log2(1 + h^2 P / s), bits per channel use.
+
+    ``s`` is one scalar or one value per state. A state with h^2 P = 0 rates
+    0, a dead state included whatever its s; s = 0 with h^2 P > 0 rates inf.
+    """
+    out = np.zeros(h2.shape)
+    hp = h2 * p_ehu
+    act = np.flatnonzero(hp > 0.0)
+    if np.ndim(s):
+        s = s[act]
+    with np.errstate(divide="ignore"):
+        out[act] = 0.5 * np.log2(1.0 + hp[act] / s)
     return out
 
 
@@ -179,7 +185,12 @@ def _noise_floor(h2: np.ndarray, s) -> np.ndarray:
 
 
 def _water_level(noise: np.ndarray, weights: np.ndarray, budget) -> np.ndarray:
-    """Exact water level w solving sum weights*[w - noise]^+ = budget.
+    """Exact water level L solving sum weights*[L - noise]^+ = budget.
+
+    L is the smallest prefix candidate (budget + sum_{i<=m} w_i n_i) /
+    sum_{i<=m} w_i. Every candidate is >= L, because
+    sum_{i<=m} w_i (L - n_i) <= sum_i w_i [L - n_i]^+ = budget, and on a floor
+    sorted ascending the active states are a prefix, whose candidate is L.
 
     Batched over leading axes: ``noise`` must be sorted ascending along the
     last axis, with dead states carrying inf so that they sort last;
@@ -187,41 +198,18 @@ def _water_level(noise: np.ndarray, weights: np.ndarray, budget) -> np.ndarray:
     shape. A row whose first noise entry is inf has no usable state and
     gets inf.
     """
-    cw = np.cumsum(weights, axis=-1)
-    cwn = np.cumsum(weights * noise, axis=-1)
-    w_cand = (np.expand_dims(budget, -1) + cwn) / cw
-    nxt = np.concatenate((noise[..., 1:], np.full_like(noise[..., :1], np.inf)), axis=-1)
-    m = np.argmax(w_cand <= nxt, axis=-1)
-    return np.take_along_axis(w_cand, m[..., None], axis=-1)[..., 0]
+    cand = np.asarray(budget)[..., None] + (weights * noise).cumsum(axis=-1)
+    return (cand / weights.cumsum(axis=-1)).min(axis=-1)
 
 
-def _codeword_waterfill(
-    params: LinkParams, p: np.ndarray, h2: np.ndarray, q: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Objective after exact inner water-filling of the codeword power.
-
-    ``q`` holds per-state transmit powers x2^2 along its last axis and may be
-    batched over leading axes. The codeword power spends the budget
-    (eta*sum p h^2 q - p_proc)/(1-rho) over the noise floor
-    (sigma2_sq + alpha2*q)/h^2 exactly, so the energy balance is tight by
-    construction. Returns ``(value_bits, p_ehu)``: the value has the leading
-    shape of ``q`` and the codeword power its full shape. A row whose budget
-    is <= 0 gets value 0 and zero codeword power. A noiseless active state
-    (sigma2_sq = 0, q = 0) is worth inf.
-    """
-    harvest = params.eta * (q * (p * h2)).sum(axis=-1)
-    budget = (harvest - params.p_proc) / (1.0 - params.rho)
-    noise = _noise_floor(h2, params.sigma2_sq + params.alpha2 * q)
-    order = np.argsort(noise, axis=-1)
-    level = _water_level(np.take_along_axis(noise, order, axis=-1), p[order], budget)
-    w = np.expand_dims(level, -1)
-    funded = budget > 0.0
-    # Unfunded rows are masked: their level may sit below the lowest floor,
-    # and on dead rows (every floor inf) it is inf - inf.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p_ehu = np.where(funded[..., None], np.maximum(w - noise, 0.0), 0.0)
-        value = _C_BITS * (p * np.log(np.maximum(w / noise, 1.0))).sum(axis=-1)
-    return np.where(funded, value, 0.0), p_ehu
+def _sorted_fill(noise: np.ndarray, p: np.ndarray, budget: float) -> tuple[float, float]:
+    """Water level and value, bits per use, of ``budget`` water-filled over the
+    ascending floor ``noise`` (aligned with ``p``). A noiseless floor is worth
+    inf."""
+    w = float(_water_level(noise, p, budget))
+    m = np.searchsorted(noise, w)  # the states below the level, a prefix
+    with np.errstate(divide="ignore"):
+        return w, _C_BITS * float(p[:m] @ np.log(w / noise[:m]))
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +237,8 @@ def waterfill_case1(
     s = params.sigma2_sq + params.p_et * params.alpha2
     noise = _noise_floor(fading.h**2, s)
     # Gains are stored ascending, so this noise floor is sorted descending and
-    # reversing it replaces the argsort of _codeword_waterfill, which made
-    # solve 10-12% slower at 2000 and 8192 states on a 2-CPU host.
+    # reversing it replaces an argsort, which made solve 10-12% slower at 2000
+    # and 8192 states on a 2-CPU host.
     w = float(_water_level(noise[::-1], fading.p[::-1], budget))
     p_ehu = np.maximum(w - noise, 0.0)
     x2 = np.full(fading.n_states, math.sqrt(params.p_et))
@@ -271,15 +259,6 @@ def capacity_case1(
 # ---------------------------------------------------------------------------
 
 
-def _si_free_value(noise: np.ndarray, p: np.ndarray, budget: float) -> float:
-    """Upper bound on a flash's value: ``budget`` water-filled over the
-    self-interference-free floor ``noise`` (ascending, aligned with ``p``).
-    A noiseless link is worth inf."""
-    w = _water_level(noise, p, budget)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _C_BITS * float((p * np.log(np.maximum(w / noise, 1.0))).sum())
-
-
 def _best_flash(
     params: LinkParams, fading: FadingDistribution
 ) -> tuple[PowerAllocation, float]:
@@ -290,29 +269,39 @@ def _best_flash(
     order until the next one's bound cannot beat a positive best value (see
     the module docstring).
     """
-    n = fading.n_states
     p = fading.p
     h2 = fading.h**2
+    n = p.size
     # Gains are stored ascending, so this floor is ascending as _water_level
-    # needs it.
+    # needs it; state k sits at place n-1-k.
     free = _noise_floor(h2[::-1], params.sigma2_sq)
     p_desc = p[::-1]
     q_flash = params.p_et / p
-    # Rounded as _codeword_waterfill rounds a one-state row, so a flash is
-    # skipped here exactly when its scoring would fund nothing.
     budget = (params.eta * (q_flash * (p * h2)) - params.p_proc) / (1.0 - params.rho)
-    best, best_value = _zero_allocation(n), 0.0
+    best, best_value = None, 0.0
     for k in np.flatnonzero(budget > 0.0)[::-1]:
         # Only a scored flash prunes: a funded flash whose bound rounds to 0
         # is still scored, so no bound decides that the link is Zero.
-        if best_value > 0.0 and _si_free_value(free, p_desc, budget[k]) <= best_value:
+        if best_value > 0.0 and _sorted_fill(free, p_desc, budget[k])[1] <= best_value:
             break
-        q = np.zeros(n)
-        q[k] = q_flash[k]
-        value, p_ehu = _codeword_waterfill(params, p, h2, q)
+        # Move state k's entry up to its flash floor, ahead of equal entries
+        # (it stays put when the interference rounds away).
+        floor_k = (params.sigma2_sq + params.alpha2 * q_flash[k]) / h2[k]
+        r = n - 1 - k
+        j = max(int(np.searchsorted(free, floor_k)), r + 1)
+        noise = np.concatenate((free[:r], free[r + 1 : j], (floor_k,), free[j:]))
+        weights = np.concatenate((p_desc[:r], p_desc[r + 1 : j], (p[k],), p_desc[j:]))
+        w, value = _sorted_fill(noise, weights, budget[k])
         if value > best_value:
-            best, best_value = PowerAllocation(np.sqrt(q), p_ehu), float(value)
-    return best, best_value
+            best, best_value = (k, w, floor_k), value
+    if best is None:
+        return _zero_allocation(n), 0.0
+    k, w, floor_k = best
+    x2 = np.zeros(n)
+    x2[k] = math.sqrt(q_flash[k])
+    p_ehu = np.maximum(w - free[::-1], 0.0)
+    p_ehu[k] = max(w - floor_k, 0.0)
+    return PowerAllocation(x2, p_ehu), best_value
 
 
 # ---------------------------------------------------------------------------
@@ -320,16 +309,30 @@ def _best_flash(
 # ---------------------------------------------------------------------------
 
 
-def _allocation_water_level(
+def _active_states(
     params: LinkParams, fading: FadingDistribution, alloc: PowerAllocation
-) -> float:
-    s = params.sigma2_sq + params.alpha2 * alloc.x2**2
-    h2 = fading.h**2
-    act = alloc.p_ehu > 0.0
-    if not np.any(act):
-        return math.inf
-    levels = alloc.p_ehu[act] + s[act] / h2[act]
-    return float(np.median(levels))
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The states that carry codeword power, and there p_ehu, h^2 and the
+    floor numerator sigma2_sq + alpha2*x2^2."""
+    act = np.flatnonzero(alloc.p_ehu > 0.0)
+    s = params.sigma2_sq + params.alpha2 * alloc.x2[act] ** 2
+    return act, alloc.p_ehu[act], fading.h[act] ** 2, s
+
+
+def _median(x: np.ndarray) -> float:
+    """``np.median`` of a non-empty 1-D array.
+
+    A full sort: the levels it is given agree to a few ulps, and on so few
+    distinct values ``np.partition`` took 8 times as long at 8192 states.
+    """
+    x = np.sort(x)
+    k = x.size // 2
+    return float(x[k] if x.size % 2 else (x[k - 1] + x[k]) / 2.0)
+
+
+def _allocation_water_level(pe: np.ndarray, h2: np.ndarray, s: np.ndarray) -> float:
+    """Median water level p_ehu + s/h^2 over the active states, inf if none."""
+    return _median(pe + s / h2) if pe.size else math.inf
 
 
 def recover_multipliers(
@@ -343,39 +346,32 @@ def recover_multipliers(
     summed over states.
     """
     p = fading.p
-    h2 = fading.h**2
     one_m_rho = 1.0 - params.rho
-    w = _allocation_water_level(params, fading, alloc)
+    act, pe, h2, s = _active_states(params, fading, alloc)
+    w = _allocation_water_level(pe, h2, s)
     if not math.isfinite(w) or w <= 0.0:
         return MultiplierSet(0.0, math.inf, 0.0)
     lam2 = 1.0 / (w * one_m_rho)
-    s = params.sigma2_sq + params.alpha2 * alloc.x2**2
-    overlap = (alloc.p_ehu > 0.0) & (alloc.x2 > 0.0) & (h2 > 0.0)
-    if np.any(overlap):
+    overlap = np.flatnonzero((alloc.x2[act] > 0.0) & (h2 > 0.0))
+    if overlap.size:
         loss = 0.0
         if params.alpha2 > 0.0:
             # s >= alpha2*x2^2 > 0 on these states.
-            loss = params.alpha2 * alloc.p_ehu[overlap] / (s[overlap] * w)
-        lam1 = float(np.mean(lam2 * params.eta * h2[overlap] - loss))
+            loss = params.alpha2 * pe[overlap] / (s[overlap] * w)
+        lam1 = float((lam2 * params.eta * h2[overlap] - loss).sum()) / overlap.size
     else:
         # Pure harvest states pin lambda1 through the linear stationarity of
-        # the transmit power instead.
-        harvest_only = (alloc.x2 > 0.0) & (h2 > 0.0)
-        if np.any(harvest_only):
-            lam1 = float(np.max(lam2 * params.eta * h2[harvest_only]))
-        else:
-            lam1 = 0.0
+        # the transmit power instead; gains are stored ascending.
+        h_tx = fading.h[alloc.x2 > 0.0]
+        lam1 = lam2 * params.eta * float(h_tx[-1] ** 2) if h_tx.size else 0.0
     lam1 = max(lam1, 0.0)
     q = alloc.x2**2
-    cap_bits = float(_rate_bits(h2, alloc.p_ehu, s) @ p)
+    with np.errstate(divide="ignore"):
+        cap_bits = 0.5 * float(np.log2(1.0 + h2 * pe / s) @ p[act])
     mu1 = (
         cap_bits
-        - lam1 * float((q * p).sum())
-        - lam2
-        * (
-            one_m_rho * float((alloc.p_ehu * p).sum())
-            - params.eta * float((h2 * q * p).sum())
-        )
+        - lam1 * float(q @ p)
+        - lam2 * (one_m_rho * float(pe @ p[act]) - params.eta * float((fading.h**2 * q) @ p))
     )
     return MultiplierSet(lam1, lam2, mu1)
 
@@ -451,7 +447,7 @@ def closed_form_x2_errors(
     active = (alloc.p_ehu > 0.0) & (alloc.x2 > 0.0) & (h2 > 0.0)
     if not np.any(active):
         return np.array([])
-    w = _allocation_water_level(params, fading, alloc)
+    w = _allocation_water_level(*_active_states(params, fading, alloc)[1:])
     lam2 = 1.0 / (w * one_m_rho)
     thresholds = (
         lam2 * params.eta * h2[active]
@@ -484,20 +480,17 @@ def _allocation_residuals(
     mult: MultiplierSet,
 ) -> dict:
     p = fading.p
-    h2 = fading.h**2
     one_m_rho = 1.0 - params.rho
     q = alloc.x2**2
-    spent = float((q * p).sum())
-    harvest = params.eta * float((h2 * q * p).sum())
-    consumed = one_m_rho * float((alloc.p_ehu * p).sum()) + params.p_proc
+    spent = float(q @ p)
+    harvest = params.eta * float((fading.h**2 * q) @ p)
+    act, pe, h2, s = _active_states(params, fading, alloc)
+    consumed = one_m_rho * float(pe @ p[act]) + params.p_proc
     c2_rel = (harvest - consumed) / max(abs(harvest), 1e-300)
-    s = params.sigma2_sq + params.alpha2 * q
-    # With no active state lambda2 is inf and the mask is empty.
+    # With no active state lambda2 is inf and nothing is indexed.
     lam2_1mr = mult.lambda2 * one_m_rho
     stat = np.full(fading.n_states, np.nan)
-    act = alloc.p_ehu > 0.0
-    lhs = h2[act] / (s[act] + h2[act] * alloc.p_ehu[act])
-    stat[act] = np.abs(lhs - lam2_1mr) / lam2_1mr
+    stat[act] = np.abs(h2 / (s + h2 * pe) - lam2_1mr) / lam2_1mr
     return {
         "c1_slack": params.p_et - spent,
         "c2_residual_rel": c2_rel,

@@ -23,7 +23,8 @@ from fdwpc.sim import SimConfig, simulate
 from fdwpc.solver import (
     PowerAllocation,
     _allocation_residuals,
-    _codeword_waterfill,
+    _noise_floor,
+    _water_level,
     capacity_case1,
     rayleigh_capacity_closed_form,
     recover_multipliers,
@@ -156,6 +157,34 @@ def reference_value(params, f, q):
     return float(p @ np.log1p(h2 * p_ehu / s)) / (2.0 * math.log(2.0))
 
 
+def codeword_waterfill(params, p, h2, q):
+    """Objective after exact inner water-filling of the codeword power, for
+    transmit powers ``q`` batched over leading axes: the enumerator that
+    checks the solver's pruned flash search.
+
+    Each row is sorted anew and water-filled with the package's
+    ``_water_level``; ties are sorted by descending state index, as ``solve``
+    orders its floor, so that a winning flash's row matches it bit for bit.
+    The budget (eta*sum p h^2 q - p_proc)/(1-rho) is spent over the floor
+    (sigma2_sq + alpha2*q)/h^2. Returns ``(value_bits, p_ehu)`` with the
+    leading shape of ``q`` and its full shape; a row whose budget is <= 0 gets
+    value 0 and zero codeword power, and a noiseless active state is worth
+    inf."""
+    harvest = params.eta * (q * (p * h2)).sum(axis=-1)
+    budget = (harvest - params.p_proc) / (1.0 - params.rho)
+    noise = _noise_floor(h2, params.sigma2_sq + params.alpha2 * q)
+    order = noise.shape[-1] - 1 - np.argsort(noise[..., ::-1], axis=-1, kind="stable")
+    level = _water_level(np.take_along_axis(noise, order, axis=-1), p[order], budget)
+    w = np.expand_dims(level, -1)
+    funded = budget > 0.0
+    # Unfunded rows are masked: their level may sit below the lowest floor,
+    # and on dead rows (every floor inf) it is inf - inf.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p_ehu = np.where(funded[..., None], np.maximum(w - noise, 0.0), 0.0)
+        value = (p * np.log(np.maximum(w / noise, 1.0))).sum(axis=-1) / (2.0 * math.log(2.0))
+    return np.where(funded, value, 0.0), p_ehu
+
+
 def reference_capacity(params, f):
     """Capacity found without ``fdwpc.solver`` or ``fdwpc.hd``: every
     single-state flash, the constant amplitude and 2 seeded random points are
@@ -213,7 +242,7 @@ def test_criterion_2_oracle_equivalence():
         tol = 1e-9 * ref
         worst = max(worst, abs(res.capacity - ref) / ref)
         flash_only += i >= 100 and res.case == "Case2" and res.residuals["case1_capacity"] == 0.0
-        flashes, _ = _codeword_waterfill(params, f.p, f.h**2, np.diag(params.p_et / f.p))
+        flashes, _ = codeword_waterfill(params, f.p, f.h**2, np.diag(params.p_et / f.p))
         if res.case == "Case2":
             flashes = np.delete(flashes, np.argmax(res.allocation.x2))
         answers = {

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
@@ -104,6 +105,53 @@ def test_rate_is_the_maximum_at_the_cli_defaults():
     scan = [hd_rate_at_fraction(params, f, 1.0 - v) for v in np.logspace(-9, 0, 4001)]
     assert rate >= max(scan) * (1.0 - 1e-13)
     assert rate > 1.04 * 4.327394655866e-06  # the 1e-6 golden-section rate
+
+
+def mp_optimal_rate(params, f):
+    """The benchmark's optimal rate at 50 digits: golden section on ln b of
+    harvest*F(b)/(harvest + p_proc + b), F water-filling the codeword budget b
+    over the active prefix of the ascending floors (the rate is unimodal in b,
+    module docstring)."""
+    with mpmath.workdps(50):
+        floors = sorted(
+            (mpmath.mpf(params.sigma2_sq) / mpmath.mpf(h) ** 2, mpmath.mpf(p))
+            for h, p in zip(f.h, f.p) if h > 0.0
+        )
+        harvest = params.eta * mpmath.mpf(params.p_et) * mpmath.fsum(
+            mpmath.mpf(h) ** 2 * p for h, p in zip(f.h, f.p)
+        )
+
+        def rate(ln_b):
+            b, weight, spent = mpmath.exp(ln_b), 0, 0
+            for k, (n, p) in enumerate(floors):
+                weight, spent = weight + p, spent + p * n
+                level = (b + spent) / weight
+                if k + 1 == len(floors) or level <= floors[k + 1][0]:
+                    break
+            fill = mpmath.fsum(p * mpmath.log(level / n, 2) for n, p in floors[: k + 1])
+            return harvest * fill / (harvest + params.p_proc + b)
+
+        lo = mpmath.log(harvest + params.p_proc) - 60
+        hi = lo + 120
+        g = (mpmath.sqrt(5) - 1) / 2
+        for _ in range(200):
+            x1, x2 = hi - g * (hi - lo), lo + g * (hi - lo)
+            if rate(x1) < rate(x2):
+                lo = x1
+            else:
+                hi = x2
+        return float(rate((lo + hi) / 2))
+
+
+@pytest.mark.parametrize("cost", [1e15, 1e16])
+def test_rate_survives_a_harvesting_fraction_that_rounds_to_one(cost):
+    # At these processing costs (times the mean harvest) 1 - tau is about
+    # 1e-16, which tau itself cannot carry: the rate came out 5% low at 1e15
+    # and 0 at 1e16.
+    f = fading.rayleigh(1.0, 64)
+    params = LinkParams(eta=0.8, p_proc=0.0, p_et=1.0, sigma2_sq=1e-3)
+    params = dataclasses.replace(params, p_proc=cost * params.eta * params.p_et * f.mean_square)
+    assert solve_hd(params, f).rate == pytest.approx(mp_optimal_rate(params, f), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize(

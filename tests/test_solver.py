@@ -20,11 +20,12 @@ from fdwpc.hd import solve_hd
 from fdwpc.solver import (
     CapacityResult,
     MultiplierSet,
+    PowerAllocation,
     _allocation_residuals,
     _best_flash,
-    _codeword_waterfill,
     _noise_floor,
-    _si_free_value,
+    _rate_bits,
+    _sorted_fill,
     _water_level,
     capacity_case1,
     capacity_no_fading,
@@ -35,7 +36,7 @@ from fdwpc.solver import (
     x0_of_h,
 )
 from fdwpc.units import LinkParams
-from test_acceptance import reference_capacity, water_level_reference
+from test_acceptance import codeword_waterfill, reference_capacity, water_level_reference
 
 HALF_LOG2_5 = 1.1609640474436812  # (1/2) log2(5)
 
@@ -357,11 +358,23 @@ _TIED_ULP_FLASH = _edge_link(
     + [0.07089679242128298],
 )
 
+# Without self-interference a flash floor equals the state's own floor and
+# ties with the other states of its gain: the flash stays in its place among
+# them, as a stable sort of the floor would keep it.
+_TIED_FREE_P = np.array(
+    [0.442, 0.211, 0.332, 0.808, 0.323, 0.158, 0.702, 0.454, 0.801, 0.243, 0.327]
+)
+_TIED_FREE_FLASH = (
+    dataclasses.replace(_ONE_ULP_FLASH[0], sigma2_sq=0.1, alpha2=0.0),
+    fading.custom([0.5] * 4 + [1.3] * 7, _TIED_FREE_P / _TIED_FREE_P.sum()),
+)
+
 
 @settings(max_examples=300, deadline=None)
 @given(flash_links(), st.floats(0.0, 1.2))
 @example(link=_ONE_ULP_FLASH, cost=1.0)
 @example(link=_TIED_ULP_FLASH, cost=1.0)
+@example(link=_TIED_FREE_FLASH, cost=0.0)
 def test_pruned_flash_matches_full_enumeration(link, cost):
     # The processing cost runs from 0 past the strongest state's flash
     # harvest, through the links where a flash is funded and Case 1 is not.
@@ -370,7 +383,7 @@ def test_pruned_flash_matches_full_enumeration(link, cost):
     top_harvest = params.eta * params.p_et * float(np.max(h2))
     params = dataclasses.replace(params, p_proc=cost * top_harvest)
     flashes = np.diag(np.where(h2 > 0.0, params.p_et / p, 0.0))
-    values, _ = _codeword_waterfill(params, p, h2, flashes)
+    values, p_ehu = codeword_waterfill(params, p, h2, flashes)
     best = float(np.max(values))
     r = solve(params, f)
     # Each log(w/noise) term carries an absolute rounding error of a few
@@ -378,6 +391,15 @@ def test_pruned_flash_matches_full_enumeration(link, cost):
     tol = 1e-12 * max(1.0, best)
     assert abs(r.residuals["case2_capacity"] - best) <= tol
     assert (r.case == "Zero") == bool(np.all(values == 0.0))
+    # The winner is one of the enumerated flashes, with its row's allocation
+    # bit for bit.
+    alloc, value = _best_flash(params, f)
+    assert value == r.residuals["case2_capacity"]
+    if value > 0.0:
+        (k,) = np.flatnonzero(alloc.x2)
+        assert abs(values[k] - value) <= tol
+        assert np.array_equal(alloc.x2, np.sqrt(flashes[k]))
+        assert np.array_equal(alloc.p_ehu, p_ehu[k])
     # Every flash worth anything is funded, and its SI-free bound holds. The
     # harvest is rounded as the enumeration's rows round it.
     harvest = params.eta * (flashes * (p * h2)).sum(axis=-1)
@@ -387,7 +409,7 @@ def test_pruned_flash_matches_full_enumeration(link, cost):
     desc = np.argsort(-h2, kind="stable")
     free = _noise_floor(h2[desc], params.sigma2_sq)
     for k in np.flatnonzero(funded):
-        assert _si_free_value(free, p[desc], budget[k]) >= values[k] - tol
+        assert _sorted_fill(free, p[desc], budget[k])[1] >= values[k] - tol
 
 
 # ---------------------------------------------------------------------------
@@ -486,14 +508,14 @@ def _subnormal_cost_draw():
 def test_codeword_waterfill_batch_matches_rows(args):
     params, f, q, _ = args
     p, h2 = f.p, f.h**2
-    values, p_ehu = _codeword_waterfill(params, p, h2, q)
+    values, p_ehu = codeword_waterfill(params, p, h2, q)
     assert values.shape == q.shape[:1] and p_ehu.shape == q.shape
     for r in range(q.shape[0]):
-        v_r, pe_r = _codeword_waterfill(params, p, h2, q[r])
+        v_r, pe_r = codeword_waterfill(params, p, h2, q[r])
         assert v_r == values[r]
         assert np.array_equal(pe_r, p_ehu[r])
     # Any leading shape, not only a 2-D batch.
-    v3, pe3 = _codeword_waterfill(params, p, h2, q[:, None, :])
+    v3, pe3 = codeword_waterfill(params, p, h2, q[:, None, :])
     assert np.array_equal(v3[:, 0], values) and np.array_equal(pe3[:, 0], p_ehu)
 
 
@@ -501,7 +523,7 @@ def test_codeword_waterfill_batch_matches_rows(args):
 @given(q_batches())
 def test_codeword_waterfill_unfunded_rows_are_zero(args):
     params, f, q, starved = args
-    values, p_ehu = _codeword_waterfill(params, f.p, f.h**2, q)
+    values, p_ehu = codeword_waterfill(params, f.p, f.h**2, q)
     assert np.all(values[starved] == 0.0)
     assert np.all(p_ehu[starved] == 0.0)
 
@@ -515,7 +537,7 @@ def test_codeword_waterfill_closes_energy_balance(args):
     params, f, q, _ = args
     p, h2 = f.p, f.h**2
     one_m_rho = 1.0 - params.rho
-    _, p_ehu = _codeword_waterfill(params, p, h2, q)
+    _, p_ehu = codeword_waterfill(params, p, h2, q)
     for r in range(q.shape[0]):
         harvest = params.eta * float(p @ (h2 * q[r]))
         if harvest <= params.p_proc:
@@ -532,13 +554,13 @@ def test_codeword_waterfill_closes_energy_balance(args):
 
 @settings(max_examples=300, deadline=None)
 @given(flash_links())
-def test_case1_shortcut_matches_codeword_waterfill(link):
+def test_case1_shortcut_matchescodeword_waterfill(link):
     # waterfill_case1 reads the noise floor reversed instead of sorting it;
     # at q = p_et in every state it must give the shared law's answer.
     params, f = link
     p, h2 = f.p, f.h**2
     _, alloc = waterfill_case1(params, f)
-    value, p_ehu = _codeword_waterfill(params, p, h2, np.full(f.n_states, params.p_et))
+    value, p_ehu = codeword_waterfill(params, p, h2, np.full(f.n_states, params.p_et))
     cap = capacity_case1(params, f, alloc)
     assert abs(cap - value) <= 1e-12 * max(1.0, value)
     s = params.sigma2_sq + params.p_et * params.alpha2
@@ -609,7 +631,7 @@ def test_water_level_matches_reference_bisection(args):
     w = _water_level(noise, wts, budget)
     for r in range(budget.size):
         ref = water_level_reference(noise[r], wts[r], budget[r])
-        assert w[r] == pytest.approx(ref, rel=1e-12)
+        assert w[r] == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 def test_water_level_dead_rows_are_infinite():
@@ -618,6 +640,39 @@ def test_water_level_dead_rows_are_infinite():
     assert math.isinf(w[0]) and math.isinf(w[2])
     assert w[1] == pytest.approx(2.75)
     assert math.isinf(_water_level(np.full(4, np.inf), np.full(4, 0.25), 1.0))
+
+
+@st.composite
+def tied_water_rows(draw):
+    """A batch of sorted noise rows drawn from a few levels, so that floors
+    tie, with dead (inf) floors; some rows are dead throughout."""
+    rows = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 30))
+    levels = draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=4)) + [math.inf]
+    vals = draw(st.lists(st.sampled_from(levels), min_size=rows * n, max_size=rows * n))
+    noise = np.sort(np.array(vals).reshape(rows, n), axis=1)
+    wts = draw(st.lists(st.floats(1e-2, 1.0), min_size=rows * n, max_size=rows * n))
+    budget = np.array(draw(st.lists(st.floats(1e-3, 1e3), min_size=rows, max_size=rows)))
+    return noise, np.array(wts).reshape(rows, n), budget
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_water_rows())
+def test_water_level_is_the_smallest_prefix_candidate(args):
+    noise, wts, budget = args
+    w = _water_level(noise, wts, budget)
+    for r in range(budget.size):
+        cands = []
+        for m in range(1, noise.shape[1] + 1):
+            # Left-to-right sums, as the kernel's cumulative sums add.
+            num = budget[r] + sum(float(x) * float(y) for x, y in zip(wts[r, :m], noise[r, :m]))
+            cands.append(num / sum(float(x) for x in wts[r, :m]))
+        assert w[r] == min(cands)
+        ref = water_level_reference(noise[r], wts[r], budget[r])
+        if math.isinf(ref):
+            assert math.isinf(w[r])
+        else:
+            assert w[r] == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 def test_unsorted_input_with_ties_and_a_dead_state():
@@ -650,6 +705,46 @@ def test_unsorted_input_with_ties_and_a_dead_state():
     assert np.allclose(res.p_ehu_of_h, np.maximum(w - noise, 0.0)[back], rtol=1e-12, atol=0.0)
     assert res.rate == pytest.approx(rate, rel=1e-12)
     assert res.lam == pytest.approx(1.0 / w, rel=1e-12)
+
+
+def test_rate_bits_edges():
+    # Warnings are errors in this suite, so each edge must also be silent.
+    h2 = np.array([0.0, 0.0, 4.0, 4.0, 4.0])
+    p_ehu = np.array([0.0, 2.0, 0.0, 2.0, 2.0])
+    s = np.array([1.0, 0.0, 0.0, 0.0, 1.0])
+    rates = _rate_bits(h2, p_ehu, s)
+    # No power, a dead state (even noiseless), no power on a noiseless state,
+    # a noiseless live state, and a plain one.
+    assert np.array_equal(rates, [0.0, 0.0, 0.0, math.inf, 0.5 * math.log2(9.0)])
+    assert np.array_equal(_rate_bits(h2, p_ehu, 0.0), [0.0, 0.0, 0.0, math.inf, math.inf])
+    assert np.array_equal(_rate_bits(h2, np.zeros(5), 0.0), np.zeros(5))
+    # A per-state s rates each state with its own floor.
+    s = np.array([0.5, 1.0, 2.0, 4.0, 8.0])
+    want = [0.0, 0.0, 0.0] + [0.5 * math.log2(1.0 + 8.0 / x) for x in s[3:]]
+    assert np.array_equal(_rate_bits(h2, p_ehu, s), want)
+
+
+@pytest.mark.parametrize(
+    "x2, p_ehu",
+    [
+        ([1.0, -1e-300], [0.0, 1.0]),
+        ([1.0, 0.0], [-0.5, 1.0]),
+        ([1.0, 0.0], [1.0]),
+        ([[1.0]], [[1.0]]),
+        (1.0, 1.0),
+    ],
+    ids=["negative_x2", "negative_p_ehu", "lengths", "two_d", "scalar"],
+)
+def test_power_allocation_rejects(x2, p_ehu):
+    with pytest.raises(ValueError):
+        PowerAllocation(np.array(x2), np.array(p_ehu))
+
+
+def test_power_allocation_is_frozen():
+    alloc = PowerAllocation([1.0, 0.0], np.array([0.0, 2.0]))
+    assert alloc.x2.dtype == float and alloc.p_ehu.tolist() == [0.0, 2.0]
+    with pytest.raises(ValueError):
+        alloc.p_ehu[0] = 1.0
 
 
 # ---------------------------------------------------------------------------
