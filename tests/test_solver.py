@@ -554,7 +554,7 @@ def test_codeword_waterfill_closes_energy_balance(args):
 
 @settings(max_examples=300, deadline=None)
 @given(flash_links())
-def test_case1_shortcut_matchescodeword_waterfill(link):
+def test_case1_shortcut_matches_codeword_waterfill(link):
     # waterfill_case1 reads the noise floor reversed instead of sorting it;
     # at q = p_et in every state it must give the shared law's answer.
     params, f = link
