@@ -18,6 +18,9 @@ Rate convention: the benchmark rates each state with log2(1 + h^2 P/sigma2_sq)
 (complex Gaussian), every full-duplex rate in ``solver`` with (1/2) log2 (real
 Gaussian), so the two are not comparable: on an ideal unfaded link (alpha2 = 0,
 p_proc = 0, h = 1) the benchmark beats full duplex, which time-switching cannot.
+Both are rated by the solver's one kernel, ``_fill``, and the convention is the
+one constant that this module passes it, ``_C_HD``: ``solver._C_BITS`` in its
+place puts the benchmark on the full-duplex convention.
 """
 
 from __future__ import annotations
@@ -29,10 +32,13 @@ import numpy as np
 
 from . import specfun
 from .fading import FadingDistribution
-from .solver import _noise_floor, _water_level
+from .solver import _fill, _noise_floor
 from .units import LinkParams
 
 __all__ = ["HdResult", "solve_hd", "hd_rate_at_fraction"]
+
+# The rate convention (module docstring): log2, not the full duplex (1/2) log2.
+_C_HD = 1.0 / math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -63,19 +69,13 @@ def _inner_waterfill(
     arguments come in directly: near tau_h = 1, 1 - tau_h keeps no digits,
     and the budget recovered from tau_h cancels against p_proc.
     """
-    p = fading.p
-    if budget <= 0.0 or one_m_tau <= 0.0:
+    # Gains are stored ascending, so the floor of the reversed gains ascends.
+    noise = _noise_floor(fading.h[::-1] ** 2, params.sigma2_sq)
+    if budget <= 0.0 or one_m_tau <= 0.0 or math.isinf(noise[0]):
         return 0.0, math.inf, np.zeros(fading.n_states)
-    noise = _noise_floor(fading.h**2, params.sigma2_sq)
-    # Gains are stored ascending, so the noise floor is sorted descending.
-    w = float(_water_level(noise[::-1], p[::-1], budget))
-    if not math.isfinite(w):
-        return 0.0, math.inf, np.zeros(fading.n_states)
-    p_ehu = np.maximum(w - noise, 0.0)
-    act = p_ehu > 0.0
-    with np.errstate(divide="ignore"):
-        rate = one_m_tau * float((p[act] * np.log2(w / noise[act])).sum())
-    return rate, 1.0 / w, p_ehu
+    p = fading.p[::-1]
+    w, power, rate = _fill(one_m_tau * _C_HD, noise, p, budget)
+    return rate, 1.0 / w, power[::-1]
 
 
 def hd_rate_at_fraction(

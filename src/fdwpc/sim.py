@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fading import FadingDistribution
-from .solver import PowerAllocation, _rate_bits
+from .solver import _C_BITS, PowerAllocation, _noise_floor, _rates
 from .units import LinkParams
 
 __all__ = ["SimConfig", "SimTrace", "simulate"]
@@ -270,7 +270,7 @@ def simulate(
     x2 = alloc.x2
     p_ehu = alloc.p_ehu
     h = fading.h
-    rates = _rate_bits(h**2, p_ehu, params.sigma2_sq + params.alpha2 * x2**2)
+    rates = _rates(_C_BITS, p_ehu, _noise_floor(h**2, params.sigma2_sq + params.alpha2 * x2**2))
     g1_sd = math.sqrt(params.alpha1)
     g = params.g1_mean
     hx2 = h * x2

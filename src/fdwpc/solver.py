@@ -15,9 +15,9 @@ transmitter regimes are solved and compared:
   derivative alpha2^2/(2 ln2 s^2) > 0 while the state carries codeword
   power, linear after that), so no optimum has an interior q. Flash k funds
   the budget B_k = (eta*p_et*h_k^2 - p_proc)/(1-rho); its value is bounded
-  above by water-filling B_k over the self-interference-free noise floor
+  above by ``_fill`` of B_k over the self-interference-free noise floor
   sigma2_sq/h^2, which is ascending in storage order reversed. Flash k is
-  scored exactly on that same floor with state k's entry moved up to its
+  scored by ``_fill`` on that same floor with state k's entry moved up to its
   flash floor (sigma2_sq + alpha2*q_k)/h_k^2, one ``searchsorted`` instead of
   a sort. B_k and so the bound fall with the gain, so the funded candidates
   (B_k > 0) are scored strongest first, and the search stops at the first
@@ -30,8 +30,11 @@ allocation (case "Zero") only when both regimes score 0. The processing cost
 is charged in every fading state, so that happens exactly when even the
 strongest state's flash harvest eta*p_et*max h^2 cannot cover p_proc.
 
-Both regimes, the flash bound and the half-duplex benchmark share one
-water-level law, ``_water_level``, over a floor sorted ascending.
+Every codeword allocation (both regimes, the flash bound and the half-duplex
+benchmark) is water-filled by one kernel, ``_fill``, and every rate is
+c*log1p(P/n) by ``_rates``, with the convention c that the caller passes.
+``_fill`` takes the water level as a height above the lowest floor, so that a
+capacity keeps its relative digits at any SNR.
 
 Capacities are in bits per channel use throughout.
 """
@@ -158,22 +161,6 @@ def _zero_result(params: LinkParams, fading: FadingDistribution) -> CapacityResu
     )
 
 
-def _rate_bits(h2: np.ndarray, p_ehu: np.ndarray, s) -> np.ndarray:
-    """Per-state rate (1/2) log2(1 + h^2 P / s), bits per channel use.
-
-    ``s`` is one scalar or one value per state. A state with h^2 P = 0 rates
-    0, a dead state included whatever its s; s = 0 with h^2 P > 0 rates inf.
-    """
-    out = np.zeros(h2.shape)
-    hp = h2 * p_ehu
-    act = np.flatnonzero(hp > 0.0)
-    if np.ndim(s):
-        s = s[act]
-    with np.errstate(divide="ignore"):
-        out[act] = 0.5 * np.log2(1.0 + hp[act] / s)
-    return out
-
-
 def _noise_floor(h2: np.ndarray, s) -> np.ndarray:
     """Water-filling noise floor s/h^2, infinite on dead states.
 
@@ -202,14 +189,30 @@ def _water_level(noise: np.ndarray, weights: np.ndarray, budget) -> np.ndarray:
     return (cand / weights.cumsum(axis=-1)).min(axis=-1)
 
 
-def _sorted_fill(noise: np.ndarray, p: np.ndarray, budget: float) -> tuple[float, float]:
-    """Water level and value, bits per use, of ``budget`` water-filled over the
-    ascending floor ``noise`` (aligned with ``p``). A noiseless floor is worth
-    inf."""
-    w = float(_water_level(noise, p, budget))
-    m = np.searchsorted(noise, w)  # the states below the level, a prefix
-    with np.errstate(divide="ignore"):
-        return w, _C_BITS * float(p[:m] @ np.log(w / noise[:m]))
+def _rates(c: float, power: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """The one rate law: c*log1p(P/n) per state with codeword power P over the
+    floor n (``_noise_floor``), 0 where P = 0 and inf where n = 0 < P. ``c``
+    is the caller's convention, ``_C_BITS`` for (1/2) log2; log1p keeps the
+    digits of a low-SNR state, which 1 + SNR rounds away."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rates = c * np.log1p(power / noise)
+    rates[power == 0.0] = 0.0  # 0/0 on a noiseless state
+    return rates
+
+
+def _fill(c: float, noise: np.ndarray, weights: np.ndarray, budget: float) -> tuple:
+    """Water-fill ``budget`` over the ascending floor ``noise`` (aligned with
+    ``weights``, inf on dead states, one state live at least): the level, each
+    state's power [level - noise]^+, and their value ``_rates(c, ...) @ weights``.
+
+    Each power is H - (n - n0), the level a height H above the lowest floor
+    n0: at low SNR, level - noise would cancel most of the digits."""
+    base = noise[0]
+    height = noise - base
+    top = float(_water_level(height, weights, budget))
+    power = np.maximum(top - height, 0.0)
+    m = np.searchsorted(height, top)  # the states below the level, a prefix
+    return base + top, power, float(_rates(c, power[:m], noise[:m]) @ weights[:m])
 
 
 # ---------------------------------------------------------------------------
@@ -239,19 +242,17 @@ def waterfill_case1(
     # Gains are stored ascending, so this noise floor is sorted descending and
     # reversing it replaces an argsort, which made solve 10-12% slower at 2000
     # and 8192 states on a 2-CPU host.
-    w = float(_water_level(noise[::-1], fading.p[::-1], budget))
-    p_ehu = np.maximum(w - noise, 0.0)
+    w, power, _ = _fill(_C_BITS, noise[::-1], fading.p[::-1], budget)
     x2 = np.full(fading.n_states, math.sqrt(params.p_et))
-    return 1.0 / (w * one_m_rho), PowerAllocation(x2, p_ehu)
+    return 1.0 / (w * one_m_rho), PowerAllocation(x2, power[::-1])
 
 
 def capacity_case1(
     params: LinkParams, fading: FadingDistribution, alloc: PowerAllocation
 ) -> float:
     """Ergodic rate of a constant-amplitude allocation, bits per channel use."""
-    s = params.sigma2_sq + params.p_et * params.alpha2
-    rates = _rate_bits(fading.h**2, alloc.p_ehu, s)
-    return float(rates @ fading.p)
+    noise = _noise_floor(fading.h**2, params.sigma2_sq + params.p_et * params.alpha2)
+    return float(_rates(_C_BITS, alloc.p_ehu, noise) @ fading.p)
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +273,8 @@ def _best_flash(
     p = fading.p
     h2 = fading.h**2
     n = p.size
-    # Gains are stored ascending, so this floor is ascending as _water_level
-    # needs it; state k sits at place n-1-k.
+    # Gains are stored ascending, so this floor is ascending as _fill needs
+    # it; state k sits at place n-1-k.
     free = _noise_floor(h2[::-1], params.sigma2_sq)
     p_desc = p[::-1]
     q_flash = params.p_et / p
@@ -282,7 +283,7 @@ def _best_flash(
     for k in np.flatnonzero(budget > 0.0)[::-1]:
         # Only a scored flash prunes: a funded flash whose bound rounds to 0
         # is still scored, so no bound decides that the link is Zero.
-        if best_value > 0.0 and _sorted_fill(free, p_desc, budget[k])[1] <= best_value:
+        if best_value > 0.0 and _fill(_C_BITS, free, p_desc, budget[k])[2] <= best_value:
             break
         # Move state k's entry up to its flash floor, ahead of equal entries
         # (it stays put when the interference rounds away).
@@ -291,17 +292,17 @@ def _best_flash(
         j = max(int(np.searchsorted(free, floor_k)), r + 1)
         noise = np.concatenate((free[:r], free[r + 1 : j], (floor_k,), free[j:]))
         weights = np.concatenate((p_desc[:r], p_desc[r + 1 : j], (p[k],), p_desc[j:]))
-        w, value = _sorted_fill(noise, weights, budget[k])
+        _, power, value = _fill(_C_BITS, noise, weights, budget[k])
         if value > best_value:
-            best, best_value = (k, w, floor_k), value
+            best, best_value = (k, r, j, power), value
     if best is None:
         return _zero_allocation(n), 0.0
-    k, w, floor_k = best
+    k, r, j, power = best
     x2 = np.zeros(n)
     x2[k] = math.sqrt(q_flash[k])
-    p_ehu = np.maximum(w - free[::-1], 0.0)
-    p_ehu[k] = max(w - floor_k, 0.0)
-    return PowerAllocation(x2, p_ehu), best_value
+    # Move state k's power back from place j-1 to place r.
+    power = np.concatenate((power[:r], power[j - 1 : j], power[r : j - 1], power[j:]))
+    return PowerAllocation(x2, power[::-1]), best_value
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +367,7 @@ def recover_multipliers(
         lam1 = lam2 * params.eta * float(h_tx[-1] ** 2) if h_tx.size else 0.0
     lam1 = max(lam1, 0.0)
     q = alloc.x2**2
-    with np.errstate(divide="ignore"):
-        cap_bits = 0.5 * float(np.log2(1.0 + h2 * pe / s) @ p[act])
+    cap_bits = float(_rates(_C_BITS, pe, s / h2) @ p[act])
     mu1 = (
         cap_bits
         - lam1 * float(q @ p)
@@ -454,12 +454,12 @@ def closed_form_x2_errors(
         + lam2 * one_m_rho * params.alpha2 / h2[active]
     )
     lam1 = 1.25 * float(np.max(thresholds))
+    rates = _rates(_C_BITS, alloc.p_ehu, _noise_floor(h2, s))
     errors = []
     for i in np.flatnonzero(active):
         q_i = alloc.x2[i] ** 2
-        rate_i = 0.5 * math.log2(1.0 + h2[i] * alloc.p_ehu[i] / s[i])
         mu1_i = (
-            rate_i
+            rates[i]
             - lam1 * q_i
             - lam2 * (one_m_rho * alloc.p_ehu[i] - params.eta * h2[i] * q_i)
         )
@@ -504,9 +504,9 @@ def solve(params: LinkParams, fading: FadingDistribution) -> CapacityResult:
     Case 1 water-fills under the constant amplitude; Case 2 is the best
     single-state flash. A regime that funds no codeword scores 0; when both
     score 0 (eta*p_et*max h^2 <= p_proc, a dead channel included) the result
-    is the zero allocation with case "Zero". Ties within numerical tolerance
-    go to the constant-amplitude regime (the simpler transmitter) when it
-    scores above 0.
+    is the zero allocation with case "Zero". Ties within 1e-7 relative go to
+    the constant-amplitude regime (the simpler transmitter) when it scores
+    above 0.
     """
     _, alloc_c1 = waterfill_case1(params, fading)
     cap_c1 = capacity_case1(params, fading, alloc_c1)
@@ -514,8 +514,9 @@ def solve(params: LinkParams, fading: FadingDistribution) -> CapacityResult:
     if cap_c1 == 0.0 and cap_c2 == 0.0:
         return _zero_result(params, fading)
 
-    tie_tol = 1e-7 * max(1.0, cap_c1)
-    if cap_c1 == 0.0 or cap_c2 > cap_c1 + tie_tol:
+    # Both scores keep their relative digits at any SNR, so the tie is
+    # relative: an absolute one hands Case 1 every link below 1e-7 bits.
+    if cap_c2 > cap_c1 * (1.0 + 1e-7):
         case = "Case2"
         alloc = alloc_c2
         capacity = cap_c2
@@ -548,15 +549,9 @@ def capacity_no_fading(params: LinkParams, h: float) -> float:
     if h < 0.0 or not math.isfinite(h):
         raise ValueError(f"gain must be finite and >= 0, got {h}")
     h2 = h * h
-    p_ehu = max((params.eta * params.p_et * h2 - params.p_proc), 0.0) / (
-        1.0 - params.rho
-    )
-    if p_ehu == 0.0 or h2 == 0.0:
-        return 0.0
-    s = params.sigma2_sq + params.p_et * params.alpha2
-    if s == 0.0:
-        return math.inf
-    return 0.5 * math.log2(1.0 + h2 * p_ehu / s)
+    p_ehu = max(params.eta * params.p_et * h2 - params.p_proc, 0.0) / (1.0 - params.rho)
+    noise = _noise_floor(np.array([h2]), params.sigma2_sq + params.p_et * params.alpha2)
+    return float(_rates(_C_BITS, np.array([p_ehu]), noise)[0])
 
 
 def rayleigh_capacity_closed_form(

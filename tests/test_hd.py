@@ -155,6 +155,28 @@ def test_rate_survives_a_harvesting_fraction_that_rounds_to_one(cost):
 
 
 @pytest.mark.parametrize(
+    "snr",
+    [1e-4, 1e-7, 1e-9, 1e-11]
+    + [
+        pytest.param(
+            1e-13,
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="the Lambert-W argument cancels near -1/e: b is 0.57% off "
+                "and the rate 7.2e-12 relative",
+            ),
+        )
+    ],
+)
+def test_low_snr_rate_matches_mpmath(snr):
+    # The mean harvest is snr times the noise. log2(w/noise) lost 1.6e-11 of
+    # the rate at SNR 1e-11.
+    params = LinkParams(eta=0.8, p_proc=0.0, p_et=1.0, sigma2_sq=0.8 / snr)
+    f = fading.deterministic(1.0)
+    assert solve_hd(params, f).rate == pytest.approx(mp_optimal_rate(params, f), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
     "f",
     [fading.deterministic(1.0), fading.rayleigh(1.0, 16), fading.custom([0.0, 1.0], [0.5, 0.5])],
     ids=["unfaded", "rayleigh", "dead_state"],

@@ -18,14 +18,15 @@ from hypothesis import strategies as st
 from fdwpc import fading
 from fdwpc.hd import solve_hd
 from fdwpc.solver import (
+    _C_BITS,
     CapacityResult,
     MultiplierSet,
     PowerAllocation,
     _allocation_residuals,
     _best_flash,
+    _fill,
     _noise_floor,
-    _rate_bits,
-    _sorted_fill,
+    _rates,
     _water_level,
     capacity_case1,
     capacity_no_fading,
@@ -370,11 +371,21 @@ _TIED_FREE_FLASH = (
 )
 
 
+# A Rayleigh link at SNR 1e-10 where self-interference lifts each flash's
+# floor, so that the best flash is not on the strongest state. Rated as
+# log(w/noise), that flash lost 1.2e-8 of its value.
+_LOW_SNR_LINK = (
+    LinkParams(eta=0.8, p_proc=0.0, p_et=1.0, sigma2_sq=8e9, alpha2=8e8),
+    fading.rayleigh(1.0, 16),
+)
+
+
 @settings(max_examples=300, deadline=None)
 @given(flash_links(), st.floats(0.0, 1.2))
 @example(link=_ONE_ULP_FLASH, cost=1.0)
 @example(link=_TIED_ULP_FLASH, cost=1.0)
 @example(link=_TIED_FREE_FLASH, cost=0.0)
+@example(link=_LOW_SNR_LINK, cost=0.0)
 def test_pruned_flash_matches_full_enumeration(link, cost):
     # The processing cost runs from 0 past the strongest state's flash
     # harvest, through the links where a flash is funded and Case 1 is not.
@@ -386,9 +397,7 @@ def test_pruned_flash_matches_full_enumeration(link, cost):
     values, p_ehu = codeword_waterfill(params, p, h2, flashes)
     best = float(np.max(values))
     r = solve(params, f)
-    # Each log(w/noise) term carries an absolute rounding error of a few
-    # ulps, so small capacities are compared in absolute terms.
-    tol = 1e-12 * max(1.0, best)
+    tol = 1e-12 * best
     assert abs(r.residuals["case2_capacity"] - best) <= tol
     assert (r.case == "Zero") == bool(np.all(values == 0.0))
     # The winner is one of the enumerated flashes, with its row's allocation
@@ -409,7 +418,7 @@ def test_pruned_flash_matches_full_enumeration(link, cost):
     desc = np.argsort(-h2, kind="stable")
     free = _noise_floor(h2[desc], params.sigma2_sq)
     for k in np.flatnonzero(funded):
-        assert _sorted_fill(free, p[desc], budget[k])[1] >= values[k] - tol
+        assert _fill(_C_BITS, free, p[desc], budget[k])[2] >= values[k] - tol
 
 
 # ---------------------------------------------------------------------------
@@ -441,19 +450,25 @@ def test_solve_scale_neutrality(link):
         assert solve(scaled, f).capacity == pytest.approx(r0.capacity, rel=1e-8)
 
 
+# One live state at SNR 2.7e-6 among dead ones. Splitting a dead state
+# renormalizes p, which moves the level by an ulp; level - noise turned that
+# into 8e-11 of the Case-1 capacity.
+_LOW_SNR_SPLIT = _edge_link([0.0] * 8 + [0.05078125], np.array([2, 2, 2, 2, 1, 1, 1, 1, 2]) / 14)
+
+
 @settings(max_examples=100, deadline=None)
-@given(flash_links(), st.data())
-def test_case1_split_state_invariance(link, data):
+@given(flash_links(), st.integers(0, 39))
+@example(link=_LOW_SNR_SPLIT, which=0)
+def test_case1_split_state_invariance(link, which):
     # Two equal-gain halves of one state are the same channel as the state.
-    # The halves change the water level's rounding, and at low SNR the codeword
-    # power w - noise keeps few digits (6.7e-10 relative at SNR 1e-8), so small
-    # capacities are compared in absolute terms.
+    # The halves change the water level's rounding, which a level taken as a
+    # height above the lowest floor keeps to a few ulps at any SNR.
     params, f = link
     halves = np.ones(f.n_states, dtype=int)
-    halves[data.draw(st.integers(0, f.n_states - 1))] = 2
+    halves[which % f.n_states] = 2
     split = fading.custom(np.repeat(f.h, halves), np.repeat(f.p / halves, halves))
     c1 = solve(params, f).residuals["case1_capacity"]
-    assert abs(solve(params, split).residuals["case1_capacity"] - c1) <= 1e-12 * max(1.0, c1)
+    assert abs(solve(params, split).residuals["case1_capacity"] - c1) <= 1e-12 * c1
 
 
 # ---------------------------------------------------------------------------
@@ -707,21 +722,18 @@ def test_unsorted_input_with_ties_and_a_dead_state():
     assert res.lam == pytest.approx(1.0 / w, rel=1e-12)
 
 
-def test_rate_bits_edges():
+def test_rates_edges():
     # Warnings are errors in this suite, so each edge must also be silent.
-    h2 = np.array([0.0, 0.0, 4.0, 4.0, 4.0])
-    p_ehu = np.array([0.0, 2.0, 0.0, 2.0, 2.0])
-    s = np.array([1.0, 0.0, 0.0, 0.0, 1.0])
-    rates = _rate_bits(h2, p_ehu, s)
-    # No power, a dead state (even noiseless), no power on a noiseless state,
-    # a noiseless live state, and a plain one.
-    assert np.array_equal(rates, [0.0, 0.0, 0.0, math.inf, 0.5 * math.log2(9.0)])
-    assert np.array_equal(_rate_bits(h2, p_ehu, 0.0), [0.0, 0.0, 0.0, math.inf, math.inf])
-    assert np.array_equal(_rate_bits(h2, np.zeros(5), 0.0), np.zeros(5))
-    # A per-state s rates each state with its own floor.
-    s = np.array([0.5, 1.0, 2.0, 4.0, 8.0])
-    want = [0.0, 0.0, 0.0] + [0.5 * math.log2(1.0 + 8.0 / x) for x in s[3:]]
-    assert np.array_equal(_rate_bits(h2, p_ehu, s), want)
+    power = np.array([0.0, 2.0, 0.0, 2.0, 2.0, 2e-20])
+    noise = np.array([1.0, np.inf, 0.0, 0.0, 0.25, 1.0])
+    rates = _rates(_C_BITS, power, noise)
+    # No power, a dead state, no power on a noiseless state and a noiseless
+    # live state; then a plain state, and one at SNR 2e-20, where 1 + SNR
+    # rounds to 1.
+    assert np.array_equal(rates[:4], [0.0, 0.0, 0.0, math.inf])
+    want = [0.5 * math.log2(9.0), 1e-20 / math.log(2.0)]
+    assert rates[4:] == pytest.approx(want, rel=1e-15, abs=0.0)
+    assert np.array_equal(_rates(1.0, np.zeros(6), noise), np.zeros(6))
 
 
 @pytest.mark.parametrize(
@@ -831,6 +843,69 @@ def test_no_fading_recycling_pole_direction():
         for a in (0.0, 0.6, 1.2, 1.2499)
     ]
     assert all(b > a for a, b in zip(caps, caps[1:]))
+
+
+def mp_fill_bits(floors, budget):
+    """(1/2) log2-rate of ``budget`` water-filled over ``floors``, a list of
+    (noise floor, probability) pairs in mpmath, at the working precision."""
+    floors = sorted(floors)
+    weight = spent = 0
+    for k, (n, p) in enumerate(floors):
+        weight, spent = weight + p, spent + p * n
+        level = (budget + spent) / weight
+        if k + 1 == len(floors) or level <= floors[k + 1][0]:
+            break
+    return mpmath.fsum(p * mpmath.log(level / n) for n, p in floors[: k + 1]) / mpmath.log(4)
+
+
+def mp_capacities(params, f):
+    """Case-1 capacity and best flash value at 50 digits on a link without
+    residual interference or processing cost, where every regime spends its
+    harvest over the floor sigma2_sq/h^2."""
+    with mpmath.workdps(50):
+        h2 = [mpmath.mpf(h) ** 2 for h in f.h]
+        p = [mpmath.mpf(x) for x in f.p]
+        floors = [(params.sigma2_sq / g, x) for g, x in zip(h2, p)]
+        scale = params.eta * mpmath.mpf(params.p_et) / (1 - mpmath.mpf(params.rho))
+        case1 = mp_fill_bits(floors, scale * mpmath.fsum(g * x for g, x in zip(h2, p)))
+        return float(case1), float(max(mp_fill_bits(floors, scale * g) for g in h2))
+
+
+def mp_rayleigh_capacity(params, omega):
+    """``rayleigh_capacity_closed_form``'s capacity at 50 digits on a link
+    without residual interference, processing cost or recycling: bisection on
+    ln x for the continuous balance exp(-x)/x - E1(x) = eta p_et omega^2 /
+    sigma2_sq, then E1(x)/(2 ln 2)."""
+    with mpmath.workdps(50):
+        r = params.eta * mpmath.mpf(params.p_et) * omega**2 / params.sigma2_sq
+        lo, hi = mpmath.mpf(-800), mpmath.mpf(10)
+        for _ in range(300):
+            x = mpmath.exp((lo + hi) / 2)
+            if mpmath.exp(-x) / x - mpmath.e1(x) > r:
+                lo = (lo + hi) / 2
+            else:
+                hi = (lo + hi) / 2
+        return float(mpmath.e1(mpmath.exp(lo)) / mpmath.log(4))
+
+
+@pytest.mark.parametrize("snr", [1e-4, 1e-7, 1e-9, 1e-11, 1e-13])
+def test_low_snr_capacities_match_mpmath(snr):
+    # The Case-1 harvest is snr times the noise. 1 + SNR and level - noise
+    # lost 8e-4 of the unfaded capacity at SNR 1e-13.
+    params = simple_params(sigma2_sq=0.8 / snr)
+    unfaded = fading.deterministic(1.0)
+    ref, _ = mp_capacities(params, unfaded)
+    assert solve(params, unfaded).capacity == pytest.approx(ref, rel=1e-12, abs=0.0)
+    assert capacity_no_fading(params, 1.0) == pytest.approx(ref, rel=1e-12, abs=0.0)
+    # Faded, the flash on the strongest state wins, and Case 1 is scored too.
+    f = fading.rayleigh(1.0, 16)
+    case1, flash = mp_capacities(params, f)
+    r = solve(params, f)
+    assert r.case == "Case2"
+    assert r.residuals["case1_capacity"] == pytest.approx(case1, rel=1e-12, abs=0.0)
+    assert r.capacity == pytest.approx(flash, rel=1e-12, abs=0.0)
+    cf = rayleigh_capacity_closed_form(params, 1.0)[1]
+    assert cf == pytest.approx(mp_rayleigh_capacity(params, 1.0), rel=1e-12, abs=0.0)
 
 
 def test_rayleigh_closed_form_matches_discretization():
