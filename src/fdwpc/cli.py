@@ -12,12 +12,18 @@ Scenario defaults mirror the reference setup: eta 0.8, carrier 2.4 GHz, path
 loss exponent 3, distance 10 m, noise 1e-14 W, processing cost -10 dBm,
 Rayleigh fading quantized to 2000 states. Identical command lines (including
 the seed) produce byte-identical CSV: no timestamps, no environment
-dependence. Exit codes: 0 ok, 2 usage error.
+dependence.
+
+``main(argv)`` may be called any number of times in one process. The
+argument parser is built on the first call, not at import, and shared by
+every later call; no default it hands out is mutable, so one call cannot
+change the next. Exit codes stay 0 for ok and 2 for a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -49,7 +55,7 @@ def _add_scenario_args(p: argparse.ArgumentParser, *, pp_list: bool = False) -> 
             "--pp-dbm",
             type=float,
             nargs="+",
-            default=[-10.0, 10.0],
+            default=(-10.0, 10.0),
             help="processing costs in dBm (one row set per value)",
         )
         p.add_argument(
@@ -99,7 +105,7 @@ def _scenario_params(args, **fields) -> LinkParams:
 
     A flag is converted only when ``fields`` leaves its field unset, so the
     flag a sweep replaces is never read: its value may be out of range and
-    ``pcost-compare``'s ``--pp-dbm`` may be a list.
+    ``pcost-compare``'s ``--pp-dbm`` may be a sequence.
     """
     if "p_proc" not in fields:
         fields["p_proc"] = (
@@ -198,6 +204,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="fdwpc",

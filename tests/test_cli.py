@@ -1,8 +1,14 @@
 """Command-line contracts: columns, determinism, exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from fdwpc import cli
 from fdwpc.cli import main
 
 # Small fading grids keep CLI tests quick; contracts don't depend on them.
@@ -343,3 +349,46 @@ def test_pinned_sweep_values(argv, expected, capsys):
                 assert g == w
             else:
                 assert float(g) == pytest.approx(float(w), rel=1e-12, abs=0.0)
+
+
+def test_main_is_reentrant(capsys):
+    # One process, one shared parser: a usage error or --help in between
+    # leaves every later call's output unchanged, and no default leaks.
+    parser = cli._build_parser()
+    sweep = ["capacity-sweep"] + FAST
+    runs = []
+    for argv in (
+        sweep,
+        ["capacity-sweep", "--no-such-flag"],
+        ["capacity-sweep", "--help"],
+        ["pcost-compare"],
+        ["pcost-compare"],
+        sweep,
+    ):
+        runs.append(run_cli(argv, capsys))
+        assert cli._build_parser() is parser
+    assert [code for code, _, _ in runs] == [0, 2, 0, 0, 0, 0]
+    assert runs[1][2].strip() != "" and "--fading-states" in runs[2][1]
+    assert runs[3] == runs[4] and runs[0] == runs[5]
+    assert parser.parse_args(["pcost-compare"]).pp_dbm == (-10.0, 10.0)
+
+
+def test_fresh_process_matches_warm_main(tmp_path, capsys):
+    # The same argv through a new interpreter (parser built cold) and through
+    # in-process main after the parser is warm writes the same bytes.
+    assert main(["capacity-sweep", "--help"]) == 0
+    assert main(["capacity-sweep", "--no-such-flag"]) == 2
+    capsys.readouterr()
+    argv = ["capacity-sweep", "--fading-states", "64", "--pp-watts", "0", "--out"]
+    cold, warm = tmp_path / "cold.csv", tmp_path / "warm.csv"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fdwpc.cli", *argv, str(cold)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert main([*argv, str(warm)]) == 0
+    assert cold.read_bytes() == warm.read_bytes()
+    assert cold.read_bytes().startswith(b"variable,capacity_fd_bits")
