@@ -75,7 +75,9 @@ def _inner_waterfill(
         return 0.0, math.inf, np.zeros(fading.n_states)
     p = fading.p[::-1]
     w, power, rate = _fill(one_m_tau * _C_HD, noise, p, budget)
-    return rate, 1.0 / w, power[::-1]
+    p_ehu = np.zeros(fading.n_states)
+    p_ehu[p_ehu.size - power.size :] = power[::-1]
+    return rate, 1.0 / w, p_ehu
 
 
 def hd_rate_at_fraction(

@@ -34,7 +34,21 @@ Every codeword allocation (both regimes, the flash bound and the half-duplex
 benchmark) is water-filled by one kernel, ``_fill``, and every rate is
 c*log1p(P/n) by ``_rates``, with the convention c that the caller passes.
 ``_fill`` takes the water level as a height above the lowest floor, so that a
-capacity keeps its relative digits at any SNR.
+capacity keeps its relative digits at any SNR, and returns the level, the
+powers of the states below it (a prefix of the floor) and their value.
+``_rates`` gives 0 where P = 0 and inf where n = 0 < P; where every floor is
+positive there is nothing to mask, and it rates without ``np.errstate``.
+
+``solve`` computes each quantity once. The Case-1 value is the one its fill
+returned (``waterfill_case1``'s third element); ``capacity_case1`` re-rates
+an allocation in storage order and agrees to 1e-15 relative, but ``solve``
+does not call it. A flash budget B_k is formed, as a scalar, only for a flash
+that is scored or bounded; below the first unfunded flash the rest are formed
+in one array pass. ``solve`` squares the gains once for the flash search and
+the residuals, and recovers the multipliers once, from the winner. The two
+public steps it calls, ``waterfill_case1`` and ``recover_multipliers``, keep
+their signatures, so each squares the gains it reads, and the residuals
+gather the active states again after ``recover_multipliers`` has.
 
 Capacities are in bits per channel use throughout.
 """
@@ -48,9 +62,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fading import FadingDistribution
-# perfbench's traced run wraps lambert_w0, lambert_w0_of_log, x0_of_h,
-# closed_form_x2_errors, recover_multipliers and capacity_case1 through this
-# module's bindings, so each stays bound here even where solve never calls it.
+# perfbench's traced run wraps waterfill_case1, recover_multipliers,
+# capacity_case1, closed_form_x2_errors, x0_of_h, lambert_w0 and
+# lambert_w0_of_log through this module's bindings. solve calls the first two
+# through them, once each; the others stay bound here though solve calls none.
 from .specfun import lambert_w0, lambert_w0_of_log
 from .units import LinkParams
 
@@ -90,8 +105,13 @@ class PowerAllocation:
         pe = np.asarray(self.p_ehu, dtype=float)
         if x2.shape != pe.shape or x2.ndim != 1:
             raise ValueError("x2 and p_ehu must be equal-length 1-D arrays")
-        if x2.min(initial=0.0) < 0.0 or pe.min(initial=0.0) < 0.0:
-            raise ValueError("amplitudes and powers must be >= 0")
+        # NaN fails too: it compares False with everything.
+        lo, hi = np.minimum.reduce, np.maximum.reduce
+        if not (
+            lo(x2, initial=0.0) >= 0.0 and lo(pe, initial=0.0) >= 0.0
+            and hi(x2, initial=0.0) < math.inf and hi(pe, initial=0.0) < math.inf
+        ):
+            raise ValueError("amplitudes and powers must be finite and >= 0")
         x2 = np.ascontiguousarray(x2)
         pe = np.ascontiguousarray(pe)
         x2.setflags(write=False)
@@ -126,7 +146,9 @@ class CapacityResult:
     * ``c2_residual_rel`` -- relative energy-balance residual (0 when tight).
     * ``stationarity_rel`` -- per-state relative water-filling stationarity
       residual (NaN on states with no codeword power).
-    * ``case1_capacity`` -- the constant-amplitude objective, bits/use.
+    * ``case1_capacity`` -- the constant-amplitude objective, bits/use, as
+      the Case-1 fill rated it (``capacity_case1`` of the Case-1 allocation
+      agrees to 1e-15 relative).
     * ``case2_capacity`` -- the best flash's objective, bits/use.
 
     perfbench's ``check_solve`` reads ``c1_slack``, ``c2_residual_rel`` and
@@ -167,8 +189,8 @@ def _noise_floor(h2: np.ndarray, s) -> np.ndarray:
     ``s`` broadcasts against ``h2``: one scalar, one value per state, or a
     batch of rows.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(h2 > 0.0, s / h2, np.inf)
+    out = np.full(np.broadcast(s, h2).shape, np.inf)
+    return np.divide(s, h2, out=out, where=h2 > 0.0)
 
 
 def _water_level(noise: np.ndarray, weights: np.ndarray, budget) -> np.ndarray:
@@ -186,7 +208,7 @@ def _water_level(noise: np.ndarray, weights: np.ndarray, budget) -> np.ndarray:
     gets inf.
     """
     cand = np.asarray(budget)[..., None] + (weights * noise).cumsum(axis=-1)
-    return (cand / weights.cumsum(axis=-1)).min(axis=-1)
+    return np.minimum.reduce(cand / weights.cumsum(axis=-1), axis=-1)
 
 
 def _rates(c: float, power: np.ndarray, noise: np.ndarray) -> np.ndarray:
@@ -194,6 +216,8 @@ def _rates(c: float, power: np.ndarray, noise: np.ndarray) -> np.ndarray:
     floor n (``_noise_floor``), 0 where P = 0 and inf where n = 0 < P. ``c``
     is the caller's convention, ``_C_BITS`` for (1/2) log2; log1p keeps the
     digits of a low-SNR state, which 1 + SNR rounds away."""
+    if np.minimum.reduce(noise, initial=math.inf) > 0.0:  # nothing to mask
+        return c * np.log1p(power / noise)
     with np.errstate(divide="ignore", invalid="ignore"):
         rates = c * np.log1p(power / noise)
     rates[power == 0.0] = 0.0  # 0/0 on a noiseless state
@@ -202,17 +226,18 @@ def _rates(c: float, power: np.ndarray, noise: np.ndarray) -> np.ndarray:
 
 def _fill(c: float, noise: np.ndarray, weights: np.ndarray, budget: float) -> tuple:
     """Water-fill ``budget`` over the ascending floor ``noise`` (aligned with
-    ``weights``, inf on dead states, one state live at least): the level, each
-    state's power [level - noise]^+, and their value ``_rates(c, ...) @ weights``.
+    ``weights``, inf on dead states, one state live at least). Returns the
+    level, the powers of the states below it (a prefix: every later state
+    gets 0) and their value ``_rates(c, ...) @ weights``.
 
     Each power is H - (n - n0), the level a height H above the lowest floor
     n0: at low SNR, level - noise would cancel most of the digits."""
     base = noise[0]
     height = noise - base
     top = float(_water_level(height, weights, budget))
-    power = np.maximum(top - height, 0.0)
-    m = np.searchsorted(height, top)  # the states below the level, a prefix
-    return base + top, power, float(_rates(c, power[:m], noise[:m]) @ weights[:m])
+    m = height.searchsorted(top)  # the states below the level
+    power = top - height[:m]
+    return base + top, power, float(_rates(c, power, noise[:m]) @ weights[:m])
 
 
 # ---------------------------------------------------------------------------
@@ -222,29 +247,34 @@ def _fill(c: float, noise: np.ndarray, weights: np.ndarray, budget: float) -> tu
 
 def waterfill_case1(
     params: LinkParams, fading: FadingDistribution
-) -> tuple[float, PowerAllocation]:
+) -> tuple[float, PowerAllocation, float]:
     """Water-fill the harvesting user's power under a constant ET amplitude.
 
-    Returns ``(lambda2, allocation)`` where the codeword power per state is
-    ``[1/(lambda2*(1-rho)) - (sigma2_sq + p_et*alpha2)/h^2]^+`` and the water
-    level ``1/(lambda2*(1-rho))`` spends the harvested budget exactly.
+    Returns ``(lambda2, allocation, value_bits)`` where the codeword power per
+    state is ``[1/(lambda2*(1-rho)) - (sigma2_sq + p_et*alpha2)/h^2]^+``, the
+    water level ``1/(lambda2*(1-rho))`` spends the harvested budget exactly,
+    and ``value_bits`` is the allocation's ergodic rate as the fill rated it
+    (``capacity_case1`` re-rates an allocation in storage order, to 1e-15).
 
     If the budget is <= 0 (the average harvest eta*p_et*E[h^2] cannot cover
     the processing cost), the zero allocation is returned with
-    ``lambda2 = inf``.
+    ``lambda2 = inf`` and value 0.
     """
+    n = fading.n_states
     one_m_rho = 1.0 - params.rho
     budget = (params.eta * params.p_et * fading.mean_square - params.p_proc) / one_m_rho
     if budget <= 0.0:
-        return math.inf, _zero_allocation(fading.n_states)
+        return math.inf, _zero_allocation(n), 0.0
     s = params.sigma2_sq + params.p_et * params.alpha2
-    noise = _noise_floor(fading.h**2, s)
-    # Gains are stored ascending, so this noise floor is sorted descending and
-    # reversing it replaces an argsort, which made solve 10-12% slower at 2000
-    # and 8192 states on a 2-CPU host.
-    w, power, _ = _fill(_C_BITS, noise[::-1], fading.p[::-1], budget)
-    x2 = np.full(fading.n_states, math.sqrt(params.p_et))
-    return 1.0 / (w * one_m_rho), PowerAllocation(x2, power[::-1])
+    # Gains are stored ascending, so the floor of the reversed gains ascends;
+    # this replaces an argsort, which made solve 10-12% slower at 2000 and
+    # 8192 states on a 2-CPU host.
+    noise = _noise_floor(fading.h[::-1] ** 2, s)
+    w, power, value = _fill(_C_BITS, noise, fading.p[::-1], budget)
+    p_ehu = np.zeros(n)
+    p_ehu[n - power.size :] = power[::-1]
+    x2 = np.full(n, math.sqrt(params.p_et))
+    return 1.0 / (w * one_m_rho), PowerAllocation(x2, p_ehu), value
 
 
 def capacity_case1(
@@ -260,48 +290,74 @@ def capacity_case1(
 # ---------------------------------------------------------------------------
 
 
+def _flash(params: LinkParams, p, h2) -> tuple:
+    """Flash q = p_et/p and its codeword budget
+    B = (eta*q*p*h^2 - p_proc)/(1-rho), for one state or for arrays of them
+    (the same float operations either way)."""
+    q = params.p_et / p
+    return q, (params.eta * (q * (p * h2)) - params.p_proc) / (1.0 - params.rho)
+
+
+def _funded_flashes(params: LinkParams, p: np.ndarray, h2: np.ndarray):
+    """Yield ``(k, q_k, B_k)`` for every flash with B_k > 0, strongest state
+    first. B_k grows with the gain up to rounding, so states are taken one at
+    a time from the top and, below the first unfunded one, all at once: a
+    link with no funded flash forms its budgets in one array pass."""
+    for k in range(p.size - 1, -1, -1):
+        q, budget = _flash(params, p[k], h2[k])
+        if not budget > 0.0:
+            q, budget = _flash(params, p[:k], h2[:k])
+            for j in np.flatnonzero(budget > 0.0)[::-1]:
+                yield j, q[j], budget[j]
+            return
+        yield k, q, budget
+
+
 def _best_flash(
-    params: LinkParams, fading: FadingDistribution
+    params: LinkParams, fading: FadingDistribution, h2: np.ndarray
 ) -> tuple[PowerAllocation, float]:
     """Best single-state flash: all ET power on one state, q_k = p_et/p_k.
 
-    Returns ``(allocation, value_bits)``, the zero allocation and 0 when no
-    flash is funded. Funded candidates are scored exactly in descending-gain
-    order until the next one's bound cannot beat a positive best value (see
-    the module docstring).
+    ``h2`` is the squared gains, ``fading.h**2``. Returns
+    ``(allocation, value_bits)``, the zero allocation and 0 when no flash is
+    funded. Funded candidates are scored exactly in descending-gain order
+    until the next one's bound cannot beat a positive best value (see the
+    module docstring).
     """
     p = fading.p
-    h2 = fading.h**2
     n = p.size
     # Gains are stored ascending, so this floor is ascending as _fill needs
     # it; state k sits at place n-1-k.
     free = _noise_floor(h2[::-1], params.sigma2_sq)
     p_desc = p[::-1]
-    q_flash = params.p_et / p
-    budget = (params.eta * (q_flash * (p * h2)) - params.p_proc) / (1.0 - params.rho)
     best, best_value = None, 0.0
-    for k in np.flatnonzero(budget > 0.0)[::-1]:
+    for k, q, budget in _funded_flashes(params, p, h2):
         # Only a scored flash prunes: a funded flash whose bound rounds to 0
         # is still scored, so no bound decides that the link is Zero.
-        if best_value > 0.0 and _fill(_C_BITS, free, p_desc, budget[k])[2] <= best_value:
+        if best_value > 0.0 and _fill(_C_BITS, free, p_desc, budget)[2] <= best_value:
             break
         # Move state k's entry up to its flash floor, ahead of equal entries
         # (it stays put when the interference rounds away).
-        floor_k = (params.sigma2_sq + params.alpha2 * q_flash[k]) / h2[k]
+        floor_k = (params.sigma2_sq + params.alpha2 * q) / h2[k]
         r = n - 1 - k
-        j = max(int(np.searchsorted(free, floor_k)), r + 1)
-        noise = np.concatenate((free[:r], free[r + 1 : j], (floor_k,), free[j:]))
-        weights = np.concatenate((p_desc[:r], p_desc[r + 1 : j], (p[k],), p_desc[j:]))
-        _, power, value = _fill(_C_BITS, noise, weights, budget[k])
+        j = max(int(free.searchsorted(floor_k)), r + 1)
+        noise, weights = free.copy(), p_desc.copy()
+        noise[r : j - 1], weights[r : j - 1] = free[r + 1 : j], p_desc[r + 1 : j]
+        noise[j - 1], weights[j - 1] = floor_k, p[k]
+        _, power, value = _fill(_C_BITS, noise, weights, budget)
         if value > best_value:
-            best, best_value = (k, r, j, power), value
+            best, best_value = (k, q, r, j, power), value
     if best is None:
         return _zero_allocation(n), 0.0
-    k, r, j, power = best
+    k, q, r, j, prefix = best
     x2 = np.zeros(n)
-    x2[k] = math.sqrt(q_flash[k])
+    x2[k] = math.sqrt(q)
+    power = np.zeros(n)
+    power[: prefix.size] = prefix
     # Move state k's power back from place j-1 to place r.
-    power = np.concatenate((power[:r], power[j - 1 : j], power[r : j - 1], power[j:]))
+    moved = power[j - 1]
+    power[r + 1 : j] = power[r : j - 1]
+    power[r] = moved
     return PowerAllocation(x2, power[::-1]), best_value
 
 
@@ -311,13 +367,14 @@ def _best_flash(
 
 
 def _active_states(
-    params: LinkParams, fading: FadingDistribution, alloc: PowerAllocation
+    params: LinkParams, h2: np.ndarray, alloc: PowerAllocation
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The states that carry codeword power, and there p_ehu, h^2 and the
-    floor numerator sigma2_sq + alpha2*x2^2."""
-    act = np.flatnonzero(alloc.p_ehu > 0.0)
+    """The states that carry codeword power (a mask), and there p_ehu, h^2
+    (from the squared gains ``h2``) and the floor numerator
+    sigma2_sq + alpha2*x2^2."""
+    act = alloc.p_ehu > 0.0
     s = params.sigma2_sq + params.alpha2 * alloc.x2[act] ** 2
-    return act, alloc.p_ehu[act], fading.h[act] ** 2, s
+    return act, alloc.p_ehu[act], h2[act], s
 
 
 def _median(x: np.ndarray) -> float:
@@ -331,9 +388,9 @@ def _median(x: np.ndarray) -> float:
     return float(x[k] if x.size % 2 else (x[k - 1] + x[k]) / 2.0)
 
 
-def _allocation_water_level(pe: np.ndarray, h2: np.ndarray, s: np.ndarray) -> float:
-    """Median water level p_ehu + s/h^2 over the active states, inf if none."""
-    return _median(pe + s / h2) if pe.size else math.inf
+def _allocation_water_level(pe: np.ndarray, noise: np.ndarray) -> float:
+    """Median water level p_ehu + noise over the active states, inf if none."""
+    return _median(pe + noise) if pe.size else math.inf
 
 
 def recover_multipliers(
@@ -348,12 +405,14 @@ def recover_multipliers(
     """
     p = fading.p
     one_m_rho = 1.0 - params.rho
-    act, pe, h2, s = _active_states(params, fading, alloc)
-    w = _allocation_water_level(pe, h2, s)
+    h2_all = fading.h**2
+    act, pe, h2, s = _active_states(params, h2_all, alloc)
+    noise = s / h2
+    w = _allocation_water_level(pe, noise)
     if not math.isfinite(w) or w <= 0.0:
         return MultiplierSet(0.0, math.inf, 0.0)
     lam2 = 1.0 / (w * one_m_rho)
-    overlap = np.flatnonzero((alloc.x2[act] > 0.0) & (h2 > 0.0))
+    (overlap,) = ((alloc.x2[act] > 0.0) & (h2 > 0.0)).nonzero()
     if overlap.size:
         loss = 0.0
         if params.alpha2 > 0.0:
@@ -363,15 +422,16 @@ def recover_multipliers(
     else:
         # Pure harvest states pin lambda1 through the linear stationarity of
         # the transmit power instead; gains are stored ascending.
-        h_tx = fading.h[alloc.x2 > 0.0]
-        lam1 = lam2 * params.eta * float(h_tx[-1] ** 2) if h_tx.size else 0.0
+        h2_tx = h2_all[alloc.x2 > 0.0]
+        lam1 = lam2 * params.eta * float(h2_tx[-1]) if h2_tx.size else 0.0
     lam1 = max(lam1, 0.0)
     q = alloc.x2**2
-    cap_bits = float(_rates(_C_BITS, pe, s / h2) @ p[act])
+    p_act = p[act]
+    cap_bits = float(_rates(_C_BITS, pe, noise) @ p_act)
     mu1 = (
         cap_bits
         - lam1 * float(q @ p)
-        - lam2 * (one_m_rho * float(pe @ p[act]) - params.eta * float((fading.h**2 * q) @ p))
+        - lam2 * (one_m_rho * float(pe @ p_act) - params.eta * float((h2_all * q) @ p))
     )
     return MultiplierSet(lam1, lam2, mu1)
 
@@ -447,7 +507,8 @@ def closed_form_x2_errors(
     active = (alloc.p_ehu > 0.0) & (alloc.x2 > 0.0) & (h2 > 0.0)
     if not np.any(active):
         return np.array([])
-    w = _allocation_water_level(*_active_states(params, fading, alloc)[1:])
+    _, pe, h2_act, s_act = _active_states(params, h2, alloc)
+    w = _allocation_water_level(pe, s_act / h2_act)
     lam2 = 1.0 / (w * one_m_rho)
     thresholds = (
         lam2 * params.eta * h2[active]
@@ -478,19 +539,22 @@ def _allocation_residuals(
     fading: FadingDistribution,
     alloc: PowerAllocation,
     mult: MultiplierSet,
+    h2: np.ndarray,
 ) -> dict:
+    """The residual entries of ``CapacityResult.residuals`` that ``alloc``
+    and ``mult`` determine; ``h2`` is the squared gains, ``fading.h**2``."""
     p = fading.p
     one_m_rho = 1.0 - params.rho
     q = alloc.x2**2
     spent = float(q @ p)
-    harvest = params.eta * float((fading.h**2 * q) @ p)
-    act, pe, h2, s = _active_states(params, fading, alloc)
+    harvest = params.eta * float((h2 * q) @ p)
+    act, pe, h2_act, s = _active_states(params, h2, alloc)
     consumed = one_m_rho * float(pe @ p[act]) + params.p_proc
     c2_rel = (harvest - consumed) / max(abs(harvest), 1e-300)
     # With no active state lambda2 is inf and nothing is indexed.
     lam2_1mr = mult.lambda2 * one_m_rho
     stat = np.full(fading.n_states, np.nan)
-    stat[act] = np.abs(h2 / (s + h2 * pe) - lam2_1mr) / lam2_1mr
+    stat[act] = np.abs(h2_act / (s + h2_act * pe) - lam2_1mr) / lam2_1mr
     return {
         "c1_slack": params.p_et - spent,
         "c2_residual_rel": c2_rel,
@@ -508,9 +572,9 @@ def solve(params: LinkParams, fading: FadingDistribution) -> CapacityResult:
     the constant-amplitude regime (the simpler transmitter) when it scores
     above 0.
     """
-    _, alloc_c1 = waterfill_case1(params, fading)
-    cap_c1 = capacity_case1(params, fading, alloc_c1)
-    alloc_c2, cap_c2 = _best_flash(params, fading)
+    _, alloc_c1, cap_c1 = waterfill_case1(params, fading)
+    h2 = fading.h**2
+    alloc_c2, cap_c2 = _best_flash(params, fading, h2)
     if cap_c1 == 0.0 and cap_c2 == 0.0:
         return _zero_result(params, fading)
 
@@ -527,7 +591,7 @@ def solve(params: LinkParams, fading: FadingDistribution) -> CapacityResult:
 
     # The multipliers are part of the result, recovered once from the winner.
     mult = recover_multipliers(params, fading, alloc)
-    res = _allocation_residuals(params, fading, alloc, mult)
+    res = _allocation_residuals(params, fading, alloc, mult, h2)
     res["case1_capacity"] = cap_c1
     res["case2_capacity"] = cap_c2
     return CapacityResult(case, capacity, alloc, mult, res)

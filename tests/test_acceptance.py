@@ -352,7 +352,9 @@ def test_criterion_3_closed_form_and_balance():
             alloc = PowerAllocation(res.allocation.x2, p_ehu)
             s = params.sigma2_sq + params.alpha2 * q
             rate = float(p @ (0.5 * np.log2(1.0 + h**2 * p_ehu / s)))
-            stat = _allocation_residuals(params, f, alloc, recover_multipliers(params, f, alloc))
+            stat = _allocation_residuals(
+                params, f, alloc, recover_multipliers(params, f, alloc), f.h**2
+            )
             claims.append(("codeword +-30%", q, rate, stat["stationarity_rel"]))
         for kind, x, capacity, stationarity in claims:
             got = _optimality_failures(params, f, x, capacity, stationarity)
@@ -368,7 +370,7 @@ def test_criterion_3_closed_form_and_balance():
                 sigma2_sq=NOISE_TABLE, alpha2=1e-10,
             )
             f = fading.rayleigh(omega, 512)
-            _, alloc = waterfill_case1(params, f)
+            _, alloc, _ = waterfill_case1(params, f)
             harvest = params.eta * params.p_et * f.mean_square
             consumed = (1.0 - params.rho) * float(alloc.p_ehu @ f.p) + params.p_proc
             worst_bal = max(worst_bal, abs(consumed - harvest) / harvest)
@@ -416,7 +418,7 @@ def test_criterion_4_rayleigh_closed_form():
             )
             lam2, cap_cf = rayleigh_capacity_closed_form(params, omega)
             f = fading.rayleigh(omega, 4000)
-            _, alloc = waterfill_case1(params, f)
+            _, alloc, _ = waterfill_case1(params, f)
             cap_disc = capacity_case1(params, f, alloc)
             worst = max(worst, abs(cap_disc - cap_cf) / cap_cf)
 
@@ -429,7 +431,7 @@ def test_criterion_4_rayleigh_closed_form():
     errs = []
     for n in (4000, 16000):
         f = fading.rayleigh(OMEGA_D20, n)
-        _, alloc = waterfill_case1(params_t, f)
+        _, alloc, _ = waterfill_case1(params_t, f)
         errs.append(abs(capacity_case1(params_t, f, alloc) - cap_cf) / cap_cf)
     converging = errs[1] < 0.5 * errs[0]
 
@@ -476,7 +478,7 @@ def test_criterion_5_monotonicity_ladder():
         params = LinkParams(
             eta=0.8, p_proc=0.0, p_et=1.0, sigma2_sq=NOISE_TABLE, alpha2=10.0**e
         )
-        _, alloc = waterfill_case1(params, f10)
+        _, alloc, _ = waterfill_case1(params, f10)
         a2_c1.append(capacity_case1(params, f10, alloc))
     checks["alpha2 strict on constant-amplitude"] = all(
         b < a for a, b in zip(a2_c1, a2_c1[1:])
@@ -515,7 +517,7 @@ def test_criterion_6_ratio_anchors():
         res = solve(params, f)
         bench = solve_hd(params, f)
         measured[supp_db] = res.capacity / bench.rate
-        _, alloc1 = waterfill_case1(params, f)
+        _, alloc1, _ = waterfill_case1(params, f)
         measured_const[supp_db] = capacity_case1(params, f, alloc1) / bench.rate
     elapsed = time.perf_counter() - t0
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fdwpc import fading
+from fdwpc import fading, solver
 from fdwpc.hd import solve_hd
 from fdwpc.solver import (
     _C_BITS,
@@ -32,6 +32,7 @@ from fdwpc.solver import (
     capacity_no_fading,
     closed_form_x2_errors,
     rayleigh_capacity_closed_form,
+    recover_multipliers,
     solve,
     waterfill_case1,
     x0_of_h,
@@ -79,14 +80,14 @@ def case1_reference(params, h, p):
 
 def test_case1_single_state_balance():
     params = simple_params(alpha2=0.1)
-    lam2, alloc = waterfill_case1(params, fading.deterministic(1.0))
+    lam2, alloc, _ = waterfill_case1(params, fading.deterministic(1.0))
     assert alloc.p_ehu[0] == pytest.approx(0.8, rel=1e-9)
     assert alloc.x2[0] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_case1_recycling_scales_budget():
     params = simple_params(alpha2=0.1, alpha1=0.625)  # rho = 0.5
-    lam2, alloc = waterfill_case1(params, fading.deterministic(1.0))
+    lam2, alloc, _ = waterfill_case1(params, fading.deterministic(1.0))
     assert alloc.p_ehu[0] == pytest.approx(1.6, rel=1e-9)
 
 
@@ -95,7 +96,7 @@ def test_case1_two_state_against_reference():
     p = np.array([0.5, 0.5])
     params = simple_params(sigma2_sq=0.4)
     f = fading.custom(h, p)
-    lam2, alloc = waterfill_case1(params, f)
+    lam2, alloc, _ = waterfill_case1(params, f)
     pe_ref, cap_ref = case1_reference(params, h, p)
     assert np.allclose(alloc.p_ehu, pe_ref, rtol=1e-8, atol=1e-12)
     assert capacity_case1(params, f, alloc) == pytest.approx(cap_ref, rel=1e-9)
@@ -110,7 +111,7 @@ def test_case1_clamps_weak_state():
     # Noise floor far above the water level on the weak state.
     f = fading.custom([0.01, 1.5], [0.5, 0.5])
     params = simple_params(sigma2_sq=0.4)
-    lam2, alloc = waterfill_case1(params, f)
+    lam2, alloc, _ = waterfill_case1(params, f)
     assert alloc.p_ehu[0] == 0.0
     assert alloc.p_ehu[1] > 0.0
 
@@ -118,7 +119,7 @@ def test_case1_clamps_weak_state():
 def test_case1_balance_residual_tiny():
     params = simple_params(sigma2_sq=0.05, alpha2=0.02, p_proc=0.1, alpha1=0.3)
     f = fading.rayleigh(1.0, 257)
-    lam2, alloc = waterfill_case1(params, f)
+    lam2, alloc, _ = waterfill_case1(params, f)
     harvest = params.eta * params.p_et * f.mean_square
     consumed = (1.0 - params.rho) * float(alloc.p_ehu @ f.p) + params.p_proc
     assert abs(consumed - harvest) / harvest <= 1e-9
@@ -127,16 +128,17 @@ def test_case1_balance_residual_tiny():
 def test_capacity_case1_values():
     params = simple_params(alpha2=0.1)
     f = fading.deterministic(1.0)
-    lam2, alloc = waterfill_case1(params, f)
+    lam2, alloc, value = waterfill_case1(params, f)
     assert capacity_case1(params, f, alloc) == pytest.approx(HALF_LOG2_5, rel=1e-9)
+    assert value == pytest.approx(HALF_LOG2_5, rel=1e-9)
     assert reference_capacity(params, f) == pytest.approx(HALF_LOG2_5, rel=1e-12)
 
 
 def test_zero_capacity_when_processing_cost_dominates():
     params = simple_params(p_proc=2.0)
     f = fading.deterministic(1.0)
-    lam2, alloc = waterfill_case1(params, f)
-    assert math.isinf(lam2)
+    lam2, alloc, value = waterfill_case1(params, f)
+    assert math.isinf(lam2) and value == 0.0
     assert np.all(alloc.p_ehu == 0.0)
     r = solve(params, f)
     assert r.case == "Zero" and r.capacity == 0.0
@@ -161,7 +163,7 @@ def test_zero_result_reports_the_slack_of_its_allocation(h):
     f = fading.deterministic(h)
     r = solve(params, f)
     assert r.case == "Zero"
-    ref = _allocation_residuals(params, f, r.allocation, r.multipliers)
+    ref = _allocation_residuals(params, f, r.allocation, r.multipliers, f.h**2)
     assert r.residuals["c1_slack"] == ref["c1_slack"] == params.p_et
 
 
@@ -182,7 +184,7 @@ def flash_only_link(n_states):
 
 def test_flash_funds_a_link_whose_mean_harvest_cannot():
     params, f = flash_only_link(16)
-    alloc, value = _best_flash(params, f)
+    alloc, value = _best_flash(params, f, f.h**2)
     r = solve(params, f)
     assert r.residuals["case1_capacity"] == 0.0
     assert r.case == "Case2"
@@ -222,8 +224,8 @@ def test_zero_exactly_when_the_top_flash_is_unfunded(cost):
 def test_case2_matches_case1_on_single_state():
     params = simple_params(alpha2=0.1)
     f = fading.deterministic(1.0)
-    alloc = _best_flash(params, f)[0]
-    lam2, alloc1 = waterfill_case1(params, f)
+    alloc = _best_flash(params, f, f.h**2)[0]
+    lam2, alloc1, _ = waterfill_case1(params, f)
     c2 = capacity_case1(params, f, alloc)  # same noise: x2 = sqrt(p_et)
     assert alloc.x2[0] == pytest.approx(alloc1.x2[0], rel=1e-6)
     assert c2 == pytest.approx(capacity_case1(params, f, alloc1), rel=1e-8)
@@ -239,7 +241,7 @@ def test_case2_five_state_against_oracle():
 def test_case2_silences_dead_and_weak_states():
     f = fading.custom([1e-6, 0.9, 1.0, 1.1], [0.25, 0.25, 0.25, 0.25])
     params = simple_params(sigma2_sq=0.1, alpha2=0.05)
-    alloc = _best_flash(params, f)[0]
+    alloc = _best_flash(params, f, f.h**2)[0]
     assert alloc.x2[0] <= 1e-6 * np.max(alloc.x2)
     assert alloc.p_ehu[0] == 0.0
 
@@ -402,7 +404,7 @@ def test_pruned_flash_matches_full_enumeration(link, cost):
     assert (r.case == "Zero") == bool(np.all(values == 0.0))
     # The winner is one of the enumerated flashes, with its row's allocation
     # bit for bit.
-    alloc, value = _best_flash(params, f)
+    alloc, value = _best_flash(params, f, f.h**2)
     assert value == r.residuals["case2_capacity"]
     if value > 0.0:
         (k,) = np.flatnonzero(alloc.x2)
@@ -419,6 +421,71 @@ def test_pruned_flash_matches_full_enumeration(link, cost):
     free = _noise_floor(h2[desc], params.sigma2_sq)
     for k in np.flatnonzero(funded):
         assert _fill(_C_BITS, free, p[desc], budget[k])[2] >= values[k] - tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(flash_links())
+@example(link=(simple_params(sigma2_sq=0.0, alpha2=0.0), fading.rayleigh(1.0, 16)))
+@example(link=(simple_params(), fading.deterministic(0.0)))
+@example(link=(simple_params(p_proc=3.0), fading.rayleigh(1.0, 12)))
+def test_solve_reports_what_the_public_functions_compute(link):
+    # solve takes each number from the step that computed it; recomputed by
+    # the public functions, every one comes out the same. The examples are a
+    # noiseless link (both regimes worth inf), a dead channel and a link above
+    # the top state's flash harvest (both Zero).
+    params, f = link
+    r = solve(params, f)
+    _, alloc_c1, value_c1 = waterfill_case1(params, f)
+    alloc_c2, value_c2 = _best_flash(params, f, f.h**2)
+    rerated = capacity_case1(params, f, alloc_c1)
+    assert r.residuals["case1_capacity"] == value_c1
+    if math.isfinite(rerated) and rerated > 0.0:
+        assert abs(value_c1 - rerated) <= 1e-15 * rerated
+    else:
+        assert value_c1 == rerated
+    assert r.residuals["case2_capacity"] == value_c2
+    if r.case == "Zero":
+        assert value_c1 == value_c2 == 0.0
+        want = solver._zero_allocation(f.n_states)
+    else:
+        want = alloc_c1 if r.case == "Case1" else alloc_c2
+    assert np.array_equal(r.allocation.x2, want.x2)
+    assert np.array_equal(r.allocation.p_ehu, want.p_ehu)
+    mult = recover_multipliers(params, f, r.allocation)
+    assert dataclasses.astuple(r.multipliers) == dataclasses.astuple(mult)
+    ref = _allocation_residuals(params, f, r.allocation, mult, f.h**2)
+    assert r.residuals["c1_slack"] == ref["c1_slack"]
+    assert np.array_equal(r.residuals["stationarity_rel"], ref["stationarity_rel"], equal_nan=True)
+    # The zero allocation harvests nothing, so its balance residual is
+    # reported as 0 rather than divided by a zero harvest.
+    want_c2 = 0.0 if r.case == "Zero" else ref["c2_residual_rel"]
+    assert r.residuals["c2_residual_rel"] == want_c2
+
+
+@pytest.mark.parametrize(
+    "params, f, case, fills, flash_budgets",
+    [
+        (simple_params(alpha2=0.1), fading.deterministic(1.0), "Case1", 2, 1),
+        (simple_params(alpha2=0.1), fading.rayleigh(1.0, 16), "Case2", 3, 2),
+        # 10 W is above the top state's flash harvest, 0.8 * ln 8192 = 7.2 W.
+        (simple_params(p_proc=10.0), fading.rayleigh(1.0, 4096), "Zero", 0, 2),
+    ],
+    ids=["case1", "case2", "unfunded"],
+)
+def test_solve_fills_once_per_scored_quantity(monkeypatch, params, f, case, fills, flash_budgets):
+    # Case 1 is filled once and never re-rated; the top flash is scored and
+    # the next flash's bound prunes the rest. Flash budgets are formed one
+    # state at a time from the top and, below the first unfunded state, in
+    # one pass over the rest, so an unfunded link loops over no state.
+    calls = {"_fill": 0, "capacity_case1": 0, "_flash": 0}
+    for name in calls:
+        def spy(*args, _name=name, _original=getattr(solver, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(solver, name, spy)
+    assert solve(params, f).case == case
+    assert calls == {"_fill": fills, "capacity_case1": 0, "_flash": flash_budgets}
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +641,7 @@ def test_case1_shortcut_matches_codeword_waterfill(link):
     # at q = p_et in every state it must give the shared law's answer.
     params, f = link
     p, h2 = f.p, f.h**2
-    _, alloc = waterfill_case1(params, f)
+    _, alloc, _ = waterfill_case1(params, f)
     value, p_ehu = codeword_waterfill(params, p, h2, np.full(f.n_states, params.p_et))
     cap = capacity_case1(params, f, alloc)
     assert abs(cap - value) <= 1e-12 * max(1.0, value)
@@ -701,7 +768,7 @@ def test_unsorted_input_with_ties_and_a_dead_state():
         inv_h2 = np.where(h > 0.0, 1.0 / h**2, np.inf)
 
     params = simple_params(sigma2_sq=0.6, alpha2=0.05)
-    _, alloc = waterfill_case1(params, f)
+    _, alloc, _ = waterfill_case1(params, f)
     noise = (params.sigma2_sq + params.p_et * params.alpha2) * inv_h2
     budget = params.eta * params.p_et * float(h**2 @ p)
     w = sorted_water_level(noise, p, budget)
@@ -741,11 +808,13 @@ def test_rates_edges():
     [
         ([1.0, -1e-300], [0.0, 1.0]),
         ([1.0, 0.0], [-0.5, 1.0]),
+        ([math.nan, 1.0], [0.5, 1.0]),
+        ([1.0, 0.0], [0.5, math.inf]),
         ([1.0, 0.0], [1.0]),
         ([[1.0]], [[1.0]]),
         (1.0, 1.0),
     ],
-    ids=["negative_x2", "negative_p_ehu", "lengths", "two_d", "scalar"],
+    ids=["negative_x2", "negative_p_ehu", "nan_x2", "inf_p_ehu", "lengths", "two_d", "scalar"],
 )
 def test_power_allocation_rejects(x2, p_ehu):
     with pytest.raises(ValueError):
@@ -805,7 +874,7 @@ def test_closed_form_reproduces_primal_amplitudes():
             alpha2=float(rng.uniform(0.01, 0.3)),
         )
         f = fading.custom(h, p)
-        alloc = _best_flash(params, f)[0]
+        alloc = _best_flash(params, f, f.h**2)[0]
         errs = closed_form_x2_errors(params, f, alloc)
         if errs.size:
             checked += 1
@@ -913,7 +982,7 @@ def test_rayleigh_closed_form_matches_discretization():
     omega = 1.0
     lam2, cap = rayleigh_capacity_closed_form(params, omega)
     f = fading.rayleigh(omega, 4000)
-    _, alloc = waterfill_case1(params, f)
+    _, alloc, _ = waterfill_case1(params, f)
     cap_disc = capacity_case1(params, f, alloc)
     assert cap == pytest.approx(cap_disc, rel=1e-4)
 
