@@ -26,11 +26,13 @@ _PROB_TOL = 1e-9
 class FadingDistribution:
     """Finite pmf over channel amplitude gains, sorted ascending.
 
-    ``mean_square`` is the average fading power sum(h^2 * p).
+    ``h2`` is the squared gains h*h (read-only, in the same order) and
+    ``mean_square`` the average fading power sum(h2 * p).
     """
 
     h: np.ndarray
     p: np.ndarray
+    h2: np.ndarray = field(init=False, repr=False)
     mean_square: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -47,12 +49,11 @@ class FadingDistribution:
         order = np.argsort(h, kind="stable")
         h = np.ascontiguousarray(h[order])
         p = np.ascontiguousarray(p[order] / p.sum())
-        h.setflags(write=False)
-        p.setflags(write=False)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "p", p)
-        ms = float(np.dot(h * h, p))
-        object.__setattr__(self, "mean_square", ms)
+        h2 = h * h
+        for name, a in (("h", h), ("p", p), ("h2", h2)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+        object.__setattr__(self, "mean_square", float(np.dot(h2, p)))
 
     @property
     def n_states(self) -> int:

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import specfun
 from .fading import FadingDistribution
-from .solver import _fill, _noise_floor
+from .solver import _fill_by_gain
 from .units import LinkParams
 
 __all__ = ["HdResult", "solve_hd", "hd_rate_at_fraction"]
@@ -69,14 +69,10 @@ def _inner_waterfill(
     arguments come in directly: near tau_h = 1, 1 - tau_h keeps no digits,
     and the budget recovered from tau_h cancels against p_proc.
     """
-    # Gains are stored ascending, so the floor of the reversed gains ascends.
-    noise = _noise_floor(fading.h[::-1] ** 2, params.sigma2_sq)
-    if budget <= 0.0 or one_m_tau <= 0.0 or math.isinf(noise[0]):
+    # Gains are stored ascending: a link whose top gain squares to 0 is dead.
+    if budget <= 0.0 or one_m_tau <= 0.0 or fading.h2[-1] == 0.0:
         return 0.0, math.inf, np.zeros(fading.n_states)
-    p = fading.p[::-1]
-    w, power, rate = _fill(one_m_tau * _C_HD, noise, p, budget)
-    p_ehu = np.zeros(fading.n_states)
-    p_ehu[p_ehu.size - power.size :] = power[::-1]
+    w, p_ehu, rate = _fill_by_gain(one_m_tau * _C_HD, fading, params.sigma2_sq, budget)
     return rate, 1.0 / w, p_ehu
 
 
@@ -111,7 +107,7 @@ def solve_hd(params: LinkParams, fading: FadingDistribution) -> HdResult:
     # which b = a_pp funds.
     b_star = a_pp
     if params.sigma2_sq > 0.0:
-        h2 = fading.h[::-1] ** 2
+        h2 = fading.h2[::-1]
         n = params.sigma2_sq / h2[h2 > 0.0]
         ln_n, p = np.log(n), fading.p[::-1][h2 > 0.0]
         cp, cn, cl = np.cumsum(p), np.cumsum(p * n), np.cumsum(p * ln_n)

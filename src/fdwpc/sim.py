@@ -259,8 +259,13 @@ def simulate(
     """Run the slotted scheme and account for every joule.
 
     Battery starts empty; the initial silent slots are the warm-up and stay
-    in the rate denominator. Fully reproducible for a fixed seed.
+    in the rate denominator. Fully reproducible for a fixed seed. Raises
+    ValueError unless the allocation has one entry per fading state.
     """
+    if alloc.p_ehu.size != fading.n_states:
+        raise ValueError(
+            f"allocation has {alloc.p_ehu.size} states, the fading distribution {fading.n_states}"
+        )
     rng = np.random.default_rng([cfg.seed, _STREAM])
     k = cfg.k
     n_slots = cfg.n_slots
@@ -270,7 +275,8 @@ def simulate(
     x2 = alloc.x2
     p_ehu = alloc.p_ehu
     h = fading.h
-    rates = _rates(_C_BITS, p_ehu, _noise_floor(h**2, params.sigma2_sq + params.alpha2 * x2**2))
+    noise = _noise_floor(fading.h2, params.sigma2_sq + params.alpha2 * x2**2)
+    rates = _rates(_C_BITS, p_ehu, noise)
     g1_sd = math.sqrt(params.alpha1)
     g = params.g1_mean
     hx2 = h * x2

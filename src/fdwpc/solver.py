@@ -39,16 +39,14 @@ powers of the states below it (a prefix of the floor) and their value.
 ``_rates`` gives 0 where P = 0 and inf where n = 0 < P; where every floor is
 positive there is nothing to mask, and it rates without ``np.errstate``.
 
-``solve`` computes each quantity once. The Case-1 value is the one its fill
-returned (``waterfill_case1``'s third element); ``capacity_case1`` re-rates
-an allocation in storage order and agrees to 1e-15 relative, but ``solve``
-does not call it. A flash budget B_k is formed, as a scalar, only for a flash
-that is scored or bounded; below the first unfunded flash the rest are formed
-in one array pass. ``solve`` squares the gains once for the flash search and
-the residuals, and recovers the multipliers once, from the winner. The two
-public steps it calls, ``waterfill_case1`` and ``recover_multipliers``, keep
-their signatures, so each squares the gains it reads, and the residuals
-gather the active states again after ``recover_multipliers`` has.
+The squared gains are the distribution's ``h2``. ``_fill_by_gain`` fills
+every state in gain order and returns the powers in storage order, for Case 1
+and the half-duplex benchmark; a scored flash fills the states in the order of
+its index map, which scatters the winner's powers back. ``solve`` takes the
+Case-1 value from its fill and forms a flash budget B_k only for a flash that
+is scored or bounded. Every case, Zero with the zero allocation included,
+leaves ``solve`` by one path: the multipliers recovered from the winning
+allocation, then its residuals.
 
 Capacities are in bits per channel use throughout.
 """
@@ -166,23 +164,6 @@ def _zero_allocation(n: int) -> PowerAllocation:
     return PowerAllocation(np.zeros(n), np.zeros(n))
 
 
-def _zero_result(params: LinkParams, fading: FadingDistribution) -> CapacityResult:
-    n = fading.n_states
-    return CapacityResult(
-        case="Zero",
-        capacity=0.0,
-        allocation=_zero_allocation(n),
-        multipliers=MultiplierSet(0.0, math.inf, 0.0),
-        residuals={
-            "c1_slack": params.p_et,  # the zero allocation spends nothing
-            "c2_residual_rel": 0.0,
-            "stationarity_rel": np.full(n, np.nan),
-            "case1_capacity": 0.0,
-            "case2_capacity": 0.0,
-        },
-    )
-
-
 def _noise_floor(h2: np.ndarray, s) -> np.ndarray:
     """Water-filling noise floor s/h^2, infinite on dead states.
 
@@ -240,6 +221,20 @@ def _fill(c: float, noise: np.ndarray, weights: np.ndarray, budget: float) -> tu
     return base + top, power, float(_rates(c, power, noise[:m]) @ weights[:m])
 
 
+def _fill_by_gain(c: float, fading: FadingDistribution, s: float, budget: float) -> tuple:
+    """``_fill`` of ``budget`` over the floor s/h^2 of every state, strongest
+    first. Returns the level, the powers ``p_ehu`` in storage order and their
+    value.
+
+    Gains are stored ascending, so the floor of the reversed gains ascends;
+    this replaces an argsort, which made solve 10-12% slower at 2000 and 8192
+    states on a 2-CPU host."""
+    w, power, value = _fill(c, _noise_floor(fading.h2[::-1], s), fading.p[::-1], budget)
+    p_ehu = np.zeros(fading.n_states)
+    p_ehu[p_ehu.size - power.size :] = power[::-1]
+    return w, p_ehu, value
+
+
 # ---------------------------------------------------------------------------
 # Case 1: constant transmit amplitude sqrt(p_et)
 # ---------------------------------------------------------------------------
@@ -266,13 +261,7 @@ def waterfill_case1(
     if budget <= 0.0:
         return math.inf, _zero_allocation(n), 0.0
     s = params.sigma2_sq + params.p_et * params.alpha2
-    # Gains are stored ascending, so the floor of the reversed gains ascends;
-    # this replaces an argsort, which made solve 10-12% slower at 2000 and
-    # 8192 states on a 2-CPU host.
-    noise = _noise_floor(fading.h[::-1] ** 2, s)
-    w, power, value = _fill(_C_BITS, noise, fading.p[::-1], budget)
-    p_ehu = np.zeros(n)
-    p_ehu[n - power.size :] = power[::-1]
+    w, p_ehu, value = _fill_by_gain(_C_BITS, fading, s, budget)
     x2 = np.full(n, math.sqrt(params.p_et))
     return 1.0 / (w * one_m_rho), PowerAllocation(x2, p_ehu), value
 
@@ -281,7 +270,7 @@ def capacity_case1(
     params: LinkParams, fading: FadingDistribution, alloc: PowerAllocation
 ) -> float:
     """Ergodic rate of a constant-amplitude allocation, bits per channel use."""
-    noise = _noise_floor(fading.h**2, params.sigma2_sq + params.p_et * params.alpha2)
+    noise = _noise_floor(fading.h2, params.sigma2_sq + params.p_et * params.alpha2)
     return float(_rates(_C_BITS, alloc.p_ehu, noise) @ fading.p)
 
 
@@ -314,51 +303,50 @@ def _funded_flashes(params: LinkParams, p: np.ndarray, h2: np.ndarray):
 
 
 def _best_flash(
-    params: LinkParams, fading: FadingDistribution, h2: np.ndarray
+    params: LinkParams, fading: FadingDistribution
 ) -> tuple[PowerAllocation, float]:
     """Best single-state flash: all ET power on one state, q_k = p_et/p_k.
 
-    ``h2`` is the squared gains, ``fading.h**2``. Returns
-    ``(allocation, value_bits)``, the zero allocation and 0 when no flash is
-    funded. Funded candidates are scored exactly in descending-gain order
-    until the next one's bound cannot beat a positive best value (see the
-    module docstring).
+    Returns ``(allocation, value_bits)``, the zero allocation and 0 when no
+    flash is funded. Funded candidates are scored exactly in descending-gain
+    order until the next one's bound cannot beat a positive best value (see
+    the module docstring).
     """
-    p = fading.p
+    p, h2 = fading.p, fading.h2
     n = p.size
-    # Gains are stored ascending, so this floor is ascending as _fill needs
+    floor = _noise_floor(h2, params.sigma2_sq)
+    # Gains are stored ascending, so the reversed floor ascends as _fill needs
     # it; state k sits at place n-1-k.
-    free = _noise_floor(h2[::-1], params.sigma2_sq)
-    p_desc = p[::-1]
+    desc = np.arange(n)[::-1]
+    free, p_desc = floor[::-1], p[::-1]
     best, best_value = None, 0.0
     for k, q, budget in _funded_flashes(params, p, h2):
         # Only a scored flash prunes: a funded flash whose bound rounds to 0
         # is still scored, so no bound decides that the link is Zero.
         if best_value > 0.0 and _fill(_C_BITS, free, p_desc, budget)[2] <= best_value:
             break
-        # Move state k's entry up to its flash floor, ahead of equal entries
-        # (it stays put when the interference rounds away).
+        # order[i] is the state at place i once state k's entry moves up to
+        # its flash floor, ahead of equal entries (it stays put when the
+        # interference rounds away).
         floor_k = (params.sigma2_sq + params.alpha2 * q) / h2[k]
         r = n - 1 - k
         j = max(int(free.searchsorted(floor_k)), r + 1)
-        noise, weights = free.copy(), p_desc.copy()
-        noise[r : j - 1], weights[r : j - 1] = free[r + 1 : j], p_desc[r + 1 : j]
-        noise[j - 1], weights[j - 1] = floor_k, p[k]
-        _, power, value = _fill(_C_BITS, noise, weights, budget)
+        order = desc.copy()
+        order[r : j - 1] = desc[r + 1 : j]
+        order[j - 1] = k
+        noise = floor[order]
+        noise[j - 1] = floor_k
+        _, power, value = _fill(_C_BITS, noise, p[order], budget)
         if value > best_value:
-            best, best_value = (k, q, r, j, power), value
+            best, best_value = (k, q, order, power), value
     if best is None:
         return _zero_allocation(n), 0.0
-    k, q, r, j, prefix = best
+    k, q, order, prefix = best
     x2 = np.zeros(n)
     x2[k] = math.sqrt(q)
-    power = np.zeros(n)
-    power[: prefix.size] = prefix
-    # Move state k's power back from place j-1 to place r.
-    moved = power[j - 1]
-    power[r + 1 : j] = power[r : j - 1]
-    power[r] = moved
-    return PowerAllocation(x2, power[::-1]), best_value
+    p_ehu = np.zeros(n)
+    p_ehu[order[: prefix.size]] = prefix
+    return PowerAllocation(x2, p_ehu), best_value
 
 
 # ---------------------------------------------------------------------------
@@ -367,14 +355,13 @@ def _best_flash(
 
 
 def _active_states(
-    params: LinkParams, h2: np.ndarray, alloc: PowerAllocation
+    params: LinkParams, fading: FadingDistribution, alloc: PowerAllocation
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The states that carry codeword power (a mask), and there p_ehu, h^2
-    (from the squared gains ``h2``) and the floor numerator
-    sigma2_sq + alpha2*x2^2."""
+    and the floor numerator sigma2_sq + alpha2*x2^2."""
     act = alloc.p_ehu > 0.0
     s = params.sigma2_sq + params.alpha2 * alloc.x2[act] ** 2
-    return act, alloc.p_ehu[act], h2[act], s
+    return act, alloc.p_ehu[act], fading.h2[act], s
 
 
 def _median(x: np.ndarray) -> float:
@@ -405,8 +392,8 @@ def recover_multipliers(
     """
     p = fading.p
     one_m_rho = 1.0 - params.rho
-    h2_all = fading.h**2
-    act, pe, h2, s = _active_states(params, h2_all, alloc)
+    h2_all = fading.h2
+    act, pe, h2, s = _active_states(params, fading, alloc)
     noise = s / h2
     w = _allocation_water_level(pe, noise)
     if not math.isfinite(w) or w <= 0.0:
@@ -501,13 +488,13 @@ def closed_form_x2_errors(
     """
     if params.alpha2 <= 0.0:
         return np.array([])
-    h2 = fading.h**2
+    h2 = fading.h2
     one_m_rho = 1.0 - params.rho
     s = params.sigma2_sq + params.alpha2 * alloc.x2**2
     active = (alloc.p_ehu > 0.0) & (alloc.x2 > 0.0) & (h2 > 0.0)
     if not np.any(active):
         return np.array([])
-    _, pe, h2_act, s_act = _active_states(params, h2, alloc)
+    _, pe, h2_act, s_act = _active_states(params, fading, alloc)
     w = _allocation_water_level(pe, s_act / h2_act)
     lam2 = 1.0 / (w * one_m_rho)
     thresholds = (
@@ -539,18 +526,18 @@ def _allocation_residuals(
     fading: FadingDistribution,
     alloc: PowerAllocation,
     mult: MultiplierSet,
-    h2: np.ndarray,
 ) -> dict:
     """The residual entries of ``CapacityResult.residuals`` that ``alloc``
-    and ``mult`` determine; ``h2`` is the squared gains, ``fading.h**2``."""
+    and ``mult`` determine. An allocation that harvests nothing (the zero
+    allocation) reports its balance residual as 0, not divided by 0."""
     p = fading.p
     one_m_rho = 1.0 - params.rho
     q = alloc.x2**2
     spent = float(q @ p)
-    harvest = params.eta * float((h2 * q) @ p)
-    act, pe, h2_act, s = _active_states(params, h2, alloc)
+    harvest = params.eta * float((fading.h2 * q) @ p)
+    act, pe, h2_act, s = _active_states(params, fading, alloc)
     consumed = one_m_rho * float(pe @ p[act]) + params.p_proc
-    c2_rel = (harvest - consumed) / max(abs(harvest), 1e-300)
+    c2_rel = (harvest - consumed) / max(harvest, 1e-300) if harvest > 0.0 else 0.0
     # With no active state lambda2 is inf and nothing is indexed.
     lam2_1mr = mult.lambda2 * one_m_rho
     stat = np.full(fading.n_states, np.nan)
@@ -573,25 +560,19 @@ def solve(params: LinkParams, fading: FadingDistribution) -> CapacityResult:
     above 0.
     """
     _, alloc_c1, cap_c1 = waterfill_case1(params, fading)
-    h2 = fading.h**2
-    alloc_c2, cap_c2 = _best_flash(params, fading, h2)
-    if cap_c1 == 0.0 and cap_c2 == 0.0:
-        return _zero_result(params, fading)
-
+    alloc_c2, cap_c2 = _best_flash(params, fading)
     # Both scores keep their relative digits at any SNR, so the tie is
     # relative: an absolute one hands Case 1 every link below 1e-7 bits.
-    if cap_c2 > cap_c1 * (1.0 + 1e-7):
-        case = "Case2"
-        alloc = alloc_c2
-        capacity = cap_c2
+    if cap_c1 == 0.0 and cap_c2 == 0.0:
+        case, capacity, alloc = "Zero", 0.0, _zero_allocation(fading.n_states)
+    elif cap_c2 > cap_c1 * (1.0 + 1e-7):
+        case, capacity, alloc = "Case2", cap_c2, alloc_c2
     else:
-        case = "Case1"
-        alloc = alloc_c1
-        capacity = cap_c1
+        case, capacity, alloc = "Case1", cap_c1, alloc_c1
 
     # The multipliers are part of the result, recovered once from the winner.
     mult = recover_multipliers(params, fading, alloc)
-    res = _allocation_residuals(params, fading, alloc, mult, h2)
+    res = _allocation_residuals(params, fading, alloc, mult)
     res["case1_capacity"] = cap_c1
     res["case2_capacity"] = cap_c2
     return CapacityResult(case, capacity, alloc, mult, res)

@@ -353,7 +353,7 @@ def test_criterion_3_closed_form_and_balance():
             s = params.sigma2_sq + params.alpha2 * q
             rate = float(p @ (0.5 * np.log2(1.0 + h**2 * p_ehu / s)))
             stat = _allocation_residuals(
-                params, f, alloc, recover_multipliers(params, f, alloc), f.h**2
+                params, f, alloc, recover_multipliers(params, f, alloc)
             )
             claims.append(("codeword +-30%", q, rate, stat["stationarity_rel"]))
         for kind, x, capacity, stationarity in claims:

@@ -90,6 +90,18 @@ def test_custom_sorts_states():
     assert d.mean_square == pytest.approx(0.75 * 0.25 + 0.25 * 2.25, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "d",
+    [fading.deterministic(0.0), fading.rayleigh(1.0, 16), fading.custom([1.5, 1e-200], [0.25, 0.75])],
+    ids=["dead", "rayleigh", "underflow"],
+)
+def test_squared_gains_are_stored_once(d):
+    assert np.array_equal(d.h2, d.h * d.h)
+    assert d.mean_square == float(np.dot(d.h2, d.p))
+    with pytest.raises(ValueError):
+        d.h2[0] = 1.0
+
+
 def test_custom_validation():
     with pytest.raises(ValueError):
         fading.custom([-0.1, 1.0], [0.5, 0.5])

@@ -9,7 +9,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from fdwpc import fading
-from fdwpc.hd import hd_rate_at_fraction, solve_hd
+from fdwpc.hd import _inner_waterfill, hd_rate_at_fraction, solve_hd
 from fdwpc.solver import solve
 from fdwpc.units import LinkParams, PathLossParams, dbm_to_watt, omega_from_path_loss
 
@@ -186,6 +186,20 @@ def test_noiseless_link_is_worth_inf(f):
     res = solve_hd(hd_params(sigma2_sq=0.0), f)
     assert res.rate == math.inf
     assert 0.0 < res.t_star < 1.0
+
+
+def test_gain_whose_square_underflows_is_dead():
+    # 1e-200 is a positive gain, but its square rounds to 0, so the link
+    # harvests nothing; warnings are errors in this suite.
+    params = hd_params(p_proc=0.0)
+    f = fading.deterministic(1e-200)
+    assert f.h[-1] > 0.0 and f.h2[-1] == 0.0
+    r = solve(params, f)
+    assert r.case == "Zero" and r.capacity == 0.0
+    assert solve_hd(params, f).rate == 0.0
+    # Given a budget anyway, the inner fill finds no state to fund.
+    rate, lam, p_ehu = _inner_waterfill(params, f, 1.0, 0.5)
+    assert rate == 0.0 and lam == math.inf and not np.any(p_ehu)
 
 
 def test_inner_energy_balance_tight():

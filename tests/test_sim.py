@@ -499,3 +499,12 @@ def test_sim_config_validation():
         SimConfig(k=0, n_slots=10)
     with pytest.raises(ValueError):
         SimConfig(k=10, n_slots=0)
+
+
+@pytest.mark.parametrize("h", [[1.0], np.linspace(0.5, 2.0, 32)], ids=["too_long", "too_short"])
+def test_simulate_rejects_an_allocation_of_another_length(h):
+    params = sim_params()
+    alloc = solve(params, fading.rayleigh(1.0, 16)).allocation
+    f = fading.custom(h, np.full(len(h), 1.0 / len(h)))
+    with pytest.raises(ValueError, match="16 states"):
+        simulate(params, f, alloc, SimConfig(k=10, n_slots=100))

@@ -163,7 +163,7 @@ def test_zero_result_reports_the_slack_of_its_allocation(h):
     f = fading.deterministic(h)
     r = solve(params, f)
     assert r.case == "Zero"
-    ref = _allocation_residuals(params, f, r.allocation, r.multipliers, f.h**2)
+    ref = _allocation_residuals(params, f, r.allocation, r.multipliers)
     assert r.residuals["c1_slack"] == ref["c1_slack"] == params.p_et
 
 
@@ -184,7 +184,7 @@ def flash_only_link(n_states):
 
 def test_flash_funds_a_link_whose_mean_harvest_cannot():
     params, f = flash_only_link(16)
-    alloc, value = _best_flash(params, f, f.h**2)
+    alloc, value = _best_flash(params, f)
     r = solve(params, f)
     assert r.residuals["case1_capacity"] == 0.0
     assert r.case == "Case2"
@@ -224,7 +224,7 @@ def test_zero_exactly_when_the_top_flash_is_unfunded(cost):
 def test_case2_matches_case1_on_single_state():
     params = simple_params(alpha2=0.1)
     f = fading.deterministic(1.0)
-    alloc = _best_flash(params, f, f.h**2)[0]
+    alloc = _best_flash(params, f)[0]
     lam2, alloc1, _ = waterfill_case1(params, f)
     c2 = capacity_case1(params, f, alloc)  # same noise: x2 = sqrt(p_et)
     assert alloc.x2[0] == pytest.approx(alloc1.x2[0], rel=1e-6)
@@ -241,7 +241,7 @@ def test_case2_five_state_against_oracle():
 def test_case2_silences_dead_and_weak_states():
     f = fading.custom([1e-6, 0.9, 1.0, 1.1], [0.25, 0.25, 0.25, 0.25])
     params = simple_params(sigma2_sq=0.1, alpha2=0.05)
-    alloc = _best_flash(params, f, f.h**2)[0]
+    alloc = _best_flash(params, f)[0]
     assert alloc.x2[0] <= 1e-6 * np.max(alloc.x2)
     assert alloc.p_ehu[0] == 0.0
 
@@ -404,7 +404,7 @@ def test_pruned_flash_matches_full_enumeration(link, cost):
     assert (r.case == "Zero") == bool(np.all(values == 0.0))
     # The winner is one of the enumerated flashes, with its row's allocation
     # bit for bit.
-    alloc, value = _best_flash(params, f, f.h**2)
+    alloc, value = _best_flash(params, f)
     assert value == r.residuals["case2_capacity"]
     if value > 0.0:
         (k,) = np.flatnonzero(alloc.x2)
@@ -436,7 +436,7 @@ def test_solve_reports_what_the_public_functions_compute(link):
     params, f = link
     r = solve(params, f)
     _, alloc_c1, value_c1 = waterfill_case1(params, f)
-    alloc_c2, value_c2 = _best_flash(params, f, f.h**2)
+    alloc_c2, value_c2 = _best_flash(params, f)
     rerated = capacity_case1(params, f, alloc_c1)
     assert r.residuals["case1_capacity"] == value_c1
     if math.isfinite(rerated) and rerated > 0.0:
@@ -453,7 +453,7 @@ def test_solve_reports_what_the_public_functions_compute(link):
     assert np.array_equal(r.allocation.p_ehu, want.p_ehu)
     mult = recover_multipliers(params, f, r.allocation)
     assert dataclasses.astuple(r.multipliers) == dataclasses.astuple(mult)
-    ref = _allocation_residuals(params, f, r.allocation, mult, f.h**2)
+    ref = _allocation_residuals(params, f, r.allocation, mult)
     assert r.residuals["c1_slack"] == ref["c1_slack"]
     assert np.array_equal(r.residuals["stationarity_rel"], ref["stationarity_rel"], equal_nan=True)
     # The zero allocation harvests nothing, so its balance residual is
@@ -874,7 +874,7 @@ def test_closed_form_reproduces_primal_amplitudes():
             alpha2=float(rng.uniform(0.01, 0.3)),
         )
         f = fading.custom(h, p)
-        alloc = _best_flash(params, f, f.h**2)[0]
+        alloc = _best_flash(params, f)[0]
         errs = closed_form_x2_errors(params, f, alloc)
         if errs.size:
             checked += 1
