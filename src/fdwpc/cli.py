@@ -94,6 +94,8 @@ def _add_scenario_args(p: argparse.ArgumentParser, *, pp_list: bool = False) -> 
 def _scenario_fading(args) -> fading_mod.FadingDistribution:
     if args.fading_file is not None:
         return fading_mod.from_file(args.fading_file)
+    if args.fading_states < 1:
+        raise ValueError(f"--fading-states must be >= 1, got {args.fading_states}")
     omega = omega_from_path_loss(PathLossParams(_F_C_HZ, args.distance_m, _GAMMA))
     if args.fading_states == 1:
         return fading_mod.deterministic(math.sqrt(omega))

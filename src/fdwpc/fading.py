@@ -22,12 +22,16 @@ __all__ = ["FadingDistribution", "deterministic", "rayleigh", "custom", "from_fi
 _PROB_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FadingDistribution:
     """Finite pmf over channel amplitude gains, sorted ascending.
 
     ``h2`` is the squared gains h*h (read-only, in the same order) and
     ``mean_square`` the average fading power sum(h2 * p).
+
+    Distributions compare and hash by identity, so that one can key a cache:
+    it is frozen and its arrays are read-only. Compare contents with
+    ``np.array_equal`` on ``h`` and ``p``.
     """
 
     h: np.ndarray

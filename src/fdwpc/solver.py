@@ -39,20 +39,37 @@ powers of the states below it (a prefix of the floor) and their value.
 ``_rates`` gives 0 where P = 0 and inf where n = 0 < P; where every floor is
 positive there is nothing to mask, and it rates without ``np.errstate``.
 
-The squared gains are the distribution's ``h2``. ``_fill_by_gain`` fills
-every state in gain order and returns the powers in storage order, for Case 1
-and the half-duplex benchmark; a scored flash fills the states in the order of
-its index map, which scatters the winner's powers back. ``solve`` takes the
-Case-1 value from its fill and forms a flash budget B_k only for a flash that
-is scored or bounded. Every case, Zero with the zero allocation included,
-leaves ``solve`` by one path: the multipliers recovered from the winning
-allocation, then its residuals.
+The squared gains are the distribution's ``h2``. A floor is a ``_Floor``:
+the noise ascending (strongest state first) and its weights, with the sums a
+fill scans built on first use and kept. ``_fill_by_gain`` fills a gain-ordered
+floor and returns the powers in storage order, for Case 1 and the half-duplex
+benchmark; a scored flash fills the states in the order of its index map,
+which scatters the winner's powers back.
+
+The self-interference-free floor sigma2_sq/h^2 is shared: ``_free_floor``
+keeps the last one built, keyed on the distribution's identity and sigma2_sq.
+Every point of a sweep solves one distribution at one noise power, and the
+flash bounds, the flash floors gathered from it and the half-duplex benchmark
+(its three fills and its Lambert-W prefix sums) all read it, so a sweep builds
+it once. It holds the floor and the weights p[::-1], then on first use the
+heights above the lowest floor with the two prefix sums of the level scan,
+and the live-prefix sums of the half-duplex stationarity (n, ln n, and the
+prefix sums of p*n and p*ln n; that of p is the scan's weights sum). Only the
+last is kept, because a cache per distribution would keep every distribution
+of a run of independent links alive. A fresh floor (Case 1, a scored flash)
+builds the same sums inline and is filled by the same code.
+
+``solve`` takes the Case-1 value from its fill and forms a flash budget B_k
+only for a flash that is scored or bounded. Every case, Zero with the zero
+allocation included, leaves ``solve`` by one path: the multipliers recovered
+from the winning allocation, then its residuals.
 
 Capacities are in bits per channel use throughout.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -174,7 +191,13 @@ def _noise_floor(h2: np.ndarray, s) -> np.ndarray:
     return np.divide(s, h2, out=out, where=h2 > 0.0)
 
 
-def _water_level(noise: np.ndarray, weights: np.ndarray, budget) -> np.ndarray:
+def _level_sums(noise: np.ndarray, weights: np.ndarray) -> tuple:
+    """The two prefix sums a water level scans, cumsum(weights*noise) and
+    cumsum(weights), along the last axis."""
+    return (weights * noise).cumsum(axis=-1), weights.cumsum(axis=-1)
+
+
+def _water_level(noise: np.ndarray, weights: np.ndarray, budget, sums=None) -> np.ndarray:
     """Exact water level L solving sum weights*[L - noise]^+ = budget.
 
     L is the smallest prefix candidate (budget + sum_{i<=m} w_i n_i) /
@@ -186,10 +209,11 @@ def _water_level(noise: np.ndarray, weights: np.ndarray, budget) -> np.ndarray:
     last axis, with dead states carrying inf so that they sort last;
     ``weights`` (positive) is aligned with it and ``budget`` has the leading
     shape. A row whose first noise entry is inf has no usable state and
-    gets inf.
+    gets inf. ``sums``, when given, is ``_level_sums(noise, weights)`` built
+    earlier: a floor filled at many budgets scans its prefix sums once.
     """
-    cand = np.asarray(budget)[..., None] + (weights * noise).cumsum(axis=-1)
-    return np.minimum.reduce(cand / weights.cumsum(axis=-1), axis=-1)
+    wn, w = _level_sums(noise, weights) if sums is None else sums
+    return np.minimum.reduce((np.asarray(budget)[..., None] + wn) / w, axis=-1)
 
 
 def _rates(c: float, power: np.ndarray, noise: np.ndarray) -> np.ndarray:
@@ -205,32 +229,86 @@ def _rates(c: float, power: np.ndarray, noise: np.ndarray) -> np.ndarray:
     return rates
 
 
-def _fill(c: float, noise: np.ndarray, weights: np.ndarray, budget: float) -> tuple:
-    """Water-fill ``budget`` over the ascending floor ``noise`` (aligned with
-    ``weights``, inf on dead states, one state live at least). Returns the
-    level, the powers of the states below it (a prefix: every later state
-    gets 0) and their value ``_rates(c, ...) @ weights``.
+class _Floor:
+    """A water-filling floor ``noise``, ascending with inf on dead states, and
+    its ``weights``. The sums a fill scans are built on first use and kept;
+    ``live`` counts the live states of a gain-ordered floor, a prefix."""
 
-    Each power is H - (n - n0), the level a height H above the lowest floor
-    n0: at low SNR, level - noise would cancel most of the digits."""
-    base = noise[0]
-    height = noise - base
-    top = float(_water_level(height, weights, budget))
-    m = height.searchsorted(top)  # the states below the level
-    power = top - height[:m]
-    return base + top, power, float(_rates(c, power, noise[:m]) @ weights[:m])
+    __slots__ = ("noise", "weights", "live", "_scan", "_live_sums")
+
+    def __init__(self, noise: np.ndarray, weights: np.ndarray, live: int | None = None):
+        self.noise, self.weights, self.live = noise, weights, live
+        self._scan = self._live_sums = None
+
+    def scan(self) -> tuple:
+        """The heights above the lowest floor and their ``_level_sums``.
+        Never asked of an all-dead floor, whose heights are inf - inf."""
+        if self._scan is None:
+            height = self.noise - self.noise[0]
+            self._scan = height, _level_sums(height, self.weights)
+        return self._scan
+
+    def live_sums(self) -> tuple:
+        """Over the live states: the floor n, ln n and the prefix sums of p,
+        p*n and p*ln n (``hd``); that of p is the scan's weights sum."""
+        if self._live_sums is None:
+            n, p = self.noise[: self.live], self.weights[: self.live]
+            ln_n = np.log(n)
+            cp = self.scan()[1][1][: self.live]
+            self._live_sums = n, ln_n, cp, (p * n).cumsum(), (p * ln_n).cumsum()
+        return self._live_sums
 
 
-def _fill_by_gain(c: float, fading: FadingDistribution, s: float, budget: float) -> tuple:
-    """``_fill`` of ``budget`` over the floor s/h^2 of every state, strongest
-    first. Returns the level, the powers ``p_ehu`` in storage order and their
-    value.
+def _gain_floor(fading: FadingDistribution, s: float) -> _Floor:
+    """The floor s/h^2 of every state, strongest first, weighted by p.
 
     Gains are stored ascending, so the floor of the reversed gains ascends;
     this replaces an argsort, which made solve 10-12% slower at 2000 and 8192
-    states on a 2-CPU host."""
-    w, power, value = _fill(c, _noise_floor(fading.h2[::-1], s), fading.p[::-1], budget)
-    p_ehu = np.zeros(fading.n_states)
+    states on a 2-CPU host. The live states (h^2 > 0) are a prefix, so the
+    dead ones get inf without ``_noise_floor``'s masked divide, which took
+    2.5-3 times as long at 8192 states on the same host."""
+    h2 = fading.h2
+    live = h2.size - int(h2.searchsorted(0.0, side="right"))
+    noise = np.empty(h2.size)
+    np.divide(s, h2[::-1][:live], out=noise[:live])
+    noise[live:] = np.inf
+    return _Floor(noise, fading.p[::-1], live)
+
+
+@functools.lru_cache(maxsize=1)
+def _last_free_floor(fading: FadingDistribution, s: float, sign: float) -> _Floor:
+    return _gain_floor(fading, s)
+
+
+def _free_floor(fading: FadingDistribution, sigma2_sq: float) -> _Floor:
+    """The self-interference-free floor sigma2_sq/h^2 of ``fading``; the last
+    one built is kept (module docstring). The key is the distribution's
+    identity and sigma2_sq with its sign: -0.0 == 0.0, but -0.0/h^2 floors
+    differently."""
+    return _last_free_floor(fading, sigma2_sq, math.copysign(1.0, sigma2_sq))
+
+
+def _fill(c: float, floor: _Floor, budget: float) -> tuple:
+    """Water-fill ``budget`` over ``floor`` (one state live at least).
+    Returns the level, the powers of the states below it (a prefix: every
+    later state gets 0) and their value ``_rates(c, ...) @ weights``.
+
+    Each power is H - (n - n0), the level a height H above the lowest floor
+    n0: at low SNR, level - noise would cancel most of the digits."""
+    height, sums = floor.scan()
+    noise, weights = floor.noise, floor.weights
+    top = float(_water_level(height, weights, budget, sums))
+    m = height.searchsorted(top)  # the states below the level
+    power = top - height[:m]
+    return noise[0] + top, power, float(_rates(c, power, noise[:m]) @ weights[:m])
+
+
+def _fill_by_gain(c: float, floor: _Floor, budget: float) -> tuple:
+    """``_fill`` of ``budget`` over a gain-ordered floor (``_gain_floor``).
+    Returns the level, the powers ``p_ehu`` in storage order and their
+    value."""
+    w, power, value = _fill(c, floor, budget)
+    p_ehu = np.zeros(floor.noise.size)
     p_ehu[p_ehu.size - power.size :] = power[::-1]
     return w, p_ehu, value
 
@@ -261,7 +339,7 @@ def waterfill_case1(
     if budget <= 0.0:
         return math.inf, _zero_allocation(n), 0.0
     s = params.sigma2_sq + params.p_et * params.alpha2
-    w, p_ehu, value = _fill_by_gain(_C_BITS, fading, s, budget)
+    w, p_ehu, value = _fill_by_gain(_C_BITS, _gain_floor(fading, s), budget)
     x2 = np.full(n, math.sqrt(params.p_et))
     return 1.0 / (w * one_m_rho), PowerAllocation(x2, p_ehu), value
 
@@ -314,29 +392,29 @@ def _best_flash(
     """
     p, h2 = fading.p, fading.h2
     n = p.size
-    floor = _noise_floor(h2, params.sigma2_sq)
-    # Gains are stored ascending, so the reversed floor ascends as _fill needs
-    # it; state k sits at place n-1-k.
+    free = _free_floor(fading, params.sigma2_sq)
+    # The free floor ascends with state k at place n-1-k, so reversed it is
+    # in storage order.
+    floor = free.noise[::-1]
     desc = np.arange(n)[::-1]
-    free, p_desc = floor[::-1], p[::-1]
     best, best_value = None, 0.0
     for k, q, budget in _funded_flashes(params, p, h2):
         # Only a scored flash prunes: a funded flash whose bound rounds to 0
         # is still scored, so no bound decides that the link is Zero.
-        if best_value > 0.0 and _fill(_C_BITS, free, p_desc, budget)[2] <= best_value:
+        if best_value > 0.0 and _fill(_C_BITS, free, budget)[2] <= best_value:
             break
         # order[i] is the state at place i once state k's entry moves up to
         # its flash floor, ahead of equal entries (it stays put when the
         # interference rounds away).
         floor_k = (params.sigma2_sq + params.alpha2 * q) / h2[k]
         r = n - 1 - k
-        j = max(int(free.searchsorted(floor_k)), r + 1)
+        j = max(int(free.noise.searchsorted(floor_k)), r + 1)
         order = desc.copy()
         order[r : j - 1] = desc[r + 1 : j]
         order[j - 1] = k
         noise = floor[order]
         noise[j - 1] = floor_k
-        _, power, value = _fill(_C_BITS, noise, p[order], budget)
+        _, power, value = _fill(_C_BITS, _Floor(noise, p[order]), budget)
         if value > best_value:
             best, best_value = (k, q, order, power), value
     if best is None:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fdwpc import cli
+from fdwpc import cli, solver
 from fdwpc.cli import main
 
 # Small fading grids keep CLI tests quick; contracts don't depend on them.
@@ -241,6 +241,14 @@ def test_exit_2_on_bad_params(capsys):
     assert err.strip() != ""
 
 
+@pytest.mark.parametrize("states", ["0", "-3"])
+def test_exit_2_on_fading_states_below_one(states, capsys):
+    code, out, err = run_cli(["capacity-sweep", "--fading-states", states], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"fdwpc: --fading-states must be >= 1, got {states}\n"
+
+
 def test_exit_2_on_unknown_command(capsys):
     assert main(["no-such-command"]) == 2
 
@@ -392,3 +400,23 @@ def test_fresh_process_matches_warm_main(tmp_path, capsys):
     assert main([*argv, str(warm)]) == 0
     assert cold.read_bytes() == warm.read_bytes()
     assert cold.read_bytes().startswith(b"variable,capacity_fd_bits")
+
+
+def test_sweep_builds_the_interference_free_floor_once(monkeypatch, capsys):
+    # Every point of a sweep solves one distribution at one noise power: its
+    # flash bounds, flash floors and half-duplex fills share one floor. Any
+    # other floor built is a Case-1 one, over the residual interference.
+    built = []
+
+    def spy(fad, s, _original=solver._gain_floor):
+        built.append(s)
+        return _original(fad, s)
+
+    monkeypatch.setattr(solver, "_gain_floor", spy)
+    solver._last_free_floor.cache_clear()
+    code, out, _ = run_cli(["capacity-sweep"] + FAST, capsys)
+    assert code == 0 and len(rows(out)) == 9
+    assert built.count(1e-14) == 1
+    # 8 points, each read by solve and by solve_hd.
+    info = solver._last_free_floor.cache_info()
+    assert info.misses == 1 and info.hits >= 2 * 8 - 1

@@ -102,6 +102,15 @@ def test_squared_gains_are_stored_once(d):
         d.h2[0] = 1.0
 
 
+def test_distributions_compare_and_hash_by_identity():
+    # Equal contents compare False rather than raising on array truth, and
+    # the hash is the identity's, so a distribution can key a cache.
+    a, b = fading.rayleigh(1.0, 16), fading.rayleigh(1.0, 16)
+    assert a == a and (a == b) is False and a != b
+    assert hash(a) == hash(a) and len({a, b}) == 2
+    assert np.array_equal(a.h, b.h) and np.array_equal(a.p, b.p)
+
+
 def test_custom_validation():
     with pytest.raises(ValueError):
         fading.custom([-0.1, 1.0], [0.5, 0.5])

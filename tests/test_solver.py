@@ -3,9 +3,11 @@ independent reference of ``test_acceptance`` (``reference_capacity``, which
 calls nothing in ``fdwpc.solver``)."""
 
 import dataclasses
+import gc
 import math
 import re
 import time
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,6 +24,7 @@ from fdwpc.solver import (
     CapacityResult,
     MultiplierSet,
     PowerAllocation,
+    _Floor,
     _allocation_residuals,
     _best_flash,
     _fill,
@@ -420,7 +423,7 @@ def test_pruned_flash_matches_full_enumeration(link, cost):
     desc = np.argsort(-h2, kind="stable")
     free = _noise_floor(h2[desc], params.sigma2_sq)
     for k in np.flatnonzero(funded):
-        assert _fill(_C_BITS, free, p[desc], budget[k])[2] >= values[k] - tol
+        assert _fill(_C_BITS, _Floor(free, p[desc]), budget[k])[2] >= values[k] - tol
 
 
 @settings(max_examples=300, deadline=None)
@@ -463,29 +466,108 @@ def test_solve_reports_what_the_public_functions_compute(link):
 
 
 @pytest.mark.parametrize(
-    "params, f, case, fills, flash_budgets",
+    "params, f, case, fills, flash_budgets, hd_fills",
     [
-        (simple_params(alpha2=0.1), fading.deterministic(1.0), "Case1", 2, 1),
-        (simple_params(alpha2=0.1), fading.rayleigh(1.0, 16), "Case2", 3, 2),
+        (simple_params(alpha2=0.1), fading.deterministic(1.0), "Case1", 2, 1, 2),
+        (simple_params(alpha2=0.1), fading.rayleigh(1.0, 16), "Case2", 3, 2, 3),
         # 10 W is above the top state's flash harvest, 0.8 * ln 8192 = 7.2 W.
-        (simple_params(p_proc=10.0), fading.rayleigh(1.0, 4096), "Zero", 0, 2),
+        (simple_params(p_proc=10.0), fading.rayleigh(1.0, 4096), "Zero", 0, 2, 3),
     ],
     ids=["case1", "case2", "unfunded"],
 )
-def test_solve_fills_once_per_scored_quantity(monkeypatch, params, f, case, fills, flash_budgets):
+def test_solve_fills_once_per_scored_quantity(
+    monkeypatch, params, f, case, fills, flash_budgets, hd_fills
+):
     # Case 1 is filled once and never re-rated; the top flash is scored and
     # the next flash's bound prunes the rest. Flash budgets are formed one
     # state at a time from the top and, below the first unfunded state, in
-    # one pass over the rest, so an unfunded link loops over no state.
-    calls = {"_fill": 0, "capacity_case1": 0, "_flash": 0}
+    # one pass over the rest, so an unfunded link loops over no state. Every
+    # fill goes through the one kernel, and a cold solve scans one set of
+    # prefix sums per fill.
+    calls = {"_fill": 0, "capacity_case1": 0, "_flash": 0, "_level_sums": 0}
     for name in calls:
         def spy(*args, _name=name, _original=getattr(solver, name)):
             calls[_name] += 1
             return _original(*args)
 
         monkeypatch.setattr(solver, name, spy)
+    solver._last_free_floor.cache_clear()
     assert solve(params, f).case == case
-    assert calls == {"_fill": fills, "capacity_case1": 0, "_flash": flash_budgets}
+    assert calls == {"_fill": fills, "capacity_case1": 0, "_flash": flash_budgets, "_level_sums": fills}
+    # solve_hd ranks two candidate budgets and scores the winner (one
+    # candidate on a one-state link). It reads the floor that solve left, and
+    # a second call forms no prefix sums at all.
+    misses = solver._last_free_floor.cache_info().misses
+    hd_calls = []
+    for _ in range(2):
+        calls.update(dict.fromkeys(calls, 0))
+        solve_hd(params, f)
+        hd_calls.append((calls["_fill"], calls["_level_sums"]))
+    assert solver._last_free_floor.cache_info().misses == misses
+    assert hd_calls[0][0] == hd_calls[1][0] == hd_fills
+    assert hd_calls[1][1] == 0
+
+
+def _solve_bytes(params, f):
+    """Every output of ``solve`` on one link, as bytes."""
+    r = solve(params, f)
+    arrays = [r.allocation.x2, r.allocation.p_ehu]
+    arrays += [np.asarray(v, dtype=float) for _, v in sorted(r.residuals.items())]
+    scalars = np.array([r.capacity, *dataclasses.astuple(r.multipliers)])
+    return r.case.encode() + b"".join(a.tobytes() for a in arrays) + scalars.tobytes()
+
+
+def _hd_bytes(params, f):
+    """Every output of ``solve_hd`` on one link, as bytes."""
+    b = solve_hd(params, f)
+    return np.array([b.t_star, b.lam, b.rate]).tobytes() + b.p_ehu_of_h.tobytes()
+
+
+def test_shared_floor_gives_the_same_bytes_cold_warm_and_interleaved():
+    links = [
+        (simple_params(sigma2_sq=s, alpha2=1e-3), f)
+        for f in (fading.rayleigh(1.0, 64), fading.custom([0.0, 0.3, 0.3, 2.0], [0.1, 0.2, 0.3, 0.4]))
+        for s in (1e-3, 2.5e-2)
+    ]
+    cold = []
+    for link in links:
+        solver._last_free_floor.cache_clear()
+        solve_out = _solve_bytes(*link)
+        solver._last_free_floor.cache_clear()
+        cold.append((solve_out, _hd_bytes(*link)))
+    # Each link warm (its floor is the last one built), then the four in
+    # alternation, so that every call finds another link's floor.
+    for i, link in enumerate(links):
+        for _ in range(2):
+            assert (_solve_bytes(*link), _hd_bytes(*link)) == cold[i]
+    for i in (0, 3, 1, 2, 0, 2, 3, 1):
+        assert _hd_bytes(*links[i]) == cold[i][1]
+        assert _solve_bytes(*links[(i + 1) % 4]) == cold[(i + 1) % 4][0]
+
+
+def test_equal_distributions_do_not_share_a_floor():
+    f, g = fading.rayleigh(1.0, 16), fading.rayleigh(1.0, 16)
+    solver._last_free_floor.cache_clear()
+    floor = solver._free_floor(f, 0.1)
+    assert solver._free_floor(f, 0.1) is floor
+    assert solver._free_floor(g, 0.1) is not floor
+    assert solver._free_floor(f, 0.1) is not floor
+    # -0.0 == 0.0, but -0.0/h^2 is another floor.
+    assert solver._free_floor(f, 0.0) is not solver._free_floor(f, -0.0)
+    assert solver._last_free_floor.cache_info().misses == 5
+
+
+def test_shared_floor_keeps_at_most_one_distribution_alive():
+    refs = []
+    for n in (16, 32, 64):
+        f = fading.rayleigh(1.0, n)
+        solve(simple_params(), f)
+        solve_hd(simple_params(), f)
+        refs.append(weakref.ref(f))
+        del f
+    gc.collect()
+    # Only the last distribution may still be held, by the cache's key.
+    assert refs[0]() is None and refs[1]() is None
 
 
 # ---------------------------------------------------------------------------
