@@ -22,7 +22,6 @@ from .units import (
     db_to_linear,
     dbm_to_watt,
     linear_to_db,
-    noise_power,
     omega_from_path_loss,
     watt_to_dbm,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "db_to_linear",
     "dbm_to_watt",
     "linear_to_db",
-    "noise_power",
     "omega_from_path_loss",
     "watt_to_dbm",
     "__version__",

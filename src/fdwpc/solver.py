@@ -47,22 +47,24 @@ benchmark; a scored flash fills the states in the order of its index map,
 which scatters the winner's powers back.
 
 The self-interference-free floor sigma2_sq/h^2 is shared: ``_free_floor``
-keeps the last one built, keyed on the distribution's identity and sigma2_sq.
-Every point of a sweep solves one distribution at one noise power, and the
-flash bounds, the flash floors gathered from it and the half-duplex benchmark
-(its three fills and its Lambert-W prefix sums) all read it, so a sweep builds
-it once. It holds the floor and the weights p[::-1], then on first use the
-heights above the lowest floor with the two prefix sums of the level scan,
-and the live-prefix sums of the half-duplex stationarity (n, ln n, and the
-prefix sums of p*n and p*ln n; that of p is the scan's weights sum). Only the
-last is kept, because a cache per distribution would keep every distribution
-of a run of independent links alive. A fresh floor (Case 1, a scored flash)
-builds the same sums inline and is filled by the same code.
+keeps the last one built, keyed on (distribution, sigma2_sq), the distribution
+by identity. Every point of a sweep solves one distribution at one noise
+power, and the flash bounds, the flash floors gathered from it and the
+half-duplex benchmark (its three fills and its Lambert-W prefix sums) all read
+it, so a sweep builds it once. It holds the floor and the weights p[::-1], then
+on first use the heights above the lowest floor with the two prefix sums of
+the level scan, and the live-prefix sums of the half-duplex stationarity (n,
+ln n, and the prefix sums of p*n and p*ln n; that of p is the scan's weights
+sum). Only the last is kept, because a cache per distribution would keep every
+distribution of a run of independent links alive. A fresh floor (Case 1, a
+scored flash) builds the same sums inline and is filled by the same code.
 
-``solve`` takes the Case-1 value from its fill and forms a flash budget B_k
-only for a flash that is scored or bounded. Every case, Zero with the zero
-allocation included, leaves ``solve`` by one path: the multipliers recovered
-from the winning allocation, then its residuals.
+Both regimes return ``(lambda2, allocation, value)``, lambda2 = 1/(w*(1-rho))
+at the water level w of the fill that scored the allocation (inf with the
+zero allocation). ``solve`` forms a flash budget B_k only for a flash that is
+scored or bounded. Every case, Zero included, leaves ``solve`` by one path:
+the winner's lambda2 and value go to ``recover_multipliers`` for lambda1 and
+mu1, and the residuals compare each active state with that exact level.
 
 Capacities are in bits per channel use throughout.
 """
@@ -79,8 +81,10 @@ import numpy as np
 from .fading import FadingDistribution
 # perfbench's traced run wraps waterfill_case1, recover_multipliers,
 # capacity_case1, closed_form_x2_errors, x0_of_h, lambert_w0 and
-# lambert_w0_of_log through this module's bindings. solve calls the first two
-# through them, once each; the others stay bound here though solve calls none.
+# lambert_w0_of_log through this module's bindings; solve calls the first two
+# through them, once each. closed_form_x2_errors, x0_of_h and the two Lambert-W
+# bindings stay only because perfbench looks them up (as it does
+# hd.hd_rate_at_fraction), until its traced run stops wrapping them.
 from .specfun import lambert_w0, lambert_w0_of_log
 from .units import LinkParams
 
@@ -155,12 +159,15 @@ class MultiplierSet:
 class CapacityResult:
     """Solved capacity with allocation, multipliers and diagnostics.
 
+    ``multipliers.lambda2`` is the winning fill's 1/(w*(1-rho)) at its water
+    level w (inf on case "Zero"), not recovered from the allocation.
+
     ``residuals`` keys, the same on every case:
 
     * ``c1_slack`` -- unused transmit-power budget, watts (>= 0 up to tol).
     * ``c2_residual_rel`` -- relative energy-balance residual (0 when tight).
     * ``stationarity_rel`` -- per-state relative water-filling stationarity
-      residual (NaN on states with no codeword power).
+      residual against that level (NaN on states with no codeword power).
     * ``case1_capacity`` -- the constant-amplitude objective, bits/use, as
       the Case-1 fill rated it (``capacity_case1`` of the Case-1 allocation
       agrees to 1e-15 relative).
@@ -276,16 +283,11 @@ def _gain_floor(fading: FadingDistribution, s: float) -> _Floor:
 
 
 @functools.lru_cache(maxsize=1)
-def _last_free_floor(fading: FadingDistribution, s: float, sign: float) -> _Floor:
-    return _gain_floor(fading, s)
-
-
 def _free_floor(fading: FadingDistribution, sigma2_sq: float) -> _Floor:
     """The self-interference-free floor sigma2_sq/h^2 of ``fading``; the last
-    one built is kept (module docstring). The key is the distribution's
-    identity and sigma2_sq with its sign: -0.0 == 0.0, but -0.0/h^2 floors
-    differently."""
-    return _last_free_floor(fading, sigma2_sq, math.copysign(1.0, sigma2_sq))
+    one built is kept (module docstring). ``LinkParams`` stores -0.0 as 0.0,
+    so the key's sigma2_sq == 0.0 has one floor."""
+    return _gain_floor(fading, sigma2_sq)
 
 
 def _fill(c: float, floor: _Floor, budget: float) -> tuple:
@@ -382,13 +384,14 @@ def _funded_flashes(params: LinkParams, p: np.ndarray, h2: np.ndarray):
 
 def _best_flash(
     params: LinkParams, fading: FadingDistribution
-) -> tuple[PowerAllocation, float]:
+) -> tuple[float, PowerAllocation, float]:
     """Best single-state flash: all ET power on one state, q_k = p_et/p_k.
 
-    Returns ``(allocation, value_bits)``, the zero allocation and 0 when no
-    flash is funded. Funded candidates are scored exactly in descending-gain
-    order until the next one's bound cannot beat a positive best value (see
-    the module docstring).
+    Returns ``(lambda2, allocation, value_bits)`` as ``waterfill_case1`` does,
+    lambda2 = 1/(w*(1-rho)) at the winning fill's water level w, and
+    ``(inf, zero allocation, 0)`` when no flash is funded. Funded candidates
+    are scored exactly in descending-gain order until the next one's bound
+    cannot beat a positive best value (see the module docstring).
     """
     p, h2 = fading.p, fading.h2
     n = p.size
@@ -414,17 +417,17 @@ def _best_flash(
         order[j - 1] = k
         noise = floor[order]
         noise[j - 1] = floor_k
-        _, power, value = _fill(_C_BITS, _Floor(noise, p[order]), budget)
+        w, power, value = _fill(_C_BITS, _Floor(noise, p[order]), budget)
         if value > best_value:
-            best, best_value = (k, q, order, power), value
+            best, best_value = (k, q, order, w, power), value
     if best is None:
-        return _zero_allocation(n), 0.0
-    k, q, order, prefix = best
+        return math.inf, _zero_allocation(n), 0.0
+    k, q, order, w, prefix = best
     x2 = np.zeros(n)
     x2[k] = math.sqrt(q)
     p_ehu = np.zeros(n)
     p_ehu[order[: prefix.size]] = prefix
-    return PowerAllocation(x2, p_ehu), best_value
+    return 1.0 / (w * (1.0 - params.rho)), PowerAllocation(x2, p_ehu), best_value
 
 
 # ---------------------------------------------------------------------------
@@ -442,63 +445,47 @@ def _active_states(
     return act, alloc.p_ehu[act], fading.h2[act], s
 
 
-def _median(x: np.ndarray) -> float:
-    """``np.median`` of a non-empty 1-D array.
-
-    A full sort: the levels it is given agree to a few ulps, and on so few
-    distinct values ``np.partition`` took 8 times as long at 8192 states.
-    """
-    x = np.sort(x)
-    k = x.size // 2
-    return float(x[k] if x.size % 2 else (x[k - 1] + x[k]) / 2.0)
-
-
-def _allocation_water_level(pe: np.ndarray, noise: np.ndarray) -> float:
-    """Median water level p_ehu + noise over the active states, inf if none."""
-    return _median(pe + noise) if pe.size else math.inf
-
-
 def recover_multipliers(
-    params: LinkParams, fading: FadingDistribution, alloc: PowerAllocation
+    params: LinkParams,
+    fading: FadingDistribution,
+    alloc: PowerAllocation,
+    lambda2: float,
+    capacity: float,
 ) -> MultiplierSet:
-    """Recover (lambda1, lambda2, mu1) from an optimal primal allocation.
+    """Complete the multiplier set of an optimal allocation.
 
-    lambda2 comes from the water level, lambda1 from the per-state transmit
-    power stationarity averaged over states that carry both transmit and
-    codeword power, and mu1 from the distribution-normalization condition
-    summed over states.
+    ``lambda2`` and ``capacity`` are given, not recovered: the winning fill's
+    1/(w*(1-rho)) at its water level w (inf for the zero allocation) and its
+    value. lambda1 comes from the per-state transmit power stationarity
+    averaged over states that carry both transmit and codeword power, and mu1
+    from the distribution-normalization condition summed over states.
     """
     p = fading.p
     one_m_rho = 1.0 - params.rho
     h2_all = fading.h2
     act, pe, h2, s = _active_states(params, fading, alloc)
-    noise = s / h2
-    w = _allocation_water_level(pe, noise)
-    if not math.isfinite(w) or w <= 0.0:
-        return MultiplierSet(0.0, math.inf, 0.0)
-    lam2 = 1.0 / (w * one_m_rho)
+    if not pe.size:
+        return MultiplierSet(0.0, lambda2, 0.0)
     (overlap,) = ((alloc.x2[act] > 0.0) & (h2 > 0.0)).nonzero()
     if overlap.size:
         loss = 0.0
         if params.alpha2 > 0.0:
             # s >= alpha2*x2^2 > 0 on these states.
-            loss = params.alpha2 * pe[overlap] / (s[overlap] * w)
-        lam1 = float((lam2 * params.eta * h2[overlap] - loss).sum()) / overlap.size
+            loss = params.alpha2 * pe[overlap] * (lambda2 * one_m_rho) / s[overlap]
+        lam1 = float((lambda2 * params.eta * h2[overlap] - loss).sum()) / overlap.size
     else:
         # Pure harvest states pin lambda1 through the linear stationarity of
         # the transmit power instead; gains are stored ascending.
         h2_tx = h2_all[alloc.x2 > 0.0]
-        lam1 = lam2 * params.eta * float(h2_tx[-1]) if h2_tx.size else 0.0
+        lam1 = lambda2 * params.eta * float(h2_tx[-1]) if h2_tx.size else 0.0
     lam1 = max(lam1, 0.0)
     q = alloc.x2**2
-    p_act = p[act]
-    cap_bits = float(_rates(_C_BITS, pe, noise) @ p_act)
     mu1 = (
-        cap_bits
+        capacity
         - lam1 * float(q @ p)
-        - lam2 * (one_m_rho * float(pe @ p_act) - params.eta * float((h2_all * q) @ p))
+        - lambda2 * (one_m_rho * float(pe @ p[act]) - params.eta * float((h2_all * q) @ p))
     )
-    return MultiplierSet(lam1, lam2, mu1)
+    return MultiplierSet(lam1, lambda2, mu1)
 
 
 def x0_of_h(mult: MultiplierSet, h: float, params: LinkParams) -> float:
@@ -549,17 +536,21 @@ def x0_of_h(mult: MultiplierSet, h: float, params: LinkParams) -> float:
 
 
 def closed_form_x2_errors(
-    params: LinkParams, fading: FadingDistribution, alloc: PowerAllocation
+    params: LinkParams,
+    fading: FadingDistribution,
+    alloc: PowerAllocation,
+    lambda2: float,
 ) -> np.ndarray:
     """Relative mismatch of the Lambert-W closed form against a primal solution.
 
-    For every state carrying both transmit and codeword power, builds the
-    multiplier set anchored at the allocation's water level -- the budget
-    multiplier placed in the regime where the Lambert argument is nonnegative
-    and the root unique, the normalization multiplier from the per-state
-    stationarity level -- and compares ``x0_of_h`` with the primal amplitude.
-    Because ``mu1`` is fitted per state, the check cannot flag a wrong
-    allocation; ``solve`` does not call it.
+    ``lambda2`` is given, not recovered: that of the fill that scored
+    ``alloc`` (``waterfill_case1``, ``_best_flash``). For every state carrying
+    both transmit and codeword power, builds the multiplier set anchored at
+    it -- the budget multiplier placed in the regime where the Lambert
+    argument is nonnegative and the root unique, the normalization multiplier
+    from the per-state stationarity level -- and compares ``x0_of_h`` with the
+    primal amplitude. Because ``mu1`` is fitted per state, the check cannot
+    flag a wrong allocation; ``solve`` does not call it.
 
     Returns an empty array when no state qualifies (e.g. alpha2 = 0, or the
     optimum never overlaps transmit and codeword power on a state).
@@ -572,12 +563,9 @@ def closed_form_x2_errors(
     active = (alloc.p_ehu > 0.0) & (alloc.x2 > 0.0) & (h2 > 0.0)
     if not np.any(active):
         return np.array([])
-    _, pe, h2_act, s_act = _active_states(params, fading, alloc)
-    w = _allocation_water_level(pe, s_act / h2_act)
-    lam2 = 1.0 / (w * one_m_rho)
     thresholds = (
-        lam2 * params.eta * h2[active]
-        + lam2 * one_m_rho * params.alpha2 / h2[active]
+        lambda2 * params.eta * h2[active]
+        + lambda2 * one_m_rho * params.alpha2 / h2[active]
     )
     lam1 = 1.25 * float(np.max(thresholds))
     rates = _rates(_C_BITS, alloc.p_ehu, _noise_floor(h2, s))
@@ -587,9 +575,9 @@ def closed_form_x2_errors(
         mu1_i = (
             rates[i]
             - lam1 * q_i
-            - lam2 * (one_m_rho * alloc.p_ehu[i] - params.eta * h2[i] * q_i)
+            - lambda2 * (one_m_rho * alloc.p_ehu[i] - params.eta * h2[i] * q_i)
         )
-        x0 = x0_of_h(MultiplierSet(lam1, lam2, mu1_i), float(fading.h[i]), params)
+        x0 = x0_of_h(MultiplierSet(lam1, lambda2, mu1_i), float(fading.h[i]), params)
         errors.append(abs(x0 - alloc.x2[i]) / alloc.x2[i])
     return np.asarray(errors)
 
@@ -637,19 +625,20 @@ def solve(params: LinkParams, fading: FadingDistribution) -> CapacityResult:
     the constant-amplitude regime (the simpler transmitter) when it scores
     above 0.
     """
-    _, alloc_c1, cap_c1 = waterfill_case1(params, fading)
-    alloc_c2, cap_c2 = _best_flash(params, fading)
+    lam2_c1, alloc_c1, cap_c1 = waterfill_case1(params, fading)
+    lam2_c2, alloc_c2, cap_c2 = _best_flash(params, fading)
     # Both scores keep their relative digits at any SNR, so the tie is
     # relative: an absolute one hands Case 1 every link below 1e-7 bits.
     if cap_c1 == 0.0 and cap_c2 == 0.0:
-        case, capacity, alloc = "Zero", 0.0, _zero_allocation(fading.n_states)
+        case, lam2, capacity = "Zero", math.inf, 0.0
+        alloc = _zero_allocation(fading.n_states)
     elif cap_c2 > cap_c1 * (1.0 + 1e-7):
-        case, capacity, alloc = "Case2", cap_c2, alloc_c2
+        case, lam2, capacity, alloc = "Case2", lam2_c2, cap_c2, alloc_c2
     else:
-        case, capacity, alloc = "Case1", cap_c1, alloc_c1
+        case, lam2, capacity, alloc = "Case1", lam2_c1, cap_c1, alloc_c1
 
-    # The multipliers are part of the result, recovered once from the winner.
-    mult = recover_multipliers(params, fading, alloc)
+    # The winner's level prices the balance; lambda1 and mu1 complete the set.
+    mult = recover_multipliers(params, fading, alloc, lam2, capacity)
     res = _allocation_residuals(params, fading, alloc, mult)
     res["case1_capacity"] = cap_c1
     res["case2_capacity"] = cap_c2

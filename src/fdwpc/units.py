@@ -39,6 +39,9 @@ class LinkParams:
     alpha1 : variance of the harvesting user's self-interference gain.
     alpha2 : variance of the energy transmitter's residual self-interference
         gain (the known-mean part is assumed cancelled).
+
+    The fields that must be >= 0 (p_proc, p_et, sigma2_sq, alpha1, alpha2)
+    store -0.0 as 0.0, so that a noise power of -0.0 floors as 0.0 does.
     """
 
     eta: float
@@ -59,6 +62,8 @@ class LinkParams:
             v = getattr(self, name)
             if not math.isfinite(v) or v < 0.0:
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
+            if v == 0.0:
+                object.__setattr__(self, name, 0.0)
         if not math.isfinite(self.g1_mean):
             raise ValueError(f"g1_mean must be finite, got {self.g1_mean}")
         rho = self.eta * (self.g1_mean**2 + self.alpha1)
@@ -118,9 +123,3 @@ def omega_from_path_loss(p: PathLossParams) -> float:
     """
     return (p.c / (p.f_c * 4.0 * math.pi)) ** 2 * p.d ** (-p.gamma)
 
-
-def noise_power(psd_dbm_per_hz: float, bandwidth_hz: float) -> float:
-    """Total noise power in watts from a flat PSD in dBm/Hz and a bandwidth."""
-    if bandwidth_hz <= 0.0:
-        raise ValueError(f"bandwidth must be > 0, got {bandwidth_hz}")
-    return dbm_to_watt(psd_dbm_per_hz) * bandwidth_hz

@@ -344,17 +344,17 @@ def test_criterion_3_closed_form_and_balance():
         claims = [("ET -30%", 0.7 * q), ("ET +30%", 1.3 * q)]
         claims += [("ET moved 30%", 0.7 * q + 0.3 * flashes[j]) for j in range(n) if j != k]
         claims = [(kind, x, reference_value(params, f, x), 0.0) for kind, x in claims]
-        # A codeword power off its water level by +30% on one state and -30% on
-        # the others; one active state alone fits any level.
+        # A codeword power off the solved water level by +30% on one state and
+        # -30% on the others, so on two active states at least, with its own
+        # rate.
         act = np.flatnonzero(res.allocation.p_ehu > 0.0)
         if act.size >= 2:
             p_ehu = res.allocation.p_ehu * np.where(np.arange(n) == act[0], 1.3, 0.7)
             alloc = PowerAllocation(res.allocation.x2, p_ehu)
             s = params.sigma2_sq + params.alpha2 * q
             rate = float(p @ (0.5 * np.log2(1.0 + h**2 * p_ehu / s)))
-            stat = _allocation_residuals(
-                params, f, alloc, recover_multipliers(params, f, alloc)
-            )
+            mult = recover_multipliers(params, f, alloc, res.multipliers.lambda2, rate)
+            stat = _allocation_residuals(params, f, alloc, mult)
             claims.append(("codeword +-30%", q, rate, stat["stationarity_rel"]))
         for kind, x, capacity, stationarity in claims:
             got = _optimality_failures(params, f, x, capacity, stationarity)

@@ -402,6 +402,16 @@ def test_fresh_process_matches_warm_main(tmp_path, capsys):
     assert cold.read_bytes().startswith(b"variable,capacity_fd_bits")
 
 
+def test_negative_zero_noise_prints_the_noiseless_sweep(capsys):
+    # A noise power of -0 is the noiseless link, worth inf in both columns,
+    # not a finite capacity over a -0.0 floor and a NaN half-duplex rate.
+    argv = ["capacity-sweep", "--pp-watts", "0", "--fading-states", "16", "--noise-watts"]
+    code, out, err = run_cli(argv + ["-0"], capsys)
+    assert (code, out, err) == run_cli(argv + ["0"], capsys)
+    assert code == 0
+    assert all(r[1:] == ["inf", "inf", "Case2"] for r in rows(out)[1:])
+
+
 def test_sweep_builds_the_interference_free_floor_once(monkeypatch, capsys):
     # Every point of a sweep solves one distribution at one noise power: its
     # flash bounds, flash floors and half-duplex fills share one floor. Any
@@ -413,10 +423,10 @@ def test_sweep_builds_the_interference_free_floor_once(monkeypatch, capsys):
         return _original(fad, s)
 
     monkeypatch.setattr(solver, "_gain_floor", spy)
-    solver._last_free_floor.cache_clear()
+    solver._free_floor.cache_clear()
     code, out, _ = run_cli(["capacity-sweep"] + FAST, capsys)
     assert code == 0 and len(rows(out)) == 9
     assert built.count(1e-14) == 1
     # 8 points, each read by solve and by solve_hd.
-    info = solver._last_free_floor.cache_info()
+    info = solver._free_floor.cache_info()
     assert info.misses == 1 and info.hits >= 2 * 8 - 1

@@ -187,7 +187,7 @@ def flash_only_link(n_states):
 
 def test_flash_funds_a_link_whose_mean_harvest_cannot():
     params, f = flash_only_link(16)
-    alloc, value = _best_flash(params, f)
+    _, alloc, value = _best_flash(params, f)
     r = solve(params, f)
     assert r.residuals["case1_capacity"] == 0.0
     assert r.case == "Case2"
@@ -227,7 +227,7 @@ def test_zero_exactly_when_the_top_flash_is_unfunded(cost):
 def test_case2_matches_case1_on_single_state():
     params = simple_params(alpha2=0.1)
     f = fading.deterministic(1.0)
-    alloc = _best_flash(params, f)[0]
+    alloc = _best_flash(params, f)[1]
     lam2, alloc1, _ = waterfill_case1(params, f)
     c2 = capacity_case1(params, f, alloc)  # same noise: x2 = sqrt(p_et)
     assert alloc.x2[0] == pytest.approx(alloc1.x2[0], rel=1e-6)
@@ -244,7 +244,7 @@ def test_case2_five_state_against_oracle():
 def test_case2_silences_dead_and_weak_states():
     f = fading.custom([1e-6, 0.9, 1.0, 1.1], [0.25, 0.25, 0.25, 0.25])
     params = simple_params(sigma2_sq=0.1, alpha2=0.05)
-    alloc = _best_flash(params, f)[0]
+    alloc = _best_flash(params, f)[1]
     assert alloc.x2[0] <= 1e-6 * np.max(alloc.x2)
     assert alloc.p_ehu[0] == 0.0
 
@@ -407,7 +407,7 @@ def test_pruned_flash_matches_full_enumeration(link, cost):
     assert (r.case == "Zero") == bool(np.all(values == 0.0))
     # The winner is one of the enumerated flashes, with its row's allocation
     # bit for bit.
-    alloc, value = _best_flash(params, f)
+    _, alloc, value = _best_flash(params, f)
     assert value == r.residuals["case2_capacity"]
     if value > 0.0:
         (k,) = np.flatnonzero(alloc.x2)
@@ -438,8 +438,8 @@ def test_solve_reports_what_the_public_functions_compute(link):
     # the top state's flash harvest (both Zero).
     params, f = link
     r = solve(params, f)
-    _, alloc_c1, value_c1 = waterfill_case1(params, f)
-    alloc_c2, value_c2 = _best_flash(params, f)
+    lam2_c1, alloc_c1, value_c1 = waterfill_case1(params, f)
+    lam2_c2, alloc_c2, value_c2 = _best_flash(params, f)
     rerated = capacity_case1(params, f, alloc_c1)
     assert r.residuals["case1_capacity"] == value_c1
     if math.isfinite(rerated) and rerated > 0.0:
@@ -449,12 +449,15 @@ def test_solve_reports_what_the_public_functions_compute(link):
     assert r.residuals["case2_capacity"] == value_c2
     if r.case == "Zero":
         assert value_c1 == value_c2 == 0.0
-        want = solver._zero_allocation(f.n_states)
+        want, want_lam2 = solver._zero_allocation(f.n_states), math.inf
+    elif r.case == "Case1":
+        want, want_lam2 = alloc_c1, lam2_c1
     else:
-        want = alloc_c1 if r.case == "Case1" else alloc_c2
+        want, want_lam2 = alloc_c2, lam2_c2
     assert np.array_equal(r.allocation.x2, want.x2)
     assert np.array_equal(r.allocation.p_ehu, want.p_ehu)
-    mult = recover_multipliers(params, f, r.allocation)
+    # lambda2 is the winning fill's, bit for bit.
+    mult = recover_multipliers(params, f, r.allocation, want_lam2, r.capacity)
     assert dataclasses.astuple(r.multipliers) == dataclasses.astuple(mult)
     ref = _allocation_residuals(params, f, r.allocation, mult)
     assert r.residuals["c1_slack"] == ref["c1_slack"]
@@ -463,6 +466,60 @@ def test_solve_reports_what_the_public_functions_compute(link):
     # reported as 0 rather than divided by a zero harvest.
     want_c2 = 0.0 if r.case == "Zero" else ref["c2_residual_rel"]
     assert r.residuals["c2_residual_rel"] == want_c2
+
+
+def _random_link(rng):
+    """1-299 states, some dead, at a noise power of 1e-14..1."""
+    n = int(rng.integers(1, 300))
+    h = rng.rayleigh(1.0, n) * (rng.random(n) > 0.1)
+    h[rng.integers(n)] = rng.uniform(0.5, 2.0)
+    p = rng.uniform(0.1, 1.0, n)
+    f = fading.custom(h, p / p.sum())
+    params = LinkParams(
+        eta=0.8,
+        p_proc=float(rng.uniform(0.0, 1.2)) * 0.8 * f.mean_square,
+        p_et=1.0,
+        sigma2_sq=10.0 ** rng.uniform(-14.0, 0.0),
+        alpha1=float(rng.uniform(0.0, 0.5)),
+        alpha2=10.0 ** rng.uniform(-14.0, 0.0),
+    )
+    return params, f
+
+
+def _assert_stationary_at_the_winning_level(params, f):
+    r = solve(params, f)
+    lam2 = {
+        "Zero": math.inf,
+        "Case1": waterfill_case1(params, f)[0],
+        "Case2": _best_flash(params, f)[0],
+    }[r.case]
+    assert r.multipliers.lambda2 == lam2
+    stat = r.residuals["stationarity_rel"]
+    act = r.allocation.p_ehu > 0.0
+    assert np.array_equal(np.isnan(stat), ~act)
+    if not act.any():
+        return
+    assert np.max(stat[act]) <= 1e-12
+    # The check can fail: a lambda2 off by 1e-6 shows on every active state.
+    off = dataclasses.replace(r.multipliers, lambda2=lam2 * (1.0 + 1e-6))
+    stat_off = _allocation_residuals(params, f, r.allocation, off)["stationarity_rel"]
+    assert np.all(stat_off[act] >= 5e-7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(flash_links())
+@example(link=_LOW_SNR_LINK)
+@example(link=(simple_params(sigma2_sq=0.0, alpha2=0.0), fading.rayleigh(1.0, 16)))
+def test_stationarity_is_measured_against_the_winning_level(link):
+    # lambda2 is the winning fill's own, bit for bit, so each state with
+    # codeword power sits on its level to rounding.
+    _assert_stationary_at_the_winning_level(*link)
+
+
+def test_stationarity_at_the_winning_level_on_random_links():
+    rng = np.random.default_rng(2024)
+    for _ in range(150):
+        _assert_stationary_at_the_winning_level(*_random_link(rng))
 
 
 @pytest.mark.parametrize(
@@ -491,19 +548,19 @@ def test_solve_fills_once_per_scored_quantity(
             return _original(*args)
 
         monkeypatch.setattr(solver, name, spy)
-    solver._last_free_floor.cache_clear()
+    solver._free_floor.cache_clear()
     assert solve(params, f).case == case
     assert calls == {"_fill": fills, "capacity_case1": 0, "_flash": flash_budgets, "_level_sums": fills}
     # solve_hd ranks two candidate budgets and scores the winner (one
     # candidate on a one-state link). It reads the floor that solve left, and
     # a second call forms no prefix sums at all.
-    misses = solver._last_free_floor.cache_info().misses
+    misses = solver._free_floor.cache_info().misses
     hd_calls = []
     for _ in range(2):
         calls.update(dict.fromkeys(calls, 0))
         solve_hd(params, f)
         hd_calls.append((calls["_fill"], calls["_level_sums"]))
-    assert solver._last_free_floor.cache_info().misses == misses
+    assert solver._free_floor.cache_info().misses == misses
     assert hd_calls[0][0] == hd_calls[1][0] == hd_fills
     assert hd_calls[1][1] == 0
 
@@ -531,9 +588,9 @@ def test_shared_floor_gives_the_same_bytes_cold_warm_and_interleaved():
     ]
     cold = []
     for link in links:
-        solver._last_free_floor.cache_clear()
+        solver._free_floor.cache_clear()
         solve_out = _solve_bytes(*link)
-        solver._last_free_floor.cache_clear()
+        solver._free_floor.cache_clear()
         cold.append((solve_out, _hd_bytes(*link)))
     # Each link warm (its floor is the last one built), then the four in
     # alternation, so that every call finds another link's floor.
@@ -545,16 +602,35 @@ def test_shared_floor_gives_the_same_bytes_cold_warm_and_interleaved():
         assert _solve_bytes(*links[(i + 1) % 4]) == cold[(i + 1) % 4][0]
 
 
+@pytest.mark.parametrize(
+    "alpha2, f",
+    [
+        (0.0, fading.rayleigh(1.0, 16)),
+        (0.1, fading.rayleigh(1.0, 16)),
+        (1e-3, fading.custom([0.0, 0.3, 0.3, 2.0], [0.1, 0.2, 0.3, 0.4])),
+    ],
+)
+def test_negative_zero_noise_solves_as_zero(alpha2, f):
+    # A -0.0 floor rated log1p(P/-0.0) = NaN: every flash lost to Case 1 and
+    # the half-duplex rate was NaN.
+    links = [(simple_params(sigma2_sq=s, alpha2=alpha2), f) for s in (-0.0, 0.0)]
+    assert _solve_bytes(*links[0]) == _solve_bytes(*links[1])
+    assert _hd_bytes(*links[0]) == _hd_bytes(*links[1])
+
+
 def test_equal_distributions_do_not_share_a_floor():
     f, g = fading.rayleigh(1.0, 16), fading.rayleigh(1.0, 16)
-    solver._last_free_floor.cache_clear()
+    solver._free_floor.cache_clear()
     floor = solver._free_floor(f, 0.1)
     assert solver._free_floor(f, 0.1) is floor
     assert solver._free_floor(g, 0.1) is not floor
     assert solver._free_floor(f, 0.1) is not floor
-    # -0.0 == 0.0, but -0.0/h^2 is another floor.
-    assert solver._free_floor(f, 0.0) is not solver._free_floor(f, -0.0)
-    assert solver._last_free_floor.cache_info().misses == 5
+    # LinkParams stores a noise power of -0.0 as 0.0, so it floors at +0.0
+    # and finds the floor of 0.0.
+    floor = solver._free_floor(f, simple_params(sigma2_sq=-0.0).sigma2_sq)
+    assert not np.signbit(floor.noise).any()
+    assert solver._free_floor(f, 0.0) is floor
+    assert solver._free_floor.cache_info().misses == 4
 
 
 def test_shared_floor_keeps_at_most_one_distribution_alive():
@@ -956,8 +1032,8 @@ def test_closed_form_reproduces_primal_amplitudes():
             alpha2=float(rng.uniform(0.01, 0.3)),
         )
         f = fading.custom(h, p)
-        alloc = _best_flash(params, f)[0]
-        errs = closed_form_x2_errors(params, f, alloc)
+        lam2, alloc, _ = _best_flash(params, f)
+        errs = closed_form_x2_errors(params, f, alloc, lam2)
         if errs.size:
             checked += 1
             assert np.max(errs) <= 1e-6

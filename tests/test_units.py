@@ -12,7 +12,6 @@ from fdwpc.units import (
     db_to_linear,
     dbm_to_watt,
     linear_to_db,
-    noise_power,
     omega_from_path_loss,
     watt_to_dbm,
 )
@@ -78,14 +77,6 @@ def test_omega_monotone_in_distance_and_exponent():
     assert all(a > b for a, b in zip(oms_g, oms_g[1:]))
 
 
-def test_noise_power():
-    assert noise_power(-160.0, 1e5) == pytest.approx(1e-14, rel=1e-12)
-    assert noise_power(-160.0, 1.0) == pytest.approx(1e-19, rel=1e-12)
-    assert noise_power(0.0, 1.0) == pytest.approx(1e-3, rel=1e-12)
-    with pytest.raises(ValueError):
-        noise_power(-160.0, 0.0)
-
-
 def test_link_params_basic_validation():
     with pytest.raises(ValueError):
         LinkParams(eta=0.0, p_proc=0.0, p_et=1.0, sigma2_sq=0.1)
@@ -95,6 +86,17 @@ def test_link_params_basic_validation():
         LinkParams(eta=0.8, p_proc=-0.1, p_et=1.0, sigma2_sq=0.1)
     with pytest.raises(ValueError):
         LinkParams(eta=0.8, p_proc=0.0, p_et=1.0, sigma2_sq=-1.0)
+
+
+@pytest.mark.parametrize("name", ["p_proc", "p_et", "sigma2_sq", "alpha1", "alpha2"])
+def test_link_params_store_negative_zero_as_zero(name):
+    # -0.0 == 0.0 passes validation, but -0.0/h^2 and log1p(P/-0.0) differ
+    # from their +0.0 values.
+    kw = dict(eta=0.8, p_proc=0.1, p_et=1.0, sigma2_sq=0.1, alpha1=0.1, alpha2=0.1)
+    kw[name] = -0.0
+    lp = LinkParams(**kw)
+    assert math.copysign(1.0, getattr(lp, name)) == 1.0
+    assert lp == LinkParams(**{**kw, name: 0.0})
 
 
 def test_recycle_over_unity_is_distinct_error():
