@@ -25,16 +25,22 @@ so the stream depends on neither the battery nor the block size.
 
 * ``alpha1 > 0``: the gain of each use multiplies its symbol, so each wanted
   slot draws its k codeword symbols, then its k gains, in blocks of
-  ``_BLOCK`` slots.
+  ``_BLOCK`` slots. The block bounds only the symbols held in memory; a
+  slot that could run dry closes from the symbols its block holds.
 * ``alpha1 == 0``: the gain is the constant ``g1_mean``, and a slot's sums
   depend on its codeword z only through S1 = sum(z) ~ N(0, k) and the
   squared deviation R = sum((z - mean z)^2) ~ chi2(k - 1), independent of
   S1. Both are drawn for every wanted slot up front (``_draw_sums``) and
-  give the slot's sums in closed form (``_closed_sums``). Only a slot that
+  give the slot's sums in closed form (``_closed_sums``); the slot loop then
+  closes the run ``_SUMS_CHUNK`` (1024) slots at a time. Only a slot that
   could run dry draws symbols: z conditioned on (S1, R) is the mean plus
   sqrt(R) times a direction uniform on the sphere orthogonal to the
   all-ones vector (``_conditional_path``), taken from a generator keyed by
   the slot, so a path does not depend on which other slots needed one.
+
+Either way the loop closes each slot in slot order with one compare against
+its state's gate (NaN for a state the allocation keeps silent) and keeps the
+energy totals as running scalar sums, so neither chunk size moves a bit.
 
 Slot rates are analytic (decoding is not simulated); receiver noises and the
 transmitter's own residual self-interference are therefore never drawn --
@@ -55,20 +61,21 @@ from .units import LinkParams
 
 __all__ = ["SimConfig", "SimTrace", "simulate"]
 
-# Slots processed per numpy call and per list conversion. With alpha1 > 0 a
-# block's symbols are drawn and summed at once; the draws are most of the cost
-# whatever the block size (128 and 512 measured no faster), and peak memory
-# grows with it (2 * k floats per slot, several temporaries). With
-# alpha1 == 0 a block converts its slice of the run's sums to lists.
+# Slots whose symbols are drawn, summed and held at once when alpha1 > 0: the
+# block bounds only the symbols in memory (2 * k floats per slot, several
+# temporaries in ``_use_energies``). The draws are most of the cost whatever
+# the block size (128 and 512 measured no faster), and peak memory grows with
+# it.
 _BLOCK = 32
+# Slots closed per run of the loop when alpha1 == 0, whose sums exist for the
+# whole run: each run converts its slice of the sums to lists.
+_SUMS_CHUNK = 1024
 # Stream of the per-slot draws, after the seed. The fading draws hash the bare
 # seed, and a no-recycling slot's path generator appends the slot index.
 _STREAM = 0x5107
-# Trace rows formatted per write.
+# Trace rows formatted per write, with one ``%`` over the chunk.
 _CSV_CHUNK = 1024
 _CSV_HEADER = "slot,h,transmitted,slot_rate_bits,battery_j\n"
-# h and the rate arrive preformatted (``_format_distinct``).
-_CSV_ROW = "%d,%s,%d,%s,%.12e\n"
 
 
 @dataclass(frozen=True)
@@ -125,17 +132,14 @@ class SimTrace:
         """Write the per-slot trace to a text stream: slot, h, transmitted,
         rate, battery; floats as ``%.12e``."""
         fh.write(_CSV_HEADER)
-        # A run has one gain and one rate per fading state: format each once.
-        cols = (
-            _format_distinct(self.h),
-            self.transmitted,
-            _format_distinct(self.slot_rate_bits),
-            self.battery_j,
-        )
-        for lo in range(0, self.h.size, _CSV_CHUNK):
-            hi = lo + _CSV_CHUNK
-            rows = zip(range(lo, hi), *(c[lo:hi].tolist() for c in cols))
-            fh.write("".join([_CSV_ROW % row for row in rows]))
+        formats, code = _row_formats(self.h, self.transmitted, self.slot_rate_bits)
+        battery = self.battery_j
+        for lo in range(0, battery.size, _CSV_CHUNK):
+            hi = min(lo + _CSV_CHUNK, battery.size)
+            args = [0] * (2 * (hi - lo))
+            args[::2] = range(lo, hi)
+            args[1::2] = battery[lo:hi].tolist()
+            fh.write("".join(formats[code[lo:hi]].tolist()) % tuple(args))
 
     def to_csv(self, path) -> None:
         """Write the per-slot trace to the file at ``path``."""
@@ -143,14 +147,28 @@ class SimTrace:
             self.write_csv(fh)
 
 
-def _format_distinct(x: np.ndarray) -> np.ndarray:
-    """``%.12e`` of every entry, as an object array, formatting each distinct
-    bit pattern once (so -0.0 and every NaN keep their own text)."""
-    bits, inverse = np.unique(
-        np.ascontiguousarray(x, dtype=np.float64).view(np.int64), return_inverse=True
-    )
-    text = np.array(["%.12e" % v for v in bits.view(np.float64).tolist()], dtype=object)
-    return text[inverse]
+def _row_formats(h: np.ndarray, transmitted: np.ndarray, rate: np.ndarray):
+    """One row format per distinct (h bits, transmitted, rate bits) prefix, as
+    an object array, and each row's index into it. A format holds the
+    prefix's text and leaves ``%d`` for the slot and ``%.12e`` for the
+    battery. Keys are bit patterns, so -0.0 and every NaN keep their own
+    text; a run has at most two prefixes per fading state."""
+    h_bits, ih = np.unique(_bits(h), return_inverse=True)
+    r_bits, ir = np.unique(_bits(rate), return_inverse=True)
+    keys, code = np.unique((2 * ih + transmitted) * r_bits.size + ir, return_inverse=True)
+    h_text = ["%.12e" % v for v in h_bits.view(np.float64).tolist()]
+    r_text = ["%.12e" % v for v in r_bits.view(np.float64).tolist()]
+    rest, jr = np.divmod(keys, r_bits.size)
+    ih, t = np.divmod(rest, 2)
+    formats = [
+        f"%d,{h_text[i]},{sent},{r_text[j]},%.12e\n"
+        for i, sent, j in zip(ih.tolist(), t.tolist(), jr.tolist())
+    ]
+    return np.array(formats, dtype=object), code
+
+
+def _bits(x: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(x, dtype=np.float64).view(np.int64)
 
 
 def _use_energies(
@@ -281,76 +299,90 @@ def simulate(
     g = params.g1_mean
     hx2 = h * x2
     x1_sd = np.sqrt(p_ehu)
-    gate = (k * (p_proc + p_ehu)).tolist()
+    # No level, not even an infinite or NaN one, is >= NaN: one compare tells
+    # a slot that transmits from one that sleeps, wanted or not.
+    gate = np.where(p_ehu > 0.0, k * (p_proc + p_ehu), np.nan)
     # Sleeping: the user spends nothing and only harvests the transmitter's
     # signal.
     sleep_in = (k * eta * hx2 * hx2).tolist()
     wanted = p_ehu[states] > 0.0
-    if g1_sd == 0.0:
+
+    # Each generator yields a chunk's first slot, its wanted mask, the wanted
+    # slots' (e_sum, d_sum, safe) and ``path(pos, s_i)``: the per-use harvest
+    # and demand of the chunk's slot ``pos``, for a slot that could run dry.
+    # ``path`` is called only while its chunk is the current one.
+    def drawn_blocks():
+        for lo in range(0, n_slots, _BLOCK):
+            want = wanted[lo : lo + _BLOCK]
+            ws = states[lo : lo + _BLOCK][want]
+            z = rng.standard_normal((ws.size, 2, k))
+            x1 = x1_sd[ws, None] * z[:, 0]
+            e_in, demand = _use_energies(x1, g + g1_sd * z[:, 1], hx2[ws, None], eta, p_proc)
+            e_sums = e_in.sum(axis=1)
+            d_sums = demand.sum(axis=1)
+
+            def path(pos, s_i):
+                j = np.count_nonzero(want[:pos])
+                return e_in[j : j + 1], demand[j : j + 1]
+
+            yield lo, want, (e_sums, d_sums, _dry_free_level(e_sums, d_sums, k)), path
+
+    def sum_runs():
         # Two numbers per wanted slot, drawn for the whole run at once.
-        ws_all = states[wanted]
-        s1, r = _draw_sums(rng, ws_all.size, k)
-        e_all, d_all = _closed_sums(s1, r, k, hx2[ws_all], x1_sd[ws_all], g, eta, p_proc)
-        safe_all = _dry_free_level(e_all, d_all, k)
+        ws = states[wanted]
+        s1, r = _draw_sums(rng, ws.size, k)
+        e_all, d_all = _closed_sums(s1, r, k, hx2[ws], x1_sd[ws], g, eta, p_proc)
+        sums = (e_all, d_all, _dry_free_level(e_all, d_all, k))
+        first = 0
+        for lo in range(0, n_slots, _SUMS_CHUNK):
+            want = wanted[lo : lo + _SUMS_CHUNK]
+            end = first + np.count_nonzero(want)
+
+            def path(pos, s_i):
+                row = first + np.count_nonzero(want[:pos])
+                v = np.random.default_rng([cfg.seed, _STREAM, lo + pos]).standard_normal(k)
+                x1 = x1_sd[s_i] * _conditional_path(float(s1[row]), float(r[row]), v)
+                return _use_energies(x1[None], g, hx2[s_i], eta, p_proc)
+
+            yield lo, want, tuple(a[first:end] for a in sums), path
+            first = end
 
     level = 0.0
     e_in_total = 0.0
     e_out_total = 0.0
     depleted = 0
     exact = 0
-    n_drawn = 0
-    transmitted = np.zeros(n_slots, dtype=bool)
-    battery_end = np.zeros(n_slots)
-    for lo in range(0, n_slots, _BLOCK):
-        hi = lo + _BLOCK
-        st = states[lo:hi]
-        want = wanted[lo:hi]
-        ws = st[want]
-        first = n_drawn
-        n_drawn += ws.size
-        if g1_sd > 0.0:
-            z = rng.standard_normal((ws.size, 2, k))
-            x1 = x1_sd[ws, None] * z[:, 0]
-            e_in, demand = _use_energies(x1, g + g1_sd * z[:, 1], hx2[ws, None], eta, p_proc)
-            e_sums = e_in.sum(axis=1)
-            d_sums = demand.sum(axis=1)
-            safe = _dry_free_level(e_sums, d_sums, k)
-        else:
-            e_sums, d_sums, safe = (a[first:n_drawn] for a in (e_all, d_all, safe_all))
-        slots = zip(range(first, n_drawn), e_sums.tolist(), d_sums.tolist(), safe.tolist())
-        sent = []
+    gates = gate.tolist()
+    battery_end = np.empty(n_slots)
+    for lo, want, sums, path in drawn_blocks() if g1_sd > 0.0 else sum_runs():
+        # The wanted slots' sums in slot order; a sleeping slot never reads its
+        # column.
+        cols = np.zeros((3, want.size))
+        for col, a in zip(cols, sums):
+            col[want] = a
         levels = []
-        for slot, s_i, w_i in zip(range(lo, hi), st.tolist(), want.tolist()):
-            if w_i:
-                row, e_sum, d_sum, safe_i = next(slots)
-            go = w_i and level >= gate[s_i]
-            if go:
+        for s_i, e_sum, d_sum, safe_i in zip(states[lo : lo + want.size].tolist(), *cols.tolist()):
+            if level >= gates[s_i]:
                 if level >= safe_i:
                     # ``_close_slot``'s no-shortfall branch, with no prefix sums.
                     level += e_sum - d_sum
-                    e_out = d_sum
+                    e_out_total += d_sum
                 else:
-                    if g1_sd > 0.0:
-                        one = slice(row - first, row - first + 1)
-                        e_row, d_row = e_in[one], demand[one]
-                    else:
-                        v = np.random.default_rng([cfg.seed, _STREAM, slot]).standard_normal(k)
-                        x1 = x1_sd[s_i] * _conditional_path(float(s1[row]), float(r[row]), v)
-                        e_row, d_row = _use_energies(x1[None], g, hx2[s_i], eta, p_proc)
-                    _, _, net, floor = (float(a[0]) for a in _slot_sums(e_row, d_row))
+                    _, _, net, floor = _slot_sums(*path(len(levels), s_i))
+                    net, floor = float(net[0]), float(floor[0])
                     level, e_out, dry = _close_slot(level, e_sum, d_sum, net, floor)
+                    e_out_total += e_out
                     depleted += dry
                     exact += 1
                 e_in_total += e_sum
-                e_out_total += e_out
             else:
                 level += sleep_in[s_i]
                 e_in_total += sleep_in[s_i]
-            sent.append(go)
             levels.append(level)
-        transmitted[lo:hi] = sent
-        battery_end[lo:hi] = levels
+        battery_end[lo : lo + want.size] = levels
 
+    # A slot transmitted exactly when its start level passed its gate.
+    transmitted = np.concatenate(([0.0], battery_end[:-1])) >= gate[states]
     n_outage = int((wanted & ~transmitted).sum())
     empirical = float(rates[states[transmitted]].sum()) / n_slots
     uses = n_slots * k

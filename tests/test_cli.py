@@ -1,5 +1,6 @@
 """Command-line contracts: columns, determinism, exit codes."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -188,6 +189,25 @@ def test_simulate_stdout_trace_matches_out_file(tmp_path, capsys):
     assert code == 0
     assert out.encode("utf-8") == trace_path.read_bytes()
     assert err == summary
+
+
+@pytest.mark.parametrize(
+    "extra, digest",
+    [
+        (["--alpha1", "0.4"], "4cc8dc7c342e0975bd7b220e71a3a04be4839dfe36fe78c6ea7b4ae5ad336ea6"),
+        (["--g1-mean", "0.5"], "ad41c0b36bdd20908bbef0adf19f8bd4458c82153067687f1b6a1daf2e03dbc5"),
+        ([], "a074cadaec6b2d4c58f67fdb09f8aa191b4f22f3273a04eb1ece726d4aef378c"),
+    ],
+    ids=["recycling", "fixed-gain", "no-recycling"],
+)
+def test_simulate_stdout_bytes_are_pinned(capsys, extra, digest):
+    # The whole trace of a 3000-slot run on each draw path, recorded once:
+    # a faster slot loop or CSV writer must not move a byte.
+    argv = ["simulate", "--k", "50", "--slots", "3000", "--seed", "3", "--pp-watts", "0",
+            "--fading-states", "16"]
+    code, out, _ = run_cli(argv + extra, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_fading_file_roundtrip(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Battery dynamics and the slotted Monte Carlo achievability run."""
 
 import dataclasses
+import io
 import math
 
 import numpy as np
@@ -227,6 +228,13 @@ def single_use_link():
     return params, f, alloc, dataclasses.replace(cfg, k=1)
 
 
+def recycling_depletion_link():
+    # The depletion link with a random recycle gain: its slots close from
+    # drawn symbols, and 35 of its 400 run the exact path.
+    params, f, alloc, cfg = depletion_link()
+    return dataclasses.replace(params, alpha1=0.4), f, alloc, cfg
+
+
 @pytest.mark.parametrize(
     "link",
     [
@@ -235,14 +243,20 @@ def single_use_link():
         lambda: solved_link(alpha1=0.0, g1_mean=0.5),
         depletion_link,
         single_use_link,
+        recycling_depletion_link,
     ],
-    ids=["recycling", "no-recycling", "fixed-gain", "depletion", "single-use"],
+    ids=[
+        "recycling", "no-recycling", "fixed-gain", "depletion", "single-use", "recycling-depletion",
+    ],
 )
 def test_skip_rule_matches_every_row_loop_bit_for_bit(link):
     params, f, alloc, cfg = link()
     tr = simulate(params, f, alloc, cfg)
     ref = every_row_reference(params, f, alloc, cfg)
     assert tr.transmitted.any() and not tr.transmitted.all()
+    if link is recycling_depletion_link:
+        # The recycling path's exact closes run, and some of them run dry.
+        assert tr.exact_path_slots >= 20 and tr.depleted_slots >= 10
     for name, value in ref.items():
         assert np.array_equal(getattr(tr, name), value), name
 
@@ -420,33 +434,39 @@ def test_closed_form_slot_matches_per_use_loop(level, uses):
     assert abs(e_out - ref_out) <= 1e-12 * scale
 
 
+def recycling_block_link():
+    params = sim_params()
+    f = fading.rayleigh(1.0, 8)
+    return params, f, solve(params, f).allocation, SimConfig(k=20, n_slots=300, seed=4)
+
+
 @pytest.mark.parametrize(
-    "params, alloc",
-    [
-        (sim_params(), None),
-        (
-            sim_params(p_proc=0.0, alpha1=0.0, g1_mean=0.0),
-            PowerAllocation(np.array([1.0]), np.array([5.0])),
-        ),
-    ],
-    ids=["recycling", "no-recycling"],
+    "link",
+    [recycling_block_link, depletion_link, recycling_depletion_link],
+    ids=["recycling", "no-recycling", "recycling-depletion"],
 )
-def test_block_size_does_not_change_the_run(monkeypatch, params, alloc):
-    f = fading.rayleigh(1.0, 8) if alloc is None else fading.deterministic(1.0)
-    alloc = alloc or solve(params, f).allocation
-    cfg = SimConfig(k=20, n_slots=300, seed=4)
+def test_block_size_does_not_change_the_run(monkeypatch, link):
+    # The depletion links run the exact path on 24 and 35 of 400 slots, so
+    # chunk edges fall next to slots closed from their per-use path.
+    params, f, alloc, cfg = link()
     runs = []
-    for block in (1, 7, sim._BLOCK):
+    for block, chunk in zip((1, 7, sim._BLOCK), (1, 7, sim._SUMS_CHUNK)):
         monkeypatch.setattr(sim, "_BLOCK", block)
+        monkeypatch.setattr(sim, "_SUMS_CHUNK", chunk)
         runs.append(simulate(params, f, alloc, cfg))
     first = runs[0]
     assert first.transmitted.any() and not first.transmitted.all()
+    if link is not recycling_block_link:
+        assert first.exact_path_slots >= 20
     for tr in runs[1:]:
         assert np.array_equal(tr.battery_j, first.battery_j)
         assert np.array_equal(tr.transmitted, first.transmitted)
         assert tr.energy_in_total == first.energy_in_total
         assert tr.energy_out_total == first.energy_out_total
         assert tr.depleted_slots == first.depleted_slots
+        assert tr.exact_path_slots == first.exact_path_slots
+        assert tr.battery_final == first.battery_final
+        assert tr.outage_fraction == first.outage_fraction
 
 
 def test_trace_csv(tmp_path):
@@ -486,12 +506,32 @@ def test_trace_csv_format_is_pinned(tmp_path):
     )
     out = tmp_path / "trace.csv"
     tr.to_csv(out)
-    expected = "slot,h,transmitted,slot_rate_bits,battery_j\n" + "".join(
+    assert_same_lines(out.read_bytes().decode("utf-8"), row_by_row_csv(tr))
+
+
+def test_trace_csv_of_a_real_run_is_pinned():
+    # A real trace repeats each state's gain and rate, so most rows reuse a
+    # row format; three chunks, the last one short.
+    tr = simulate(*solved_link())
+    assert tr.transmitted.any() and not tr.transmitted.all()
+    buf = io.StringIO()
+    tr.write_csv(buf)
+    assert_same_lines(buf.getvalue(), row_by_row_csv(tr))
+
+
+def assert_same_lines(text, expected):
+    # Equal line lists are equal texts; a list reports its first differing
+    # line at once, where a diff of two whole texts can take minutes.
+    assert text.splitlines(keepends=True) == expected.splitlines(keepends=True)
+
+
+def row_by_row_csv(tr):
+    """The trace CSV formatted one field at a time."""
+    return "slot,h,transmitted,slot_rate_bits,battery_j\n" + "".join(
         f"{i},{tr.h[i]:.12e},{int(tr.transmitted[i])},"
         f"{tr.slot_rate_bits[i]:.12e},{tr.battery_j[i]:.12e}\n"
-        for i in range(n)
+        for i in range(tr.battery_j.size)
     )
-    assert out.read_bytes() == expected.encode("utf-8")
 
 
 def test_sim_config_validation():
