@@ -46,6 +46,15 @@ Slot rates are analytic (decoding is not simulated); receiver noises and the
 transmitter's own residual self-interference are therefore never drawn --
 they affect decoding, not harvesting. Only the fading state, the user's
 codeword symbols and its self-interference gain are sampled.
+
+The per-slot trace CSV (``SimTrace.write_csv``) is assembled as bytes in
+numpy, ``_CSV_CHUNK`` rows at a time, and is byte for byte what formatting
+each row with ``%`` gives. The text ``,h,transmitted,rate,`` is made once per
+distinct row prefix, and the battery column goes through one ``%.12e``
+kernel (``_e12_fast``): scale by a power of ten, round, look the digits up.
+The values the kernel cannot vouch for -- within 0.01 of a rounding tie,
+negative, non-finite or with a 3-digit exponent -- are formatted by Python's
+``%`` (``_format_e12``).
 """
 
 from __future__ import annotations
@@ -73,9 +82,25 @@ _SUMS_CHUNK = 1024
 # Stream of the per-slot draws, after the seed. The fading draws hash the bare
 # seed, and a no-recycling slot's path generator appends the slot index.
 _STREAM = 0x5107
-# Trace rows formatted per write, with one ``%`` over the chunk.
+# Trace rows built and written at once. The rows and the kernel's temporaries
+# (about 250 bytes per row) are held for one chunk only: building the whole
+# trace at once raised the peak memory of a 20000-row run by 5 MiB.
 _CSV_CHUNK = 1024
 _CSV_HEADER = "slot,h,transmitted,slot_rate_bits,battery_j\n"
+# '0000' .. '9999' as 4 ASCII bytes, one uint32 per group of 4 digits.
+_DIGIT = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+_DIGITS4 = np.stack(np.meshgrid(*[_DIGIT] * 4, indexing="ij"), axis=-1).reshape(10_000, 4)
+_GROUPS = _DIGITS4.view(np.uint32).ravel()
+# '00' .. '99' as 2 ASCII bytes, one uint16 per exponent.
+_PAIRS = np.ascontiguousarray(_DIGITS4[:100, 2:]).view(np.uint16).ravel()
+# 10.0 ** (12 - e) for the decimal exponents e the kernel tries, correctly
+# rounded.
+_E_LO, _E_HI = -101, 101
+_SCALE = np.array([float(f"1e{12 - e}") for e in range(_E_LO, _E_HI + 1)])
+# One '%.12e' text of 18 bytes: 'd.dddddddddddde+dd'.
+_E12 = np.dtype(
+    [("lead", "u1"), ("dot", "u1"), ("frac", "3u4"), ("e", "u1"), ("sign", "u1"), ("exp", "u2")]
+)
 
 
 @dataclass(frozen=True)
@@ -130,16 +155,35 @@ class SimTrace:
 
     def write_csv(self, fh) -> None:
         """Write the per-slot trace to a text stream: slot, h, transmitted,
-        rate, battery; floats as ``%.12e``."""
+        rate, battery; floats as ``%.12e``.
+
+        Each chunk of ``_CSV_CHUNK`` rows is built as one byte buffer and
+        written at once. A row is the slot's digits (``_slot_digits``), its
+        prefix's middle text ``,h,transmitted,rate,`` (``_row_formats``) and
+        the battery's text (``_format_e12``), each a null-padded bytes field;
+        the nulls are dropped from the buffer. The bytes are those of
+        ``'%d,%.12e,%d,%.12e,%.12e' % row``: ``_format_e12`` gives every float
+        exactly the text of ``'%.12e' % v`` (see ``_e12_fast``).
+        """
         fh.write(_CSV_HEADER)
-        formats, code = _row_formats(self.h, self.transmitted, self.slot_rate_bits)
+        middles, code = _row_formats(self.h, self.transmitted, self.slot_rate_bits)
         battery = self.battery_j
         for lo in range(0, battery.size, _CSV_CHUNK):
             hi = min(lo + _CSV_CHUNK, battery.size)
-            args = [0] * (2 * (hi - lo))
-            args[::2] = range(lo, hi)
-            args[1::2] = battery[lo:hi].tolist()
-            fh.write("".join(formats[code[lo:hi]].tolist()) % tuple(args))
+            slot = _slot_digits(lo, hi)
+            level = _format_e12(battery[lo:hi])
+            rows = np.empty(
+                hi - lo,
+                [("slot", slot.dtype), ("mid", middles.dtype), ("level", level.dtype), ("nl", "S1")],
+            )
+            rows["slot"] = slot
+            rows["mid"] = middles[code[lo:hi]]
+            rows["level"] = level
+            rows["nl"] = b"\n"
+            text = rows.view(np.uint8)
+            if np.count_nonzero(text) < text.size:
+                text = text[text != 0]
+            fh.write(text.tobytes().decode("ascii"))
 
     def to_csv(self, path) -> None:
         """Write the per-slot trace to the file at ``path``."""
@@ -148,23 +192,116 @@ class SimTrace:
 
 
 def _row_formats(h: np.ndarray, transmitted: np.ndarray, rate: np.ndarray):
-    """One row format per distinct (h bits, transmitted, rate bits) prefix, as
-    an object array, and each row's index into it. A format holds the
-    prefix's text and leaves ``%d`` for the slot and ``%.12e`` for the
-    battery. Keys are bit patterns, so -0.0 and every NaN keep their own
-    text; a run has at most two prefixes per fading state."""
+    """The middle text ``,h,transmitted,rate,`` of each distinct (h bits,
+    transmitted, rate bits) row prefix, as a null-padded bytes array, and
+    each row's index into it. Floats are formatted by ``_format_e12``. Keys
+    are bit patterns, so -0.0 and every NaN keep their own text; a run has
+    at most two prefixes per fading state."""
     h_bits, ih = np.unique(_bits(h), return_inverse=True)
     r_bits, ir = np.unique(_bits(rate), return_inverse=True)
     keys, code = np.unique((2 * ih + transmitted) * r_bits.size + ir, return_inverse=True)
-    h_text = ["%.12e" % v for v in h_bits.view(np.float64).tolist()]
-    r_text = ["%.12e" % v for v in r_bits.view(np.float64).tolist()]
+    h_text = _format_e12(h_bits.view(np.float64)).tolist()
+    r_text = _format_e12(r_bits.view(np.float64)).tolist()
     rest, jr = np.divmod(keys, r_bits.size)
     ih, t = np.divmod(rest, 2)
-    formats = [
-        f"%d,{h_text[i]},{sent},{r_text[j]},%.12e\n"
+    middles = [
+        b",%s,%d,%s," % (h_text[i], sent, r_text[j])
         for i, sent, j in zip(ih.tolist(), t.tolist(), jr.tolist())
     ]
-    return np.array(formats, dtype=object), code
+    return np.array(middles), code
+
+
+def _slot_digits(lo: int, hi: int) -> np.ndarray:
+    """``str(i)`` for i in ``lo .. hi - 1`` (0 <= lo < hi), as a null-padded
+    bytes array: the digits of 4-digit groups, left-aligned by width."""
+    width = len(str(hi - 1))
+    n_groups = -(-width // 4)
+    i = np.arange(lo, hi, dtype=np.int64)
+    groups = np.empty((hi - lo, n_groups), np.uint32)
+    for j in range(n_groups):
+        groups[:, n_groups - 1 - j] = _GROUPS[i // 10 ** (4 * j) % 10_000]
+    padded = groups.view(np.uint8)
+    out = np.zeros((hi - lo, width), np.uint8)
+    # Indices are ascending, so each width is one run of rows.
+    for w in range(len(str(lo)), width + 1):
+        a = max(lo, 10 ** (w - 1) if w > 1 else 0) - lo
+        b = min(hi, 10**w) - lo
+        out[a:b, :w] = padded[a:b, padded.shape[1] - w :]
+    return out.view(f"S{width}").ravel()
+
+
+def _e12_fast(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel of ``_format_e12``: each value's 18-byte ``'%.12e'`` text as
+    an ``S18`` array, and where that text is exact.
+
+    It is exact for +0.0 and for a finite positive value whose text has a
+    2-digit exponent and whose 13 digits are not near a rounding tie.
+    Elsewhere (negatives, -0.0, NaN, infinities, 3-digit exponents, near
+    ties) the text is garbage and ``'%.12e' % v`` must be used instead.
+
+    The decimal exponent e comes from ``log10`` and is moved by one where
+    y = x * 10**(12 - e) falls outside [1e12, 1e13); ``log10`` rounds to e
+    just below 10**e, and the move keeps such values on the fast path. The
+    power of ten is correctly rounded and the product rounds once more, so
+    y is within about 2 u y < 2.3e-3 of the exact x * 10**(12 - e)
+    (u = 2**-53). Where y lies in [1e12, 1e13) and is not within 0.01 of a
+    .5 tie, ``rint(y)`` is therefore the correctly rounded 13-digit mantissa
+    that ``'%.12e'`` prints, whatever ``log10`` returned. A mantissa that
+    rounds to 1e13 carries into the next exponent. The tie test reads y
+    before the carry: 9.9999999999995e-96 lies next to a tie and must not be
+    carried past it (``'%.12e'`` prints 9.999999999999e-96). If the exact
+    product lies just outside [1e12, 1e13) while y does not, it lies within
+    2.3e-3 of the edge, and rounding and carry give the same text at either
+    exponent.
+    """
+    zero = (x == 0.0) & ~np.signbit(x)
+    finite = (x > 0.0) & (x < np.inf)
+    xs = np.where(finite, x, 1.0)
+    e = np.clip(np.floor(np.log10(xs)), _E_LO + 1, _E_HI - 1).astype(np.int64)
+    y = xs * _SCALE[e - _E_LO]
+    e += y >= 1e13
+    e -= y < 1e12
+    y = xs * _SCALE[e - _E_LO]
+    mant = np.rint(y)
+    # Not within 0.01 of a tie, tested before the carry.
+    fast = finite & (np.abs(y - mant) < 0.49) & (y >= 1e12) & (y < 1e13)
+    carry = mant == 1e13
+    mant[carry] = 1e12
+    e += carry
+    fast &= np.abs(e) < 100
+    # The other rows print as 0.000000000000e+00, which is +0.0's text, and
+    # keep their casts and table lookups in range.
+    e[~fast] = 0
+    top, low = np.divmod(np.where(fast, mant, 0.0).astype(np.int64), 10**8)
+    lead, g1 = np.divmod(top, 10_000)
+    g2, g3 = np.divmod(low, 10_000)
+    out = np.empty(x.size, _E12)
+    out["lead"] = lead + ord("0")
+    out["dot"] = ord(".")
+    frac = out["frac"]
+    frac[:, 0] = _GROUPS[g1]
+    frac[:, 1] = _GROUPS[g2]
+    frac[:, 2] = _GROUPS[g3]
+    out["e"] = ord("e")
+    out["sign"] = np.where(e < 0, ord("-"), ord("+"))
+    out["exp"] = _PAIRS[np.abs(e)]
+    return out.view("S18"), fast | zero
+
+
+def _format_e12(x: np.ndarray) -> np.ndarray:
+    """``'%.12e' % v`` for each value of a float64 array, as a null-padded
+    bytes array: the kernel ``_e12_fast``, and Python's correctly rounded
+    ``%`` for the values it leaves (about 2% of arbitrary positive ones,
+    those within 0.01 of a tie)."""
+    x = np.asarray(x, dtype=np.float64)
+    text, fast = _e12_fast(x)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        other = np.array([b"%.12e" % v for v in x[slow].tolist()])
+        if other.itemsize > text.itemsize:
+            text = text.astype(other.dtype)
+        text[slow] = other
+    return text
 
 
 def _bits(x: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ import pytest
 
 from fdwpc import cli, solver
 from fdwpc.cli import main
+from test_sim import assert_same_lines
 
 # Small fading grids keep CLI tests quick; contracts don't depend on them.
 FAST = ["--fading-states", "64"]
@@ -187,7 +188,7 @@ def test_simulate_stdout_trace_matches_out_file(tmp_path, capsys):
     trace_path = tmp_path / "trace.csv"
     code, summary, _ = run_cli(argv + ["--out", str(trace_path)], capsys)
     assert code == 0
-    assert out.encode("utf-8") == trace_path.read_bytes()
+    assert_same_lines(out, trace_path.read_bytes().decode("utf-8"))
     assert err == summary
 
 

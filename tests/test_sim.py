@@ -519,6 +519,94 @@ def test_trace_csv_of_a_real_run_is_pinned():
     assert_same_lines(buf.getvalue(), row_by_row_csv(tr))
 
 
+def test_trace_csv_chunk_size_does_not_change_the_bytes(monkeypatch):
+    # 1200 rows cross the slot widths 1 -> 2 -> 3 -> 4 inside and at chunk
+    # edges; the battery column holds values the kernel leaves to Python.
+    params, f, alloc, cfg = solved_link()
+    tr = simulate(params, f, alloc, dataclasses.replace(cfg, n_slots=1200))
+    battery = tr.battery_j.copy()
+    special = [0.0, -0.0, 5e-324, 1e-100, 9.9999999999995e-96, 2.5e-5, 1e100, 1e300, np.inf,
+               -np.inf, np.nan, -1.5]
+    battery[3 : 3 * len(special) + 3 : 3] = special
+    battery[1000:1010] = special[:10]
+    tr = dataclasses.replace(tr, battery_j=battery)
+    expected = row_by_row_csv(tr)
+    for chunk in (1, 7, sim._CSV_CHUNK, 5000):
+        monkeypatch.setattr(sim, "_CSV_CHUNK", chunk)
+        buf = io.StringIO()
+        tr.write_csv(buf)
+        assert_same_lines(buf.getvalue(), expected)
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_slot_digits_across_a_power_of_ten(k):
+    for lo, hi in ((10**k - 1, 10**k + 1), (max(0, 10**k - 1500), 10**k + 1500), (0, 12)):
+        assert sim._slot_digits(lo, hi).tolist() == [str(i).encode() for i in range(lo, hi)]
+
+
+def assert_e12_exact(x):
+    """Assert the kernel's text is ``'%.12e' % v`` wherever it takes its fast
+    path and ``_format_e12`` is everywhere; return the fast share."""
+    x = np.asarray(x, dtype=np.float64)
+    text, fast = sim._e12_fast(x)
+    want = ["%.12e" % v for v in x.tolist()]
+    bad = [
+        (v, t, w)
+        for v, t, w, ok in zip(x.tolist(), text.tolist(), want, fast.tolist())
+        if ok and t.decode() != w
+    ]
+    assert not bad, bad[:5]
+    full = [t.decode() for t in sim._format_e12(x).tolist()]
+    assert full == want
+    return float(fast.mean())
+
+
+def test_e12_kernel_on_random_bit_patterns():
+    # Every class of float64: subnormals, NaN, infinities, -0.0, negatives.
+    rng = np.random.default_rng(11)
+    bits = rng.integers(0, 2**64, 50_000, dtype=np.uint64, endpoint=False)
+    extra = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, np.inf, -np.inf, np.nan, -np.nan, 1.0, -1.0]
+    x = np.concatenate([bits.view(np.float64), extra])
+    assert_e12_exact(x)
+    # Their magnitudes with a 2-digit decimal exponent mostly take the fast
+    # path.
+    two_digit = np.isfinite(x) & (np.abs(np.frexp(x)[1]) < 320)
+    assert assert_e12_exact(np.abs(x[two_digit])) > 0.9
+
+
+def test_e12_kernel_at_constructed_ties():
+    rng = np.random.default_rng(12)
+    mant = rng.integers(10**12, 10**13, 4000)
+    exps = rng.integers(-112, 100, 4000)
+    x = [float(f"{m}5e{k}") for m, k in zip(mant.tolist(), exps.tolist())]
+    # Ties of 13-digit mantissas at the ends of the range, and the value a
+    # tie test read after the carry printed as 1.000000000000e-95.
+    x += [float(f"{m}5e{k}") for m in (10**12, 10**13 - 1) for k in range(-112, 100)]
+    x += [9.9999999999995e-96, 9.9999999999995e-5, 1.0000000000005]
+    assert_e12_exact(x)
+
+
+def test_e12_kernel_next_to_powers_of_ten():
+    x = []
+    for e in range(-99, 100):
+        p = float(f"1e{e}")
+        x += [p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)]
+        x += [p * (1.0 + s * k * 1.1e-16) for k in range(1, 40) for s in (1, -1)]
+    # log10 rounds to e just below 10**e; without the exponent fix about
+    # half of these would fall back.
+    assert assert_e12_exact(x) > 0.95
+
+
+def test_e12_kernel_takes_its_fast_path():
+    # Under 5% of arbitrary positive values fall back: a kernel whose fast
+    # path never fires would pass the exactness tests.
+    rng = np.random.default_rng(13)
+    x = rng.lognormal(0.0, 40.0, 50_000)
+    x = x[(x > 1e-99) & (x < 1e99)]
+    assert assert_e12_exact(x) > 0.95
+    assert assert_e12_exact(np.zeros(3)) == 1.0
+
+
 def assert_same_lines(text, expected):
     # Equal line lists are equal texts; a list reports its first differing
     # line at once, where a diff of two whole texts can take minutes.
