@@ -155,8 +155,11 @@ def _pcost_rows(args, fad, pet_dbm: float):
 
 def cmd_sweep(args) -> int:
     """Write ``args.header`` and ``args.rows``' lines at each grid value as CSV."""
-    if args.step <= 0.0:
-        raise ValueError("--step must be > 0")
+    for flag in ("start", "stop"):
+        if not math.isfinite(getattr(args, flag)):
+            raise ValueError(f"--{flag} must be finite")
+    if not 0.0 < args.step < math.inf:
+        raise ValueError("--step must be finite and > 0")
     n = int(math.floor((args.stop - args.start) / args.step + 1e-9)) + 1
     if n < 1:
         raise ValueError("empty sweep range")
@@ -188,10 +191,10 @@ _SWEEPS = (
 
 
 def cmd_simulate(args) -> int:
+    cfg = sim.SimConfig(k=args.k, n_slots=args.slots, seed=args.seed)
     fad = _scenario_fading(args)
     params = _scenario_params(args)
     res = solver.solve(params, fad)
-    cfg = sim.SimConfig(k=args.k, n_slots=args.slots, seed=args.seed)
     trace = sim.simulate(params, fad, res.allocation, cfg)
     summary = (
         "empirical_rate,analytic_capacity,outage_fraction\n"

@@ -49,9 +49,10 @@ codeword symbols and its self-interference gain are sampled.
 
 The per-slot trace CSV (``SimTrace.write_csv``) is assembled as bytes in
 numpy, ``_CSV_CHUNK`` rows at a time, and is byte for byte what formatting
-each row with ``%`` gives. The text ``,h,transmitted,rate,`` is made once per
-distinct row prefix, and the battery column goes through one ``%.12e``
-kernel (``_e12_fast``): scale by a power of ten, round, look the digits up.
+each row with ``%`` gives. The text ``,h,transmitted,rate,`` is made twice
+per fading state, silent and transmitting, and the battery column goes
+through one ``%.12e`` kernel (``_e12_fast``): scale by a power of ten,
+round, look the digits up.
 The values the kernel cannot vouch for -- within 0.01 of a rounding tie,
 negative, non-finite or with a 3-digit exponent -- are formatted by Python's
 ``%`` (``_format_e12``).
@@ -116,20 +117,26 @@ class SimConfig:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.n_slots < 1:
             raise ValueError(f"n_slots must be >= 1, got {self.n_slots}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
 class SimTrace:
     """Per-slot history and run aggregates.
 
+    Gains and rates are kept per fading state (``state_h`` is the
+    distribution's read-only ``h``); the columns ``h`` and ``slot_rate_bits``
+    are derived from them and the stored ``fading_state`` and ``transmitted``.
+
     ``empirical_rate`` counts every slot in the denominator, transmitting or
     not, so the warm-up slots are paid for exactly as the scheme prescribes.
     """
 
     fading_state: np.ndarray
-    h: np.ndarray
+    state_h: np.ndarray
     transmitted: np.ndarray
-    slot_rate_bits: np.ndarray
+    state_rate_bits: np.ndarray
     battery_j: np.ndarray
     empirical_rate: float
     # Fraction of slots where the allocation scheduled a transmission but the
@@ -153,20 +160,33 @@ class SimTrace:
     battery_min_j: float
     battery_max_j: float
 
+    @property
+    def h(self) -> np.ndarray:
+        return self.state_h[self.fading_state]
+
+    @property
+    def slot_rate_bits(self) -> np.ndarray:
+        return np.where(self.transmitted, self.state_rate_bits[self.fading_state], 0.0)
+
     def write_csv(self, fh) -> None:
         """Write the per-slot trace to a text stream: slot, h, transmitted,
         rate, battery; floats as ``%.12e``.
 
         Each chunk of ``_CSV_CHUNK`` rows is built as one byte buffer and
-        written at once. A row is the slot's digits (``_slot_digits``), its
-        prefix's middle text ``,h,transmitted,rate,`` (``_row_formats``) and
-        the battery's text (``_format_e12``), each a null-padded bytes field;
-        the nulls are dropped from the buffer. The bytes are those of
+        written at once. A row is the slot's digits (``_slot_digits``), the
+        middle text ``,h,transmitted,rate,`` of its state s (of n), made once
+        per state and picked by ``s + n * transmitted``, and the battery's
+        text (``_format_e12``), each a null-padded bytes field; the nulls are
+        dropped from the buffer. The bytes are those of
         ``'%d,%.12e,%d,%.12e,%.12e' % row``: ``_format_e12`` gives every float
         exactly the text of ``'%.12e' % v`` (see ``_e12_fast``).
         """
         fh.write(_CSV_HEADER)
-        middles, code = _row_formats(self.h, self.transmitted, self.slot_rate_bits)
+        h_text = _format_e12(self.state_h).tolist()
+        r_text = _format_e12(self.state_rate_bits).tolist()
+        silent = [b",%s,0,0.000000000000e+00," % t for t in h_text]
+        middles = np.array(silent + [b",%s,1,%s," % tr for tr in zip(h_text, r_text)])
+        code = self.fading_state + len(h_text) * self.transmitted
         battery = self.battery_j
         for lo in range(0, battery.size, _CSV_CHUNK):
             hi = min(lo + _CSV_CHUNK, battery.size)
@@ -189,26 +209,6 @@ class SimTrace:
         """Write the per-slot trace to the file at ``path``."""
         with open(path, "w", encoding="utf-8") as fh:
             self.write_csv(fh)
-
-
-def _row_formats(h: np.ndarray, transmitted: np.ndarray, rate: np.ndarray):
-    """The middle text ``,h,transmitted,rate,`` of each distinct (h bits,
-    transmitted, rate bits) row prefix, as a null-padded bytes array, and
-    each row's index into it. Floats are formatted by ``_format_e12``. Keys
-    are bit patterns, so -0.0 and every NaN keep their own text; a run has
-    at most two prefixes per fading state."""
-    h_bits, ih = np.unique(_bits(h), return_inverse=True)
-    r_bits, ir = np.unique(_bits(rate), return_inverse=True)
-    keys, code = np.unique((2 * ih + transmitted) * r_bits.size + ir, return_inverse=True)
-    h_text = _format_e12(h_bits.view(np.float64)).tolist()
-    r_text = _format_e12(r_bits.view(np.float64)).tolist()
-    rest, jr = np.divmod(keys, r_bits.size)
-    ih, t = np.divmod(rest, 2)
-    middles = [
-        b",%s,%d,%s," % (h_text[i], sent, r_text[j])
-        for i, sent, j in zip(ih.tolist(), t.tolist(), jr.tolist())
-    ]
-    return np.array(middles), code
 
 
 def _slot_digits(lo: int, hi: int) -> np.ndarray:
@@ -302,10 +302,6 @@ def _format_e12(x: np.ndarray) -> np.ndarray:
             text = text.astype(other.dtype)
         text[slow] = other
     return text
-
-
-def _bits(x: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(x, dtype=np.float64).view(np.int64)
 
 
 def _use_energies(
@@ -525,9 +521,9 @@ def simulate(
     uses = n_slots * k
     return SimTrace(
         fading_state=states,
-        h=h[states],
+        state_h=h,
         transmitted=transmitted,
-        slot_rate_bits=np.where(transmitted, rates[states], 0.0),
+        state_rate_bits=rates,
         battery_j=battery_end,
         empirical_rate=empirical,
         outage_fraction=n_outage / n_slots,

@@ -251,6 +251,20 @@ def test_exit_2_on_bad_range(capsys):
         ["capacity-sweep", "--start", "0", "--stop", "10", "--step", "-1"], capsys
     )
     assert code2 == 2
+    # A non-finite bound or step is named in one line, before any grid is
+    # formed (NaN cannot be counted and an infinite step leaves a NaN grid).
+    for flag, value, message in [
+        ("--step", "nan", "--step must be finite and > 0"),
+        ("--step", "inf", "--step must be finite and > 0"),
+        ("--step", "-inf", "--step must be finite and > 0"),
+        ("--start", "nan", "--start must be finite"),
+        ("--start", "-inf", "--start must be finite"),
+        ("--stop", "nan", "--stop must be finite"),
+    ]:
+        bounds = {"--start": "0", "--stop": "10", "--step": "5", flag: value}
+        argv = ["ratio-sweep"] + [f"{k}={v}" for k, v in bounds.items()] + FAST
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err) == (2, "", f"fdwpc: {message}\n"), argv
 
 
 def test_exit_2_on_bad_params(capsys):
@@ -268,6 +282,11 @@ def test_exit_2_on_fading_states_below_one(states, capsys):
     assert code == 2
     assert out == ""
     assert err == f"fdwpc: --fading-states must be >= 1, got {states}\n"
+
+
+def test_exit_2_on_negative_seed(capsys):
+    code, out, err = run_cli(["simulate", "--seed", "-1", "--slots", "10"] + FAST, capsys)
+    assert (code, out, err) == (2, "", "fdwpc: seed must be >= 0, got -1\n")
 
 
 def test_exit_2_on_unknown_command(capsys):

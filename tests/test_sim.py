@@ -13,7 +13,7 @@ from scipy.stats import ks_2samp
 
 from fdwpc import fading, sim
 from fdwpc.sim import SimConfig, simulate
-from fdwpc.solver import PowerAllocation, solve
+from fdwpc.solver import _C_BITS, PowerAllocation, _noise_floor, _rates, solve
 from fdwpc.units import LinkParams
 
 
@@ -469,6 +469,39 @@ def test_block_size_does_not_change_the_run(monkeypatch, link):
         assert tr.outage_fraction == first.outage_fraction
 
 
+@pytest.mark.parametrize(
+    "link",
+    [recycling_block_link, depletion_link, recycling_depletion_link],
+    ids=["recycling", "no-recycling", "recycling-depletion"],
+)
+def test_trace_columns_derive_from_the_states(link):
+    params, f, alloc, cfg = link()
+    tr = simulate(params, f, alloc, cfg)
+    states = f.sample_indices(cfg.seed, cfg.n_slots)
+    noise = _noise_floor(f.h2, params.sigma2_sq + params.alpha2 * alloc.x2**2)
+    rates = _rates(_C_BITS, alloc.p_ehu, noise)
+    assert tr.transmitted.any() and not tr.transmitted.all()
+    assert tr.state_h is f.h
+    assert np.array_equal(tr.fading_state, states)
+    assert np.array_equal(tr.h, f.h[tr.fading_state])
+    assert np.array_equal(tr.slot_rate_bits, np.where(tr.transmitted, rates[states], 0.0))
+
+
+def test_trace_csv_with_a_dead_and_a_silent_state():
+    # The allocation gives no codeword power to the dead state (h = 0) nor
+    # to the weak one (h = 0.1), so their rows never transmit.
+    params = sim_params(alpha1=0.0)
+    f = fading.custom([0.0, 0.1, 1.0, 2.0], [0.25, 0.25, 0.25, 0.25])
+    alloc = solve(params, f).allocation
+    assert alloc.p_ehu.tolist()[:2] == [0.0, 0.0] and np.all(alloc.p_ehu[2:] > 0.0)
+    tr = simulate(params, f, alloc, SimConfig(k=20, n_slots=2000, seed=3))
+    assert np.array_equal(np.unique(tr.fading_state), np.arange(4))
+    assert np.array_equal(np.unique(tr.fading_state[tr.transmitted]), [2, 3])
+    buf = io.StringIO()
+    tr.write_csv(buf)
+    assert_same_lines(buf.getvalue(), row_by_row_csv(tr))
+
+
 def test_trace_csv(tmp_path):
     params = sim_params()
     f = fading.rayleigh(1.0, 4)
@@ -488,21 +521,29 @@ def test_trace_csv_format_is_pinned(tmp_path):
     f = fading.rayleigh(1.0, 4)
     res = solve(params, f)
     tr = simulate(params, f, res.allocation, SimConfig(k=20, n_slots=10, seed=2))
-    # More rows than one write chunk, mixing signed zeros, denormals, huge
-    # values, infinities and NaN with ordinary ones, and a run of one value.
+    # More rows than one write chunk over 64 states whose gains and rates mix
+    # signed zeros, denormals, huge values, infinities and NaN with ordinary
+    # ones, and a run of one state across a chunk edge.
     rng = np.random.default_rng(0)
     special = np.array(
         [0.0, -0.0, 5e-324, 2.2e-310, 1.7976931348623157e308, 1e300, np.inf, -np.inf, np.nan]
     )
-    n = 2500
-    cols = [
-        np.where(rng.random(n) < 0.3, rng.choice(special, n), rng.lognormal(0.0, 30.0, n))
-        for _ in range(3)
-    ]
-    for c in cols:
-        c[1000:1300] = c[999]
+    n_states, n = 64, 2500
+
+    def column(size):
+        return np.where(
+            rng.random(size) < 0.3, rng.choice(special, size), rng.lognormal(0.0, 30.0, size)
+        )
+
+    states = rng.integers(0, n_states, n)
+    states[900:1200] = states[899]
     tr = dataclasses.replace(
-        tr, h=cols[0], transmitted=rng.random(n) < 0.5, slot_rate_bits=cols[1], battery_j=cols[2]
+        tr,
+        fading_state=states,
+        state_h=column(n_states),
+        transmitted=rng.random(n) < 0.5,
+        state_rate_bits=column(n_states),
+        battery_j=column(n),
     )
     out = tmp_path / "trace.csv"
     tr.to_csv(out)
@@ -627,6 +668,8 @@ def test_sim_config_validation():
         SimConfig(k=0, n_slots=10)
     with pytest.raises(ValueError):
         SimConfig(k=10, n_slots=0)
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        SimConfig(seed=-1)
 
 
 @pytest.mark.parametrize("h", [[1.0], np.linspace(0.5, 2.0, 32)], ids=["too_long", "too_short"])
