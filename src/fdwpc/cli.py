@@ -102,6 +102,18 @@ def _scenario_fading(args) -> fading_mod.FadingDistribution:
     return fading_mod.rayleigh(omega, args.fading_states)
 
 
+def _alpha2(suppression_db: float) -> float:
+    return 1.0 / db_to_linear(suppression_db)
+
+
+def _converted(flag: str, convert, value: float) -> float:
+    """``convert(value)``; a result past the float range names ``flag``."""
+    try:
+        return convert(value)
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"{flag}: {value:g} is out of range") from None
+
+
 def _scenario_params(args, **fields) -> LinkParams:
     """The link the scenario flags describe, with ``fields`` set directly.
 
@@ -110,13 +122,12 @@ def _scenario_params(args, **fields) -> LinkParams:
     ``pcost-compare``'s ``--pp-dbm`` may be a sequence.
     """
     if "p_proc" not in fields:
-        fields["p_proc"] = (
-            args.pp_watts if args.pp_watts is not None else dbm_to_watt(args.pp_dbm)
-        )
+        pp = args.pp_watts
+        fields["p_proc"] = _converted("--pp-dbm", dbm_to_watt, args.pp_dbm) if pp is None else pp
     if "p_et" not in fields:
-        fields["p_et"] = dbm_to_watt(args.pet_dbm)
+        fields["p_et"] = _converted("--pet-dbm", dbm_to_watt, args.pet_dbm)
     if "alpha2" not in fields:
-        fields["alpha2"] = 1.0 / db_to_linear(args.suppression_db)
+        fields["alpha2"] = _converted("--suppression-db", _alpha2, args.suppression_db)
     scenario = dict(
         eta=args.eta, sigma2_sq=args.noise_watts, g1_mean=args.g1_mean, alpha1=args.alpha1
     )
@@ -124,14 +135,14 @@ def _scenario_params(args, **fields) -> LinkParams:
 
 
 def _capacity_rows(args, fad, pet_dbm: float):
-    params = _scenario_params(args, p_et=dbm_to_watt(pet_dbm))
+    params = _scenario_params(args, p_et=_converted("--start/--stop", dbm_to_watt, pet_dbm))
     res = solver.solve(params, fad)
     bench = hd.solve_hd(params, fad)
     yield f"{_fmt(pet_dbm)},{_fmt(res.capacity)},{_fmt(bench.rate)},{res.case}"
 
 
 def _ratio_rows(args, fad, supp: float):
-    params = _scenario_params(args, alpha2=1.0 / db_to_linear(supp))
+    params = _scenario_params(args, alpha2=_converted("--start/--stop", _alpha2, supp))
     res = solver.solve(params, fad)
     bench = hd.solve_hd(params, fad)
     ratio = res.capacity / bench.rate if bench.rate > 0.0 else math.nan
@@ -144,11 +155,12 @@ def _recycle_rows(args, fad, rec: float):
 
 
 def _pcost_rows(args, fad, pet_dbm: float):
-    pp_values = [dbm_to_watt(v) for v in args.pp_dbm]
+    p_et = _converted("--start/--stop", dbm_to_watt, pet_dbm)
+    pp_values = [_converted("--pp-dbm", dbm_to_watt, v) for v in args.pp_dbm]
     if args.pp_zero:
         pp_values = [0.0] + pp_values
     for pp_w in pp_values:
-        params = _scenario_params(args, p_et=dbm_to_watt(pet_dbm), p_proc=pp_w)
+        params = _scenario_params(args, p_et=p_et, p_proc=pp_w)
         res = solver.solve(params, fad)
         yield f"{_fmt(pet_dbm)},{_fmt(pp_w)},{_fmt(res.capacity)}"
 

@@ -71,8 +71,6 @@ class FadingDistribution:
 
 def deterministic(h: float) -> FadingDistribution:
     """Single-state distribution: the channel gain is h with probability 1."""
-    if h < 0.0 or not math.isfinite(h):
-        raise ValueError(f"gain must be finite and >= 0, got {h}")
     return FadingDistribution(np.array([h]), np.array([1.0]))
 
 
@@ -97,10 +95,6 @@ def rayleigh(omega: float, n_states: int) -> FadingDistribution:
 
 def custom(h, p) -> FadingDistribution:
     """Distribution from explicit (gain, probability) arrays."""
-    h = np.asarray(h, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if h.size == 0 or p.size == 0:
-        raise ValueError("at least one fading state is required")
     return FadingDistribution(h, p)
 
 

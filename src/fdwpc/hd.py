@@ -15,9 +15,8 @@ is on the last prefix whose floor has g > 0: w = exp(y + 1 + L/P), with
 y = W0((c/P) exp(-1 - L/P)) > -1.
 
 The floors, their prefix sums P, N, L and the three fills of a solve (two
-candidates ranked, the winner scored) all read the solver's shared
-self-interference-free floor (``solver._free_floor``), which keeps the last
-(distribution, sigma2_sq) built: the points of a sweep rebuild none of it.
+candidates ranked, the winner scored) read sigma2_sq/h^2 from the solver's
+two-entry floor cache, ``solver._gain_floor``: a sweep rebuilds none of it.
 
 Rate convention: the benchmark rates each state with log2(1 + h^2 P/sigma2_sq)
 (complex Gaussian), every full-duplex rate in ``solver`` with (1/2) log2 (real
@@ -37,7 +36,7 @@ import numpy as np
 
 from . import specfun
 from .fading import FadingDistribution
-from .solver import _fill_by_gain, _free_floor
+from .solver import _fill_by_gain, _gain_floor
 from .units import LinkParams
 
 __all__ = ["HdResult", "solve_hd", "hd_rate_at_fraction"]
@@ -77,8 +76,7 @@ def _inner_waterfill(
     # Gains are stored ascending: a link whose top gain squares to 0 is dead.
     if budget <= 0.0 or one_m_tau <= 0.0 or fading.h2[-1] == 0.0:
         return 0.0, math.inf, np.zeros(fading.n_states)
-    free = _free_floor(fading, params.sigma2_sq)
-    w, p_ehu, rate = _fill_by_gain(one_m_tau * _C_HD, free, budget)
+    w, p_ehu, rate = _fill_by_gain(one_m_tau * _C_HD, _gain_floor(fading, params.sigma2_sq), budget)
     return rate, 1.0 / w, p_ehu
 
 
@@ -113,9 +111,11 @@ def solve_hd(params: LinkParams, fading: FadingDistribution) -> HdResult:
     # which b = a_pp funds.
     b_star = a_pp
     if params.sigma2_sq > 0.0:
-        n, ln_n, cp, cn, cl = _free_floor(fading, params.sigma2_sq).live_sums()
+        n, ln_n, cp, cn, cl = _gain_floor(fading, params.sigma2_sq).live_sums()
         c = a_pp - cn
-        m = max(int(np.count_nonzero(c / n + cp * (1.0 - ln_n) + cl > 0.0)) - 1, 0)
+        # Quietly, an inf floor makes g NaN (not > 0) and a subnormal one c/n inf.
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = max(int(np.count_nonzero(c / n + cp * (1.0 - ln_n) + cl > 0.0)) - 1, 0)
         tried = []
         # Prefix m's root first: it wins a tie, where tau rounds the rates to 0.
         for k in (m, m + 1) if m + 1 < n.size else (m, m - 1) if m > 0 else (m,):

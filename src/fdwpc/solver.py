@@ -39,25 +39,17 @@ powers of the states below it (a prefix of the floor) and their value.
 ``_rates`` gives 0 where P = 0 and inf where n = 0 < P; where every floor is
 positive there is nothing to mask, and it rates without ``np.errstate``.
 
-The squared gains are the distribution's ``h2``. A floor is a ``_Floor``:
-the noise ascending (strongest state first) and its weights, with the sums a
-fill scans built on first use and kept. ``_fill_by_gain`` fills a gain-ordered
-floor and returns the powers in storage order, for Case 1 and the half-duplex
-benchmark; a scored flash fills the states in the order of its index map,
-which scatters the winner's powers back.
-
-The self-interference-free floor sigma2_sq/h^2 is shared: ``_free_floor``
-keeps the last one built, keyed on (distribution, sigma2_sq), the distribution
-by identity. Every point of a sweep solves one distribution at one noise
-power, and the flash bounds, the flash floors gathered from it and the
-half-duplex benchmark (its three fills and its Lambert-W prefix sums) all read
-it, so a sweep builds it once. It holds the floor and the weights p[::-1], then
-on first use the heights above the lowest floor with the two prefix sums of
-the level scan, and the live-prefix sums of the half-duplex stationarity (n,
-ln n, and the prefix sums of p*n and p*ln n; that of p is the scan's weights
-sum). Only the last is kept, because a cache per distribution would keep every
-distribution of a run of independent links alive. A fresh floor (Case 1, a
-scored flash) builds the same sums inline and is filled by the same code.
+A floor is a ``_Floor``: the noise ascending (strongest state first) and its
+weights, with the sums a fill scans built on first use and kept, all
+read-only. Every gain-ordered floor s/h^2 (h^2 the distribution's ``h2``)
+comes from one two-entry cache, ``_gain_floor``, keyed on (distribution, s),
+the distribution by identity. One solve reads at most two floors, the
+self-interference-free sigma2_sq/h^2 (the flash bounds and flash floors, and
+the half-duplex fills and Lambert-W prefix sums) and the Case-1
+(sigma2_sq + p_et*alpha2)/h^2, so a sweep point that moves neither numerator
+rebuilds neither. ``_fill_by_gain`` fills one and returns the powers in
+storage order; a scored flash fills the states in the order of its index
+map, which scatters the winner's powers back.
 
 Both regimes return ``(lambda2, allocation, value)``, lambda2 = 1/(w*(1-rho))
 at the water level w of the fill that scored the allocation (inf with the
@@ -79,12 +71,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fading import FadingDistribution
-# perfbench's traced run wraps waterfill_case1, recover_multipliers,
-# capacity_case1, closed_form_x2_errors, x0_of_h, lambert_w0 and
-# lambert_w0_of_log through this module's bindings; solve calls the first two
-# through them, once each. closed_form_x2_errors, x0_of_h and the two Lambert-W
-# bindings stay only because perfbench looks them up (as it does
-# hd.hd_rate_at_fraction), until its traced run stops wrapping them.
+# perfbench's traced run wraps this module's bindings of waterfill_case1 and
+# recover_multipliers (solve calls each once through them), capacity_case1,
+# closed_form_x2_errors, x0_of_h, lambert_w0 and lambert_w0_of_log. The last
+# four, like hd.hd_rate_at_fraction, stay only until it stops wrapping them.
 from .specfun import lambert_w0, lambert_w0_of_log
 from .units import LinkParams
 
@@ -195,7 +185,8 @@ def _noise_floor(h2: np.ndarray, s) -> np.ndarray:
     batch of rows.
     """
     out = np.full(np.broadcast(s, h2).shape, np.inf)
-    return np.divide(s, h2, out=out, where=h2 > 0.0)
+    with np.errstate(over="ignore"):  # past the float range is inf too
+        return np.divide(s, h2, out=out, where=h2 > 0.0)
 
 
 def _level_sums(noise: np.ndarray, weights: np.ndarray) -> tuple:
@@ -239,7 +230,8 @@ def _rates(c: float, power: np.ndarray, noise: np.ndarray) -> np.ndarray:
 class _Floor:
     """A water-filling floor ``noise``, ascending with inf on dead states, and
     its ``weights``. The sums a fill scans are built on first use and kept;
-    ``live`` counts the live states of a gain-ordered floor, a prefix."""
+    ``live`` counts the live states of a gain-ordered floor, a prefix. A
+    cached floor is shared by later solves, so its arrays are read-only."""
 
     __slots__ = ("noise", "weights", "live", "_scan", "_live_sums")
 
@@ -253,6 +245,8 @@ class _Floor:
         if self._scan is None:
             height = self.noise - self.noise[0]
             self._scan = height, _level_sums(height, self.weights)
+            for a in (height, *self._scan[1]):
+                a.setflags(write=False)
         return self._scan
 
     def live_sums(self) -> tuple:
@@ -263,31 +257,32 @@ class _Floor:
             ln_n = np.log(n)
             cp = self.scan()[1][1][: self.live]
             self._live_sums = n, ln_n, cp, (p * n).cumsum(), (p * ln_n).cumsum()
+            for a in self._live_sums:
+                a.setflags(write=False)
         return self._live_sums
 
 
+@functools.lru_cache(maxsize=2)
 def _gain_floor(fading: FadingDistribution, s: float) -> _Floor:
-    """The floor s/h^2 of every state, strongest first, weighted by p.
-
-    Gains are stored ascending, so the floor of the reversed gains ascends;
-    this replaces an argsort, which made solve 10-12% slower at 2000 and 8192
-    states on a 2-CPU host. The live states (h^2 > 0) are a prefix, so the
-    dead ones get inf without ``_noise_floor``'s masked divide, which took
-    2.5-3 times as long at 8192 states on the same host."""
+    """The floor s/h^2 of every state, strongest first, weighted by p; the
+    last two built are kept (module docstring; ``LinkParams`` stores -0.0 as
+    0.0, so s = 0.0 keys one floor). The reversed gains ascend (an argsort made
+    solve 10-12% slower at 2000 and 8192 states), and the live states
+    (h^2 > 0), a prefix, are divided alone (``_noise_floor``'s masked divide
+    took 2.5-3 times as long at 8192 states), both on a 2-CPU host. A floor
+    past the float range is inf, as on a dead state."""
     h2 = fading.h2
     live = h2.size - int(h2.searchsorted(0.0, side="right"))
     noise = np.empty(h2.size)
-    np.divide(s, h2[::-1][:live], out=noise[:live])
+    # Overflow needs s > 1.8e308 * the weakest live h^2; np.errstate costs more than the divide.
+    if live and s > float(h2[-live]) * 1e308:
+        with np.errstate(over="ignore"):
+            np.divide(s, h2[::-1][:live], out=noise[:live])
+    else:
+        np.divide(s, h2[::-1][:live], out=noise[:live])
     noise[live:] = np.inf
+    noise.setflags(write=False)
     return _Floor(noise, fading.p[::-1], live)
-
-
-@functools.lru_cache(maxsize=1)
-def _free_floor(fading: FadingDistribution, sigma2_sq: float) -> _Floor:
-    """The self-interference-free floor sigma2_sq/h^2 of ``fading``; the last
-    one built is kept (module docstring). ``LinkParams`` stores -0.0 as 0.0,
-    so the key's sigma2_sq == 0.0 has one floor."""
-    return _gain_floor(fading, sigma2_sq)
 
 
 def _fill(c: float, floor: _Floor, budget: float) -> tuple:
@@ -302,7 +297,7 @@ def _fill(c: float, floor: _Floor, budget: float) -> tuple:
     top = float(_water_level(height, weights, budget, sums))
     m = height.searchsorted(top)  # the states below the level
     power = top - height[:m]
-    return noise[0] + top, power, float(_rates(c, power, noise[:m]) @ weights[:m])
+    return float(noise[0] + top), power, float(_rates(c, power, noise[:m]) @ weights[:m])
 
 
 def _fill_by_gain(c: float, floor: _Floor, budget: float) -> tuple:
@@ -395,7 +390,7 @@ def _best_flash(
     """
     p, h2 = fading.p, fading.h2
     n = p.size
-    free = _free_floor(fading, params.sigma2_sq)
+    free = _gain_floor(fading, params.sigma2_sq)
     # The free floor ascends with state k at place n-1-k, so reversed it is
     # in storage order.
     floor = free.noise[::-1]

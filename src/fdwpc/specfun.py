@@ -49,16 +49,15 @@ def lambert_w0(x: float) -> float:
     p_sq = 2.0 * (math.e * x + 1.0)
     if p_sq <= 0.0:
         return -1.0
-    if p_sq < 1e-6:
-        # So close to the branch point that Halley's denominators degenerate;
-        # the series in p is already beyond double precision here.
-        p = math.sqrt(p_sq)
-        return -1.0 + p - p * p / 3.0 + 11.0 / 72.0 * p * p * p
 
     # Initial guess.
     if x < -0.25:
         p = math.sqrt(p_sq)
         w = -1.0 + p - p * p / 3.0 + 11.0 / 72.0 * p * p * p
+        if p_sq < 1e-6:
+            # So close to the branch point (x < -0.36) that Halley's
+            # denominators degenerate; the series is beyond double precision.
+            return w
     elif x < 1.0:
         # Pade-flavored guess, adequate to start Halley anywhere in [-0.25, 1).
         w = x * (1.0 - x * (1.0 - 1.5 * x) / (1.0 + x))

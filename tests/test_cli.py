@@ -314,15 +314,23 @@ def test_ratio_nan_on_dead_channel(tmp_path, capsys):
         ["simulate", "--pet-dbm", "4000"],
         ["ratio-sweep", "--start", "-4000", "--stop", "-4000", "--step", "5"],
         ["capacity-sweep", "--start", "0", "--stop", "inf", "--step", "5"],
+        ["capacity-sweep", "--suppression-db", "4000"],
+        ["capacity-sweep", "--pp-dbm", "4000"],
+        ["pcost-compare", "--pp-dbm", "4000"],
+        ["ratio-sweep", "--start", "4000", "--stop", "4000", "--step", "5"],
+        ["ratio-sweep", "--stop", "4000"],
+        ["pcost-compare", "--start", "4000", "--stop", "4000"],
     ],
 )
 def test_exit_2_on_out_of_range_value(argv, capsys):
     # dB-to-linear conversions that overflow or underflow to zero, and an
-    # infinite grid, are usage errors with a one-line diagnostic.
+    # infinite grid, are usage errors with a one-line diagnostic that names
+    # the flag (--start/--stop for a grid value).
     code, out, err = run_cli(argv + FAST, capsys)
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("fdwpc: ")
+    assert any(flag in err for flag in argv if flag.startswith("--"))
 
 
 # Every scenario flag away from its default; each sweep replaces one of them
@@ -452,21 +460,67 @@ def test_negative_zero_noise_prints_the_noiseless_sweep(capsys):
     assert all(r[1:] == ["inf", "inf", "Case2"] for r in rows(out)[1:])
 
 
-def test_sweep_builds_the_interference_free_floor_once(monkeypatch, capsys):
-    # Every point of a sweep solves one distribution at one noise power: its
-    # flash bounds, flash floors and half-duplex fills share one floor. Any
-    # other floor built is a Case-1 one, over the residual interference.
+# Extreme noise powers at 16 states, each with the SHA-256 of the bytes it
+# printed while RuntimeWarnings leaked (stdout, then simulate's trace).
+EXTREME_NOISE = {
+    "capacity-sweep --noise-watts 1e300":
+        "f802e1795b7ec2977aa49cad27d601769ea99d6ed869d509f9ae6d5c5d0c150b",
+    "ratio-sweep --noise-watts 1e300":
+        "d07b54a204f6a58f992ec802577077b0f15422ab14d62c5ebc56c6544dc94edb",
+    "recycle-sweep --noise-watts 1e300 --pp-watts 0":
+        "1e04bebf756d9a931a7934dade77a1da377d4411ecdc4c0f2ffecbed0733f5b4",
+    "pcost-compare --noise-watts 1e300 --pp-zero":
+        "a89cb6fa3b8275dc3ebc433ab0ac34243d94db28e0cb0789c4b5961e208994ee",
+    "simulate --noise-watts 1e300 --pp-watts 0 --slots 200":
+        "0d3fabcca2c5b97273fb96d10666dea960c8d2b0b1cd5b680d1f622de8bebc73",
+    "capacity-sweep --noise-watts 1e-320":
+        "29955bb48c1c1d158d18181a49592d1718ac73631615aae9771f811077bb15af",
+    "ratio-sweep --noise-watts 1e-320":
+        "a34d12b1c0a1691d25a305ab99c35107d43222e9c9570fd25e39f8920ca92b4c",
+    "capacity-sweep --noise-watts 1e-320 --pp-watts 0":
+        "66485557120c54bb0fe61b3b2a27ca49aca2a0e41d0e5573aec7328dbf15a594",
+    "ratio-sweep --noise-watts 1e-320 --pp-watts 0":
+        "82b7a502b49bbde3431d0dd85df50c960041e3181a1921776675e9e96869185d",
+}
+
+
+@pytest.mark.parametrize("argv", EXTREME_NOISE)
+def test_extreme_noise_runs_without_a_warning(tmp_path, capsys, argv):
+    # A noise power of 1e300 overflows the weak states' floors to inf, and one
+    # of 1e-320 overflows the half-duplex stationarity count and its inverse
+    # level. The inf limits are right: each run exits 0 with nothing on stderr
+    # (RuntimeWarnings are errors here) and prints the bytes it printed before.
+    extra = ["--fading-states", "16"]
+    if argv.startswith("simulate"):
+        extra += ["--out", str(tmp_path / "trace.csv")]
+    code, out, err = run_cli(argv.split() + extra, capsys)
+    assert (code, err) == (0, "")
+    if argv.startswith("simulate"):
+        out += (tmp_path / "trace.csv").read_text(encoding="utf-8")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == EXTREME_NOISE[argv]
+
+
+@pytest.mark.parametrize(
+    "command, builds", [("recycle-sweep", 2), ("capacity-sweep", 9), ("ratio-sweep", 8)]
+)
+def test_sweep_builds_each_gain_ordered_floor_once(monkeypatch, capsys, command, builds):
+    # Every point of a sweep solves one distribution, reading its
+    # interference-free floor and its Case-1 floor. Only a point that moves the
+    # Case-1 numerator sigma2_sq + p_et*alpha2 (capacity-sweep's 8 ET powers,
+    # ratio-sweep's 7 suppressions) builds a floor; recycle-sweep's alpha1
+    # moves neither, so its 13 points build 2 floors, not 14.
     built = []
 
-    def spy(fad, s, _original=solver._gain_floor):
-        built.append(s)
-        return _original(fad, s)
+    class Spy(solver._Floor):
+        __slots__ = ()
 
-    monkeypatch.setattr(solver, "_gain_floor", spy)
-    solver._free_floor.cache_clear()
-    code, out, _ = run_cli(["capacity-sweep"] + FAST, capsys)
-    assert code == 0 and len(rows(out)) == 9
-    assert built.count(1e-14) == 1
-    # 8 points, each read by solve and by solve_hd.
-    info = solver._free_floor.cache_info()
-    assert info.misses == 1 and info.hits >= 2 * 8 - 1
+        def __init__(self, noise, weights, live=None):
+            if live is not None:  # gain-ordered, not a scored flash
+                built.append(noise[0])
+            super().__init__(noise, weights, live)
+
+    monkeypatch.setattr(solver, "_Floor", Spy)
+    solver._gain_floor.cache_clear()
+    code, out, _ = run_cli([command, "--pp-watts", "0"], capsys)
+    assert code == 0 and len(rows(out)) > 7
+    assert len(built) == solver._gain_floor.cache_info().misses == builds

@@ -548,19 +548,19 @@ def test_solve_fills_once_per_scored_quantity(
             return _original(*args)
 
         monkeypatch.setattr(solver, name, spy)
-    solver._free_floor.cache_clear()
+    solver._gain_floor.cache_clear()
     assert solve(params, f).case == case
     assert calls == {"_fill": fills, "capacity_case1": 0, "_flash": flash_budgets, "_level_sums": fills}
     # solve_hd ranks two candidate budgets and scores the winner (one
     # candidate on a one-state link). It reads the floor that solve left, and
     # a second call forms no prefix sums at all.
-    misses = solver._free_floor.cache_info().misses
+    misses = solver._gain_floor.cache_info().misses
     hd_calls = []
     for _ in range(2):
         calls.update(dict.fromkeys(calls, 0))
         solve_hd(params, f)
         hd_calls.append((calls["_fill"], calls["_level_sums"]))
-    assert solver._free_floor.cache_info().misses == misses
+    assert solver._gain_floor.cache_info().misses == misses
     assert hd_calls[0][0] == hd_calls[1][0] == hd_fills
     assert hd_calls[1][1] == 0
 
@@ -588,12 +588,12 @@ def test_shared_floor_gives_the_same_bytes_cold_warm_and_interleaved():
     ]
     cold = []
     for link in links:
-        solver._free_floor.cache_clear()
+        solver._gain_floor.cache_clear()
         solve_out = _solve_bytes(*link)
-        solver._free_floor.cache_clear()
+        solver._gain_floor.cache_clear()
         cold.append((solve_out, _hd_bytes(*link)))
-    # Each link warm (its floor is the last one built), then the four in
-    # alternation, so that every call finds another link's floor.
+    # Each link warm (its floors are the last two built), then the four in
+    # alternation, so that calls find other links' floors in the cache.
     for i, link in enumerate(links):
         for _ in range(2):
             assert (_solve_bytes(*link), _hd_bytes(*link)) == cold[i]
@@ -620,30 +620,62 @@ def test_negative_zero_noise_solves_as_zero(alpha2, f):
 
 def test_equal_distributions_do_not_share_a_floor():
     f, g = fading.rayleigh(1.0, 16), fading.rayleigh(1.0, 16)
-    solver._free_floor.cache_clear()
-    floor = solver._free_floor(f, 0.1)
-    assert solver._free_floor(f, 0.1) is floor
-    assert solver._free_floor(g, 0.1) is not floor
-    assert solver._free_floor(f, 0.1) is not floor
+    solver._gain_floor.cache_clear()
+    floor = solver._gain_floor(f, 0.1)
+    assert solver._gain_floor(f, 0.1) is floor
+    other = solver._gain_floor(g, 0.1)
+    assert other is not floor
+    # The cache holds two floors; a third evicts the one read least recently.
+    assert solver._gain_floor(f, 0.1) is floor and solver._gain_floor(g, 0.1) is other
+    assert solver._gain_floor(f, 0.2) is not floor
+    assert solver._gain_floor(f, 0.1) is not floor
     # LinkParams stores a noise power of -0.0 as 0.0, so it floors at +0.0
     # and finds the floor of 0.0.
-    floor = solver._free_floor(f, simple_params(sigma2_sq=-0.0).sigma2_sq)
+    floor = solver._gain_floor(f, simple_params(sigma2_sq=-0.0).sigma2_sq)
     assert not np.signbit(floor.noise).any()
-    assert solver._free_floor(f, 0.0) is floor
-    assert solver._free_floor.cache_info().misses == 4
+    assert solver._gain_floor(f, 0.0) is floor
+    assert solver._gain_floor.cache_info().misses == 5
 
 
-def test_shared_floor_keeps_at_most_one_distribution_alive():
+def _distributions_kept(alpha2):
+    """Solve four distributions in turn; report which are still alive."""
     refs = []
-    for n in (16, 32, 64):
+    for n in (16, 32, 64, 128):
         f = fading.rayleigh(1.0, n)
-        solve(simple_params(), f)
-        solve_hd(simple_params(), f)
+        solve(simple_params(alpha2=alpha2), f)
+        solve_hd(simple_params(alpha2=alpha2), f)
         refs.append(weakref.ref(f))
         del f
     gc.collect()
-    # Only the last distribution may still be held, by the cache's key.
-    assert refs[0]() is None and refs[1]() is None
+    return [r() is not None for r in refs]
+
+
+def test_shared_floor_keeps_at_most_one_distribution_alive():
+    # With p_et*alpha2 > 0 a solve reads two floors of its distribution, the
+    # interference-free and the Case-1 one, so the cache's keys hold only the
+    # last distribution.
+    assert _distributions_kept(1e-3)[:-1] == [False] * 3
+
+
+def test_floor_cache_keeps_at_most_two_distributions_alive_without_interference():
+    # With alpha2 = 0 both floors are sigma2_sq/h^2, one entry per
+    # distribution, so the previous distribution's may still be held.
+    assert _distributions_kept(0.0)[:-2] == [False] * 2
+
+
+def test_cached_floors_are_read_only():
+    # A solve shares its floors with later solves: a write into any array of
+    # one raises instead of corrupting them.
+    params, f = simple_params(alpha2=1e-3), fading.rayleigh(1.0, 16)
+    solve(params, f)
+    solve_hd(params, f)
+    for s in (params.sigma2_sq, params.sigma2_sq + params.p_et * params.alpha2):
+        floor = solver._gain_floor(f, s)
+        height, sums = floor.scan()
+        for a in (floor.noise, floor.weights, height, *sums, *floor.live_sums()):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+    assert solver._gain_floor.cache_info().currsize == 2
 
 
 # ---------------------------------------------------------------------------
