@@ -5,6 +5,7 @@ from .hd import HdResult, solve_hd
 from .sim import SimConfig, SimTrace, simulate
 from .solver import (
     CapacityResult,
+    FloatRangeError,
     MultiplierSet,
     PowerAllocation,
     capacity_case1,
@@ -40,6 +41,7 @@ __all__ = [
     "SimTrace",
     "simulate",
     "CapacityResult",
+    "FloatRangeError",
     "MultiplierSet",
     "PowerAllocation",
     "capacity_case1",

@@ -96,7 +96,11 @@ def _scenario_fading(args) -> fading_mod.FadingDistribution:
         return fading_mod.from_file(args.fading_file)
     if args.fading_states < 1:
         raise ValueError(f"--fading-states must be >= 1, got {args.fading_states}")
-    omega = omega_from_path_loss(PathLossParams(_F_C_HZ, args.distance_m, _GAMMA))
+    omega = _converted(
+        "--distance-m",
+        lambda d: omega_from_path_loss(PathLossParams(_F_C_HZ, d, _GAMMA)),
+        args.distance_m,
+    )
     if args.fading_states == 1:
         return fading_mod.deterministic(math.sqrt(omega))
     return fading_mod.rayleigh(omega, args.fading_states)
@@ -236,13 +240,15 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--stop", type=float, default=stop, help=f"last {variable}")
         p.add_argument("--step", type=float, default=step)
         _add_scenario_args(p, pp_list=name == "pcost-compare")
-        p.set_defaults(func=cmd_sweep, header=header, rows=rows)
+        # The flag that set p_et, named when a flash power leaves the float range.
+        pet_flag = "--start/--stop" if name in ("capacity-sweep", "pcost-compare") else "--pet-dbm"
+        p.set_defaults(func=cmd_sweep, header=header, rows=rows, pet_flag=pet_flag)
 
     p = sub.add_parser("simulate", help="slotted Monte Carlo achievability run")
     p.add_argument("--k", type=int, default=200, help="channel uses per slot")
     p.add_argument("--slots", type=int, default=20000)
     _add_scenario_args(p)
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, pet_flag="--pet-dbm")
     return ap
 
 
@@ -256,6 +262,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"fdwpc: {exc}\n")
+        return 2
+    except solver.FloatRangeError as exc:
+        flag = "--noise-watts" if exc.field == "sigma2_sq" else args.pet_flag
+        sys.stderr.write(f"fdwpc: {flag}: {exc}\n")
         return 2
     except (OverflowError, ZeroDivisionError) as exc:
         # A numeric flag whose unit conversion leaves the float range.

@@ -26,21 +26,27 @@ so the stream depends on neither the battery nor the block size.
 * ``alpha1 > 0``: the gain of each use multiplies its symbol, so each wanted
   slot draws its k codeword symbols, then its k gains, in blocks of
   ``_BLOCK`` slots. The block bounds only the symbols held in memory; a
-  slot that could run dry closes from the symbols its block holds.
+  slot that could run dry redraws its block up to itself from the generator
+  state kept at the block's start.
 * ``alpha1 == 0``: the gain is the constant ``g1_mean``, and a slot's sums
   depend on its codeword z only through S1 = sum(z) ~ N(0, k) and the
   squared deviation R = sum((z - mean z)^2) ~ chi2(k - 1), independent of
   S1. Both are drawn for every wanted slot up front (``_draw_sums``) and
-  give the slot's sums in closed form (``_closed_sums``); the slot loop then
-  closes the run ``_SUMS_CHUNK`` (1024) slots at a time. Only a slot that
+  give the slot's sums in closed form (``_closed_sums``). Only a slot that
   could run dry draws symbols: z conditioned on (S1, R) is the mean plus
   sqrt(R) times a direction uniform on the sphere orthogonal to the
   all-ones vector (``_conditional_path``), taken from a generator keyed by
   the slot, so a path does not depend on which other slots needed one.
 
-Either way the loop closes each slot in slot order with one compare against
-its state's gate (NaN for a state the allocation keeps silent) and keeps the
-energy totals as running scalar sums, so neither chunk size moves a bit.
+Either way the battery is closed ``_SUMS_CHUNK`` (1024) slots at a time. A
+slot starting at or above its need (its gate or ``_dry_free_level`` if the
+allocation wants it, whichever is larger, NaN for non-finite sums, -inf if
+silent) adds ``e_sum - d_sum`` or its sleep harvest. One ``cumsum`` from the
+carried level gives every start level up to the first slot below its need;
+from there the per-slot body runs in Python until ``_DECIDED_RUN`` slots in a
+row are decided. ``cumsum`` adds in slot order, one term at a time, as the
+body does, and carries the energy totals the same way, so no chunk size
+moves a bit.
 
 Slot rates are analytic (decoding is not simulated); receiver noises and the
 transmitter's own residual self-interference are therefore never drawn --
@@ -77,9 +83,12 @@ __all__ = ["SimConfig", "SimTrace", "simulate"]
 # the block size (128 and 512 measured no faster), and peak memory grows with
 # it.
 _BLOCK = 32
-# Slots closed per run of the loop when alpha1 == 0, whose sums exist for the
-# whole run: each run converts its slice of the sums to lists.
+# Slots closed per run of the loop, whose sums, needs and levels are held at
+# once.
 _SUMS_CHUNK = 1024
+# Slots decided in a row, closed one at a time near an empty battery, before a
+# cumsum takes the run over again.
+_DECIDED_RUN = 16
 # Stream of the per-slot draws, after the seed. The fading draws hash the bare
 # seed, and a no-recycling slot's path generator appends the slot index.
 _STREAM = 0x5107
@@ -437,39 +446,43 @@ def simulate(
     gate = np.where(p_ehu > 0.0, k * (p_proc + p_ehu), np.nan)
     # Sleeping: the user spends nothing and only harvests the transmitter's
     # signal.
-    sleep_in = (k * eta * hx2 * hx2).tolist()
+    sleep_in = k * eta * hx2 * hx2
     wanted = p_ehu[states] > 0.0
 
-    # Each generator yields a chunk's first slot, its wanted mask, the wanted
-    # slots' (e_sum, d_sum, safe) and ``path(pos, s_i)``: the per-use harvest
-    # and demand of the chunk's slot ``pos``, for a slot that could run dry.
-    # ``path`` is called only while its chunk is the current one.
-    def drawn_blocks():
-        for lo in range(0, n_slots, _BLOCK):
-            want = wanted[lo : lo + _BLOCK]
-            ws = states[lo : lo + _BLOCK][want]
-            z = rng.standard_normal((ws.size, 2, k))
-            x1 = x1_sd[ws, None] * z[:, 0]
-            e_in, demand = _use_energies(x1, g + g1_sd * z[:, 1], hx2[ws, None], eta, p_proc)
-            e_sums = e_in.sum(axis=1)
-            d_sums = demand.sum(axis=1)
+    def drawn(lo, hi, gen):
+        # Per use harvest and demand of the wanted slots in [lo, hi), from gen.
+        ws = states[lo:hi][wanted[lo:hi]]
+        z = gen.standard_normal((ws.size, 2, k))
+        x1 = x1_sd[ws, None] * z[:, 0]
+        return _use_energies(x1, g + g1_sd * z[:, 1], hx2[ws, None], eta, p_proc)
+
+    # Each generator yields a run's first slot, its wanted mask, the wanted
+    # slots' e_sum and d_sum, and ``path(pos, s_i)``, called only while its run
+    # is current: the per-use harvest and demand of the run's slot ``pos``.
+    def drawn_runs():
+        for lo in range(0, n_slots, _SUMS_CHUNK):
+            hi = min(lo + _SUMS_CHUNK, n_slots)
+            starts, sums = [], []
+            for b in range(lo, hi, _BLOCK):
+                starts.append(rng.bit_generator.state)
+                sums.append([a.sum(axis=1) for a in drawn(b, min(b + _BLOCK, hi), rng)])
 
             def path(pos, s_i):
-                j = np.count_nonzero(want[:pos])
-                return e_in[j : j + 1], demand[j : j + 1]
+                # Redraw the block from its start state, up to the slot.
+                replay = np.random.default_rng()
+                replay.bit_generator.state = starts[pos // _BLOCK]
+                return tuple(a[-1:] for a in drawn(lo + pos - pos % _BLOCK, lo + pos + 1, replay))
 
-            yield lo, want, (e_sums, d_sums, _dry_free_level(e_sums, d_sums, k)), path
+            yield lo, wanted[lo:hi], *map(np.concatenate, zip(*sums)), path
 
     def sum_runs():
         # Two numbers per wanted slot, drawn for the whole run at once.
         ws = states[wanted]
         s1, r = _draw_sums(rng, ws.size, k)
-        e_all, d_all = _closed_sums(s1, r, k, hx2[ws], x1_sd[ws], g, eta, p_proc)
-        sums = (e_all, d_all, _dry_free_level(e_all, d_all, k))
         first = 0
         for lo in range(0, n_slots, _SUMS_CHUNK):
             want = wanted[lo : lo + _SUMS_CHUNK]
-            end = first + np.count_nonzero(want)
+            rows = slice(first, first + np.count_nonzero(want))
 
             def path(pos, s_i):
                 row = first + np.count_nonzero(want[:pos])
@@ -477,42 +490,53 @@ def simulate(
                 x1 = x1_sd[s_i] * _conditional_path(float(s1[row]), float(r[row]), v)
                 return _use_energies(x1[None], g, hx2[s_i], eta, p_proc)
 
-            yield lo, want, tuple(a[first:end] for a in sums), path
-            first = end
+            wr = ws[rows]
+            sums = _closed_sums(s1[rows], r[rows], k, hx2[wr], x1_sd[wr], g, eta, p_proc)
+            yield lo, want, *sums, path
+            first = rows.stop
 
-    level = 0.0
-    e_in_total = 0.0
-    e_out_total = 0.0
-    depleted = 0
-    exact = 0
-    gates = gate.tolist()
+    level = e_in_total = e_out_total = 0.0
+    depleted = exact = 0
     battery_end = np.empty(n_slots)
-    for lo, want, sums, path in drawn_blocks() if g1_sd > 0.0 else sum_runs():
-        # The wanted slots' sums in slot order; a sleeping slot never reads its
-        # column.
-        cols = np.zeros((3, want.size))
-        for col, a in zip(cols, sums):
-            col[want] = a
-        levels = []
-        for s_i, e_sum, d_sum, safe_i in zip(states[lo : lo + want.size].tolist(), *cols.tolist()):
-            if level >= gates[s_i]:
-                if level >= safe_i:
-                    # ``_close_slot``'s no-shortfall branch, with no prefix sums.
-                    level += e_sum - d_sum
+    for lo, want, e_sums, d_sums, path in drawn_runs() if g1_sd > 0.0 else sum_runs():
+        n = want.size
+        s = states[lo : lo + n]
+        # Column j + 1: slot j's level increment, energy in and energy out if
+        # decided; column i carries the level and totals into slot i.
+        acc = np.zeros((3, n + 1))
+        acc[:2, 1:] = sleep_in[s]
+        acc[:, 1:][:, want] = e_sums - d_sums, e_sums, d_sums
+        need = np.full(n, -np.inf)
+        need[want] = np.maximum(gate[s[want]], _dry_free_level(e_sums, d_sums, k))
+        i = 0
+        while i < n:
+            acc[:, i] = level, e_in_total, e_out_total
+            run = np.cumsum(acc[:, i:], axis=1)
+            decided = run[0, :-1] >= need[i:]
+            m = n - i if decided.all() else int(decided.argmin())
+            battery_end[lo + i : lo + i + m] = run[0, 1 : m + 1]
+            level, e_in_total, e_out_total = run[:, m].tolist()
+            i += m
+            streak = 0
+            while i < n and streak < _DECIDED_RUN:
+                inc, e_sum, d_sum = acc[:, i + 1].tolist()
+                streak = streak + 1 if level >= need[i] else 0
+                if streak:
+                    level += inc
+                    e_in_total += e_sum
                     e_out_total += d_sum
-                else:
-                    _, _, net, floor = _slot_sums(*path(len(levels), s_i))
-                    net, floor = float(net[0]), float(floor[0])
+                elif level >= gate[s[i]]:
+                    net, floor = (float(a[0]) for a in _slot_sums(*path(i, s[i]))[2:])
                     level, e_out, dry = _close_slot(level, e_sum, d_sum, net, floor)
+                    e_in_total += e_sum
                     e_out_total += e_out
                     depleted += dry
                     exact += 1
-                e_in_total += e_sum
-            else:
-                level += sleep_in[s_i]
-                e_in_total += sleep_in[s_i]
-            levels.append(level)
-        battery_end[lo : lo + want.size] = levels
+                else:  # an outage: the wanted slot sleeps
+                    level += float(sleep_in[s[i]])
+                    e_in_total += float(sleep_in[s[i]])
+                battery_end[lo + i] = level
+                i += 1
 
     # A slot transmitted exactly when its start level passed its gate.
     transmitted = np.concatenate(([0.0], battery_end[:-1])) >= gate[states]

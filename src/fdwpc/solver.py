@@ -37,7 +37,10 @@ c*log1p(P/n) by ``_rates``, with the convention c that the caller passes.
 capacity keeps its relative digits at any SNR, and returns the level, the
 powers of the states below it (a prefix of the floor) and their value.
 ``_rates`` gives 0 where P = 0 and inf where n = 0 < P; where every floor is
-positive there is nothing to mask, and it rates without ``np.errstate``.
+positive there is nothing to mask, and it rates without ``np.errstate``. So a
+noisy state is never rated as noiseless, ``_gain_floor`` raises
+``FloatRangeError`` on a positive numerator whose floor underflows to 0, and
+``_fill`` where P/n at its lowest floor, the largest, overflows.
 
 A floor is a ``_Floor``: the noise ascending (strongest state first) and its
 weights, with the sums a fill scans built on first use and kept, all
@@ -90,11 +93,23 @@ __all__ = [
     "rayleigh_capacity_closed_form",
     "recover_multipliers",
     "closed_form_x2_errors",
+    "FloatRangeError",
 ]
 
 _LN2 = math.log(2.0)
 # 1/(2 ln 2): converts (1/2) log2 rates to a natural-log slope.
 _C_BITS = 0.5 / _LN2
+
+
+class FloatRangeError(OverflowError):
+    """A quantity of a solve past the float range, raised before it is used:
+    a flash power p_et/p_k, or an SNR h^2 P/sigma2_sq (a noise floor that
+    underflows to 0 included). ``field`` names the ``LinkParams`` field that
+    put it there, "p_et" or "sigma2_sq"."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
 
 
 @dataclass(frozen=True)
@@ -281,6 +296,8 @@ def _gain_floor(fading: FadingDistribution, s: float) -> _Floor:
     else:
         np.divide(s, h2[::-1][:live], out=noise[:live])
     noise[live:] = np.inf
+    if live and noise[0] == 0.0 < s:
+        raise FloatRangeError("sigma2_sq", f"the noise floor {s:g} W / {h2[-1]:g} underflows to 0")
     noise.setflags(write=False)
     return _Floor(noise, fading.p[::-1], live)
 
@@ -295,6 +312,10 @@ def _fill(c: float, floor: _Floor, budget: float) -> tuple:
     height, sums = floor.scan()
     noise, weights = floor.noise, floor.weights
     top = float(_water_level(height, weights, budget, sums))
+    # P/n is largest at the lowest floor, where P = top.
+    n0 = float(noise[0])
+    if n0 > 0.0 and top / n0 == math.inf:
+        raise FloatRangeError("sigma2_sq", f"the SNR {top:g} W / {n0:g} W is past the float range")
     m = height.searchsorted(top)  # the states below the level
     power = top - height[:m]
     return float(noise[0] + top), power, float(_rates(c, power, noise[:m]) @ weights[:m])
@@ -365,12 +386,14 @@ def _flash(params: LinkParams, p, h2) -> tuple:
 def _funded_flashes(params: LinkParams, p: np.ndarray, h2: np.ndarray):
     """Yield ``(k, q_k, B_k)`` for every flash with B_k > 0, strongest state
     first. B_k grows with the gain up to rounding, so states are taken one at
-    a time from the top and, below the first unfunded one, all at once: a
-    link with no funded flash forms its budgets in one array pass."""
+    a time from the top, in Python floats, and, below the first unfunded one,
+    all at once: a link with no funded flash forms its budgets in one array
+    pass. A q past the float range is inf, which no flash may keep."""
     for k in range(p.size - 1, -1, -1):
-        q, budget = _flash(params, p[k], h2[k])
+        q, budget = _flash(params, float(p[k]), float(h2[k]))
         if not budget > 0.0:
-            q, budget = _flash(params, p[:k], h2[:k])
+            with np.errstate(over="ignore", invalid="ignore"):
+                q, budget = _flash(params, p[:k], h2[:k])
             for j in np.flatnonzero(budget > 0.0)[::-1]:
                 yield j, q[j], budget[j]
             return
@@ -397,6 +420,10 @@ def _best_flash(
     desc = np.arange(n)[::-1]
     best, best_value = None, 0.0
     for k, q, budget in _funded_flashes(params, p, h2):
+        if q == math.inf:
+            raise FloatRangeError(
+                "p_et", f"the flash power {params.p_et:g} W / {p[k]:g} is past the float range"
+            )
         # Only a scored flash prunes: a funded flash whose bound rounds to 0
         # is still scored, so no bound decides that the link is Zero.
         if best_value > 0.0 and _fill(_C_BITS, free, budget)[2] <= best_value:

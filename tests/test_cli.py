@@ -320,17 +320,39 @@ def test_ratio_nan_on_dead_channel(tmp_path, capsys):
         ["ratio-sweep", "--start", "4000", "--stop", "4000", "--step", "5"],
         ["ratio-sweep", "--stop", "4000"],
         ["pcost-compare", "--start", "4000", "--stop", "4000"],
+        ["capacity-sweep", "--distance-m", "1e-200"],
+        # Flash powers p_et/p_k = 64 p_et past the float range.
+        ["capacity-sweep", "--start", "3100", "--stop", "3100", "--step", "5"],
+        ["pcost-compare", "--start", "3100", "--stop", "3100", "--pp-zero"],
+        ["simulate", "--pet-dbm", "3100"],
     ],
 )
 def test_exit_2_on_out_of_range_value(argv, capsys):
-    # dB-to-linear conversions that overflow or underflow to zero, and an
-    # infinite grid, are usage errors with a one-line diagnostic that names
-    # the flag (--start/--stop for a grid value).
+    # dB-to-linear conversions that overflow or underflow to zero, a path
+    # loss past the float range, a flash power past it and an infinite grid
+    # are usage errors with a one-line diagnostic that names the flag
+    # (--start/--stop for a grid value).
     code, out, err = run_cli(argv + FAST, capsys)
     assert code == 2
     assert out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("fdwpc: ")
+    assert len(err.splitlines()) == 1 and err.startswith("fdwpc: --")
     assert any(flag in err for flag in argv if flag.startswith("--"))
+
+
+@pytest.mark.parametrize("noise", ["1e-320", "1e-310", "1e-305"])
+def test_exit_2_on_an_snr_past_the_float_range(tmp_path, capsys, noise):
+    # Over h^2 = 1e6, sigma2_sq = 1e-320 W gives a floor that underflows to 0,
+    # which used to be rated as noiseless (capacity inf, half-duplex rate
+    # NaN); the others give floors that a codeword power divides past the
+    # float range (a capacity or a half-duplex rate of inf). Each is a usage
+    # error naming --noise-watts, with no RuntimeWarning (they are errors
+    # here).
+    fpath = tmp_path / "strong.txt"
+    fpath.write_text("1000 0.5\n0.5 0.5\n")
+    argv = ["capacity-sweep", "--pp-watts", "0", "--fading-file", str(fpath)]
+    code, out, err = run_cli(argv + ["--noise-watts", noise], capsys)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("fdwpc: --noise-watts: ")
 
 
 # Every scenario flag away from its default; each sweep replaces one of them

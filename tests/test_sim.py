@@ -14,7 +14,7 @@ from scipy.stats import ks_2samp
 from fdwpc import fading, sim
 from fdwpc.sim import SimConfig, simulate
 from fdwpc.solver import _C_BITS, PowerAllocation, _noise_floor, _rates, solve
-from fdwpc.units import LinkParams
+from fdwpc.units import LinkParams, dbm_to_watt
 
 
 def sim_params(**kw):
@@ -235,6 +235,18 @@ def recycling_depletion_link():
     return dataclasses.replace(params, alpha1=0.4), f, alloc, cfg
 
 
+def clustered_outage_link():
+    # The simulate benchmark's fixed-gain link at 2000 slots: 296 outage slots
+    # in a few long clusters near an empty battery, where the loop leaves its
+    # cumsum for the per-slot body and comes back.
+    params = LinkParams(
+        eta=0.8, p_proc=dbm_to_watt(-70.0), p_et=1.0, sigma2_sq=1e-14,
+        g1_mean=0.5, alpha1=0.0, alpha2=1e-10,
+    )
+    f = fading.rayleigh(9.880961210318490e-08, 16)
+    return params, f, solve(params, f).allocation, SimConfig(k=200, n_slots=2000, seed=840501605)
+
+
 @pytest.mark.parametrize(
     "link",
     [
@@ -244,9 +256,11 @@ def recycling_depletion_link():
         depletion_link,
         single_use_link,
         recycling_depletion_link,
+        clustered_outage_link,
     ],
     ids=[
         "recycling", "no-recycling", "fixed-gain", "depletion", "single-use", "recycling-depletion",
+        "clustered-outages",
     ],
 )
 def test_skip_rule_matches_every_row_loop_bit_for_bit(link):
@@ -257,7 +271,23 @@ def test_skip_rule_matches_every_row_loop_bit_for_bit(link):
     if link is recycling_depletion_link:
         # The recycling path's exact closes run, and some of them run dry.
         assert tr.exact_path_slots >= 20 and tr.depleted_slots >= 10
+    if link is clustered_outage_link:
+        assert tr.outage_fraction * cfg.n_slots >= 100
     for name, value in ref.items():
+        assert np.array_equal(getattr(tr, name), value), name
+
+
+@pytest.mark.parametrize("chunk", [16, 48, 100])
+def test_redraws_match_the_every_row_loop_when_a_run_splits_a_block(monkeypatch, chunk):
+    # A run of ``chunk`` slots ends inside a block of 32, so a slot that could
+    # run dry redraws a block cut at the run's edge, from the generator state
+    # kept at the cut.
+    monkeypatch.setattr(sim, "_SUMS_CHUNK", chunk)
+    params, f, alloc, cfg = recycling_depletion_link()
+    assert chunk % sim._BLOCK and cfg.n_slots > chunk
+    tr = simulate(params, f, alloc, cfg)
+    assert tr.exact_path_slots >= 20
+    for name, value in every_row_reference(params, f, alloc, cfg).items():
         assert np.array_equal(getattr(tr, name), value), name
 
 
@@ -447,12 +477,17 @@ def recycling_block_link():
 )
 def test_block_size_does_not_change_the_run(monkeypatch, link):
     # The depletion links run the exact path on 24 and 35 of 400 slots, so
-    # chunk edges fall next to slots closed from their per-use path.
+    # chunk edges fall next to slots closed from their per-use path, and the
+    # loop hands slots between its cumsum and its per-slot body after 1, 3 or
+    # the default number of slots decided in a row.
     params, f, alloc, cfg = link()
     runs = []
-    for block, chunk in zip((1, 7, sim._BLOCK), (1, 7, sim._SUMS_CHUNK)):
+    for block, chunk, decided in zip(
+        (1, 7, sim._BLOCK), (1, 7, sim._SUMS_CHUNK), (1, 3, sim._DECIDED_RUN)
+    ):
         monkeypatch.setattr(sim, "_BLOCK", block)
         monkeypatch.setattr(sim, "_SUMS_CHUNK", chunk)
+        monkeypatch.setattr(sim, "_DECIDED_RUN", decided)
         runs.append(simulate(params, f, alloc, cfg))
     first = runs[0]
     assert first.transmitted.any() and not first.transmitted.all()

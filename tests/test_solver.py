@@ -323,6 +323,32 @@ def test_noiseless_link_returns_at_once(f):
     assert math.isinf(r.capacity)
 
 
+def test_quantities_past_the_float_range_raise_before_they_are_used():
+    # Each used to leak a RuntimeWarning (errors here) and then fail on the
+    # allocation or rate a noisy state as noiseless: a flash power p_et/p_k =
+    # 64 p_et, a floor sigma2_sq/h^2 that underflows to 0 at h^2 = 1e6 (every
+    # floor of the unfaded link, one of the two-state link's), and a floor
+    # that the codeword power divides past the float range.
+    params = LinkParams(eta=0.8, p_proc=0.0, p_et=1e307, sigma2_sq=1e-14, alpha2=1e-10)
+    with pytest.raises(solver.FloatRangeError) as exc:
+        solve(params, fading.rayleigh(1e-7, 64))
+    assert exc.value.field == "p_et"
+    strong = fading.custom([1000.0, 0.5], [0.5, 0.5])
+    for sigma2_sq, alpha2, f in [
+        (1e-320, 0.0, fading.deterministic(1000.0)),
+        (1e-320, 1e-10, strong),
+        (1e-310, 1e-10, strong),
+    ]:
+        params = LinkParams(eta=0.8, p_proc=0.0, p_et=1.0, sigma2_sq=sigma2_sq, alpha2=alpha2)
+        with pytest.raises(solver.FloatRangeError) as exc:
+            solve(params, f)
+        assert exc.value.field == "sigma2_sq"
+    # A dead state's flash, whose q overflows, is never funded: its budget
+    # forms as inf * 0 in the one array pass, with no warning and no error.
+    params = LinkParams(eta=0.8, p_proc=1e10, p_et=1e9, sigma2_sq=1e-14)
+    assert solve(params, fading.custom([0.0, 1.0], [1e-300, 1.0])).case == "Zero"
+
+
 @st.composite
 def flash_links(draw):
     """1-40 states with zero and tied gains, a processing cost below the
