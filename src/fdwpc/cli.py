@@ -101,6 +101,8 @@ def _scenario_fading(args) -> fading_mod.FadingDistribution:
         lambda d: omega_from_path_loss(PathLossParams(_F_C_HZ, d, _GAMMA)),
         args.distance_m,
     )
+    if not omega > 0.0:  # a path loss that underflows to 0
+        raise ValueError(f"--distance-m: {args.distance_m:g} is out of range")
     if args.fading_states == 1:
         return fading_mod.deterministic(math.sqrt(omega))
     return fading_mod.rayleigh(omega, args.fading_states)
@@ -176,7 +178,10 @@ def cmd_sweep(args) -> int:
             raise ValueError(f"--{flag} must be finite")
     if not 0.0 < args.step < math.inf:
         raise ValueError("--step must be finite and > 0")
-    n = int(math.floor((args.stop - args.start) / args.step + 1e-9)) + 1
+    count = (args.stop - args.start) / args.step
+    if not abs(count) < math.inf:
+        raise ValueError("--start/--stop/--step: the grid count is past the float range")
+    n = int(math.floor(count + 1e-9)) + 1
     if n < 1:
         raise ValueError("empty sweep range")
     grid = args.start + args.step * np.arange(n)

@@ -59,7 +59,8 @@ at the water level w of the fill that scored the allocation (inf with the
 zero allocation). ``solve`` forms a flash budget B_k only for a flash that is
 scored or bounded. Every case, Zero included, leaves ``solve`` by one path:
 the winner's lambda2 and value go to ``recover_multipliers`` for lambda1 and
-mu1, and the residuals compare each active state with that exact level.
+mu1 (the loss formed only where both powers are carried), and the residuals,
+built on first read, compare each active state with that exact level.
 
 Capacities are in bits per channel use throughout.
 """
@@ -69,6 +70,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -179,14 +181,46 @@ class CapacityResult:
     * ``case2_capacity`` -- the best flash's objective, bits/use.
 
     perfbench's ``check_solve`` reads ``c1_slack``, ``c2_residual_rel`` and
-    ``case1_capacity``.
+    ``case1_capacity``. ``solve`` builds ``residuals`` on first read, a
+    read-only mapping that acts as the dict it builds; ``multipliers`` stay
+    eager: the benchmark's traced run counts one ``recover_multipliers``.
     """
 
     case: str
     capacity: float
     allocation: PowerAllocation
     multipliers: MultiplierSet
-    residuals: dict = field(default_factory=dict)
+    residuals: Mapping = field(default_factory=dict)
+
+
+class _Residuals(Mapping):
+    """``_allocation_residuals(*args) | extra``, built on first read and kept."""
+
+    __slots__ = ("_inputs", "_built")
+
+    def __init__(self, *args, **extra):
+        self._inputs, self._built = (args, extra), None
+
+    def _dict(self) -> dict:
+        if self._built is None:
+            args, extra = self._inputs
+            self._inputs, self._built = None, _allocation_residuals(*args) | extra
+        return self._built
+
+    def __getitem__(self, key):
+        return self._dict()[key]
+
+    def __iter__(self):
+        return iter(self._dict())
+
+    def __len__(self) -> int:
+        return len(self._dict())
+
+    def __repr__(self) -> str:
+        return repr(self._dict())
+
+    def __reduce__(self):
+        return dict, (self._dict(),)
 
 
 def _zero_allocation(n: int) -> PowerAllocation:
@@ -348,16 +382,18 @@ def waterfill_case1(
     (``capacity_case1`` re-rates an allocation in storage order, to 1e-15).
 
     If the budget is <= 0 (the average harvest eta*p_et*E[h^2] cannot cover
-    the processing cost), the zero allocation is returned with
-    ``lambda2 = inf`` and value 0.
+    the processing cost), or every floor is past the float range, the zero
+    allocation is returned with ``lambda2 = inf`` and value 0.
     """
     n = fading.n_states
     one_m_rho = 1.0 - params.rho
     budget = (params.eta * params.p_et * fading.mean_square - params.p_proc) / one_m_rho
     if budget <= 0.0:
         return math.inf, _zero_allocation(n), 0.0
-    s = params.sigma2_sq + params.p_et * params.alpha2
-    w, p_ehu, value = _fill_by_gain(_C_BITS, _gain_floor(fading, s), budget)
+    floor = _gain_floor(fading, params.sigma2_sq + params.p_et * params.alpha2)
+    if floor.noise[0] == math.inf:  # every floor past the float range
+        return math.inf, _zero_allocation(n), 0.0
+    w, p_ehu, value = _fill_by_gain(_C_BITS, floor, budget)
     x2 = np.full(n, math.sqrt(params.p_et))
     return 1.0 / (w * one_m_rho), PowerAllocation(x2, p_ehu), value
 
@@ -421,6 +457,8 @@ def _best_flash(
     best, best_value = None, 0.0
     for k, q, budget in _funded_flashes(params, p, h2):
         if q == math.inf:
+            if not params.eta * params.p_et * float(h2[k]) > params.p_proc:
+                continue  # funded only by its budget inf*(p*h^2)
             raise FloatRangeError(
                 "p_et", f"the flash power {params.p_et:g} W / {p[k]:g} is past the float range"
             )
@@ -429,9 +467,10 @@ def _best_flash(
         if best_value > 0.0 and _fill(_C_BITS, free, budget)[2] <= best_value:
             break
         # order[i] is the state at place i once state k's entry moves up to
-        # its flash floor, ahead of equal entries (it stays put when the
+        # its flash floor (in Python floats, inf past the float range as on a
+        # dead state), ahead of equal entries (it stays put when the
         # interference rounds away).
-        floor_k = (params.sigma2_sq + params.alpha2 * q) / h2[k]
+        floor_k = (params.sigma2_sq + params.alpha2 * float(q)) / float(h2[k])
         r = n - 1 - k
         j = max(int(free.noise.searchsorted(floor_k)), r + 1)
         order = desc.copy()
@@ -439,6 +478,8 @@ def _best_flash(
         order[j - 1] = k
         noise = floor[order]
         noise[j - 1] = floor_k
+        if noise[0] == math.inf:  # no live state left to fill
+            continue
         w, power, value = _fill(_C_BITS, _Floor(noise, p[order]), budget)
         if value > best_value:
             best, best_value = (k, q, order, w, power), value
@@ -457,16 +498,6 @@ def _best_flash(
 # ---------------------------------------------------------------------------
 
 
-def _active_states(
-    params: LinkParams, fading: FadingDistribution, alloc: PowerAllocation
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The states that carry codeword power (a mask), and there p_ehu, h^2
-    and the floor numerator sigma2_sq + alpha2*x2^2."""
-    act = alloc.p_ehu > 0.0
-    s = params.sigma2_sq + params.alpha2 * alloc.x2[act] ** 2
-    return act, alloc.p_ehu[act], fading.h2[act], s
-
-
 def recover_multipliers(
     params: LinkParams,
     fading: FadingDistribution,
@@ -482,30 +513,30 @@ def recover_multipliers(
     averaged over states that carry both transmit and codeword power, and mu1
     from the distribution-normalization condition summed over states.
     """
-    p = fading.p
+    p, h2, x2, pe = fading.p, fading.h2, alloc.x2, alloc.p_ehu
     one_m_rho = 1.0 - params.rho
-    h2_all = fading.h2
-    act, pe, h2, s = _active_states(params, fading, alloc)
-    if not pe.size:
+    act = pe > 0.0
+    if not act.any():
         return MultiplierSet(0.0, lambda2, 0.0)
-    (overlap,) = ((alloc.x2[act] > 0.0) & (h2 > 0.0)).nonzero()
+    (overlap,) = (act & (x2 > 0.0) & (h2 > 0.0)).nonzero()
     if overlap.size:
         loss = 0.0
         if params.alpha2 > 0.0:
-            # s >= alpha2*x2^2 > 0 on these states.
-            loss = params.alpha2 * pe[overlap] * (lambda2 * one_m_rho) / s[overlap]
+            s = params.sigma2_sq + params.alpha2 * x2[overlap] ** 2  # >= alpha2*x2^2 > 0
+            loss = params.alpha2 * pe[overlap] * (lambda2 * one_m_rho) / s
         lam1 = float((lambda2 * params.eta * h2[overlap] - loss).sum()) / overlap.size
     else:
         # Pure harvest states pin lambda1 through the linear stationarity of
         # the transmit power instead; gains are stored ascending.
-        h2_tx = h2_all[alloc.x2 > 0.0]
+        h2_tx = h2[x2 > 0.0]
         lam1 = lambda2 * params.eta * float(h2_tx[-1]) if h2_tx.size else 0.0
     lam1 = max(lam1, 0.0)
-    q = alloc.x2**2
+    q = x2**2
+    # A dot over the active states in storage order, as the residuals sum.
     mu1 = (
         capacity
         - lam1 * float(q @ p)
-        - lambda2 * (one_m_rho * float(pe @ p[act]) - params.eta * float((h2_all * q) @ p))
+        - lambda2 * (one_m_rho * float(pe[act] @ p[act]) - params.eta * float((h2 * q) @ p))
     )
     return MultiplierSet(lam1, lambda2, mu1)
 
@@ -623,7 +654,8 @@ def _allocation_residuals(
     q = alloc.x2**2
     spent = float(q @ p)
     harvest = params.eta * float((fading.h2 * q) @ p)
-    act, pe, h2_act, s = _active_states(params, fading, alloc)
+    act = alloc.p_ehu > 0.0
+    pe, h2_act, s = alloc.p_ehu[act], fading.h2[act], params.sigma2_sq + params.alpha2 * q[act]
     consumed = one_m_rho * float(pe @ p[act]) + params.p_proc
     c2_rel = (harvest - consumed) / max(harvest, 1e-300) if harvest > 0.0 else 0.0
     # With no active state lambda2 is inf and nothing is indexed.
@@ -661,9 +693,7 @@ def solve(params: LinkParams, fading: FadingDistribution) -> CapacityResult:
 
     # The winner's level prices the balance; lambda1 and mu1 complete the set.
     mult = recover_multipliers(params, fading, alloc, lam2, capacity)
-    res = _allocation_residuals(params, fading, alloc, mult)
-    res["case1_capacity"] = cap_c1
-    res["case2_capacity"] = cap_c2
+    res = _Residuals(params, fading, alloc, mult, case1_capacity=cap_c1, case2_capacity=cap_c2)
     return CapacityResult(case, capacity, alloc, mult, res)
 
 

@@ -325,13 +325,16 @@ def test_ratio_nan_on_dead_channel(tmp_path, capsys):
         ["capacity-sweep", "--start", "3100", "--stop", "3100", "--step", "5"],
         ["pcost-compare", "--start", "3100", "--stop", "3100", "--pp-zero"],
         ["simulate", "--pet-dbm", "3100"],
+        # A path loss that underflows to 0, and a grid count past the float range.
+        ["simulate", "--distance-m", "1e200"],
+        ["capacity-sweep", "--start=-1e308", "--stop", "1e308", "--step", "1"],
     ],
 )
 def test_exit_2_on_out_of_range_value(argv, capsys):
     # dB-to-linear conversions that overflow or underflow to zero, a path
-    # loss past the float range, a flash power past it and an infinite grid
-    # are usage errors with a one-line diagnostic that names the flag
-    # (--start/--stop for a grid value).
+    # loss past the float range either way, a flash power past it, an
+    # infinite grid and a grid count past it are usage errors with a one-line
+    # diagnostic that names the flag (--start/--stop for a grid value).
     code, out, err = run_cli(argv + FAST, capsys)
     assert code == 2
     assert out == ""
@@ -354,6 +357,30 @@ def test_exit_2_on_an_snr_past_the_float_range(tmp_path, capsys, noise):
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1 and err.startswith("fdwpc: --noise-watts: ")
 
+
+@pytest.mark.parametrize("states, code", [("16", 0), ("64", 2)])
+def test_huge_et_power_runs_without_a_warning(capsys, states, code):
+    # At 1e307 W every Case-1 floor and every flash floor overflows to inf,
+    # which used to leak RuntimeWarnings (errors here). At 16 states a flash
+    # still scores; at 64 its power p_et/p_k is past the float range.
+    argv = ["ratio-sweep", "--pet-dbm", "3100", "--fading-states", states]
+    got, out, err = run_cli(argv, capsys)
+    assert got == code
+    if code == 0:
+        assert err == "" and len(rows(out)) == 8
+    else:
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("fdwpc: --pet-dbm: ")
+
+
+@pytest.mark.parametrize("command", ["capacity-sweep", "ratio-sweep", "recycle-sweep", "pcost-compare"])
+def test_sweeps_never_build_the_residuals(monkeypatch, capsys, command):
+    # A sweep prints capacities only, so no solve builds its residual dict.
+    calls = []
+    monkeypatch.setattr(solver, "_allocation_residuals", lambda *args: calls.append(args))
+    code, out, _ = run_cli([command, "--fading-states", "16"], capsys)
+    assert code == 0 and len(rows(out)) > 7
+    assert calls == []
 
 # Every scenario flag away from its default; each sweep replaces one of them
 # (capacity-sweep --pet-dbm, recycle-sweep --alpha1) with its grid.

@@ -2,9 +2,11 @@
 independent reference of ``test_acceptance`` (``reference_capacity``, which
 calls nothing in ``fdwpc.solver``)."""
 
+import copy
 import dataclasses
 import gc
 import math
+import pickle
 import re
 import time
 import weakref
@@ -349,6 +351,175 @@ def test_quantities_past_the_float_range_raise_before_they_are_used():
     assert solve(params, fading.custom([0.0, 1.0], [1e-300, 1.0])).case == "Zero"
 
 
+def test_an_overflowing_flash_that_is_not_funded_is_skipped():
+    # q = p_et/p_k overflows on the weak state, so its budget forms as inf,
+    # but eta*p_et*h^2 = 2e8 W cannot cover p_proc = 1e10 W on either state.
+    params = LinkParams(eta=0.8, p_proc=1e10, p_et=1e9, sigma2_sq=1e-14)
+    assert solve(params, fading.custom([0.5, 1.0], [1e-300, 1.0])).case == "Zero"
+
+
+def test_floors_past_the_float_range_score_zero():
+    # At 1e307 W and 40 dB of suppression every Case-1 floor
+    # (sigma2_sq + p_et*alpha2)/h^2 and every flash floor overflows to inf:
+    # Case 1 scores 0 as on a dead link, each flash fills the other states,
+    # and a one-state link, with no other state, is Zero. No RuntimeWarning
+    # (errors here).
+    params = LinkParams(eta=0.8, p_proc=1e-4, p_et=1e307, sigma2_sq=1e-14, alpha2=1e-4)
+    f = fading.rayleigh(1e-7, 16)
+    lam2, alloc, value = waterfill_case1(params, f)
+    assert (lam2, value) == (math.inf, 0.0) and not alloc.p_ehu.any()
+    r = solve(params, f)
+    assert r.case == "Case2" and r.residuals["case1_capacity"] == 0.0
+    flash = np.flatnonzero(r.allocation.x2)
+    assert flash.size == 1 and r.allocation.p_ehu[flash] == 0.0
+    assert solve(params, fading.deterministic(1e-3)).case == "Zero"
+
+
+def _built_residuals(params, f):
+    """What ``solve`` reads as residuals, built eagerly from the public parts."""
+    r = solve(params, f)
+    want = _allocation_residuals(params, f, r.allocation, r.multipliers)
+    want["case1_capacity"] = waterfill_case1(params, f)[2]
+    want["case2_capacity"] = _best_flash(params, f)[2]
+    return r, want
+
+
+def _mapping_bytes(m):
+    return [(k, np.asarray(v, dtype=float).tobytes()) for k, v in m.items()]
+
+
+RESIDUAL_LINKS = [
+    (simple_params(alpha2=0.1), fading.deterministic(1.0)),
+    (simple_params(alpha2=0.1), fading.rayleigh(1.0, 16)),
+    (simple_params(p_proc=10.0), fading.rayleigh(1.0, 64)),
+]
+
+
+def test_residuals_are_built_on_first_read_and_kept(monkeypatch):
+    calls = []
+
+    def spy(*args, _original=solver._allocation_residuals):
+        calls.append(args)
+        return _original(*args)
+
+    monkeypatch.setattr(solver, "_allocation_residuals", spy)
+    for params, f in RESIDUAL_LINKS:
+        calls.clear()
+        r = solve(params, f)
+        assert calls == []
+        assert r.residuals["c1_slack"] == r.residuals["c1_slack"]
+        assert len(calls) == 1
+        list(r.residuals), dict(r.residuals.items()), repr(r), len(r.residuals)
+        pickle.dumps(r), copy.deepcopy(r)
+        assert len(calls) == 1
+        # The inputs are let go once the dict is built.
+        assert r.residuals._inputs is None
+
+
+@pytest.mark.parametrize("link", RESIDUAL_LINKS, ids=["case1", "case2", "zero"])
+def test_residuals_are_the_builders_dict_byte_for_byte(link):
+    r, want = _built_residuals(*link)
+    assert _mapping_bytes(r.residuals) == _mapping_bytes(want)
+
+
+def test_residuals_read_as_the_dict_they_build():
+    r, want = _built_residuals(*RESIDUAL_LINKS[1])
+    res = r.residuals
+    assert res["case2_capacity"] == want["case2_capacity"] == r.capacity
+    with pytest.raises(KeyError):
+        res["missing"]
+    assert "c1_slack" in res and "missing" not in res
+    assert list(res) == list(res.keys()) == list(want) and len(res) == len(want)
+    assert [k for k, _ in res.items()] == list(want)
+    spread = {**res}
+    assert type(spread) is dict and _mapping_bytes(spread) == _mapping_bytes(want)
+    # The values are the mapping's own objects, so == never compares arrays.
+    assert res == spread and spread == res
+    assert res != {**spread, "c1_slack": -1.0} and res != {}
+    with pytest.raises(TypeError):
+        res["c1_slack"] = 0.0
+    assert repr(r) == repr(dataclasses.replace(r, residuals=spread))
+    leaky = dataclasses.replace(r, residuals={**res, "c2_residual_rel": 1e-6})
+    assert leaky.residuals["c2_residual_rel"] == 1e-6
+    assert res["c2_residual_rel"] == want["c2_residual_rel"]
+    # A copy, taken before the first read or after, is a dict with its own
+    # arrays and the same bytes.
+    for fresh in (True, False):
+        src = solve(*RESIDUAL_LINKS[1]) if fresh else r
+        for twin in (copy.deepcopy(src), pickle.loads(pickle.dumps(src))):
+            assert type(twin.residuals) is dict
+            assert _mapping_bytes(twin.residuals) == _mapping_bytes(want)
+            assert twin.residuals["stationarity_rel"] is not src.residuals["stationarity_rel"]
+            assert _solve_bytes_of(twin) == _solve_bytes_of(src)
+
+
+def _parent_recover_multipliers(params, f, alloc, lambda2, capacity):
+    """The multiplier recovery as it was written over the gathered active
+    states; ``recover_multipliers`` must give its bytes."""
+    p, h2_all = f.p, f.h2
+    one_m_rho = 1.0 - params.rho
+    act = alloc.p_ehu > 0.0
+    pe, h2 = alloc.p_ehu[act], h2_all[act]
+    s = params.sigma2_sq + params.alpha2 * alloc.x2[act] ** 2
+    if not pe.size:
+        return MultiplierSet(0.0, lambda2, 0.0)
+    (overlap,) = ((alloc.x2[act] > 0.0) & (h2 > 0.0)).nonzero()
+    if overlap.size:
+        loss = 0.0
+        if params.alpha2 > 0.0:
+            loss = params.alpha2 * pe[overlap] * (lambda2 * one_m_rho) / s[overlap]
+        lam1 = float((lambda2 * params.eta * h2[overlap] - loss).sum()) / overlap.size
+    else:
+        h2_tx = h2_all[alloc.x2 > 0.0]
+        lam1 = lambda2 * params.eta * float(h2_tx[-1]) if h2_tx.size else 0.0
+    lam1 = max(lam1, 0.0)
+    q = alloc.x2**2
+    mu1 = (
+        capacity
+        - lam1 * float(q @ p)
+        - lambda2 * (one_m_rho * float(pe @ p[act]) - params.eta * float((h2_all * q) @ p))
+    )
+    return MultiplierSet(lam1, lambda2, mu1)
+
+
+def test_recover_multipliers_matches_the_gathered_formula_byte_for_byte():
+    rng = np.random.default_rng(28)
+    kinds = dict.fromkeys(["flash", "case1", "alpha2=0", "none active", "dead x2"], 0)
+    for _ in range(120):
+        params, f = _random_link(rng)
+        n = f.n_states
+        free = dataclasses.replace(params, alpha2=0.0)
+        lam2 = float(10.0 ** rng.uniform(-3.0, 3.0))
+        cap = float(rng.uniform(0.0, 5.0))
+        x2 = rng.uniform(0.0, 2.0, n) * (rng.random(n) < 0.5)
+        pe = rng.uniform(0.0, 2.0, n) * (rng.random(n) < 0.5)
+        dead = np.flatnonzero(f.h2 == 0.0)
+        if dead.size:
+            x2[dead[0]] = pe[dead[0]] = 1.0
+            kinds["dead x2"] += 1
+        cases = [
+            (params, _best_flash(params, f)[:2]),
+            (params, waterfill_case1(params, f)[:2]),
+            (free, _best_flash(free, f)[:2]),
+            (free, waterfill_case1(free, f)[:2]),
+            (params, (lam2, PowerAllocation(x2, pe))),
+            (free, (lam2, PowerAllocation(x2, pe))),
+            (params, (math.inf, PowerAllocation(x2, np.zeros(n)))),
+        ]
+        for link, (lam2_k, alloc) in cases:
+            want = _parent_recover_multipliers(link, f, alloc, lam2_k, cap)
+            got = recover_multipliers(link, f, alloc, lam2_k, cap)
+            assert np.array(dataclasses.astuple(got)).tobytes() == np.array(
+                dataclasses.astuple(want)
+            ).tobytes()
+            act = alloc.p_ehu > 0.0
+            overlap = act & (alloc.x2 > 0.0) & (f.h2 > 0.0)
+            kinds["none active"] += not act.any()
+            kinds["alpha2=0"] += link.alpha2 == 0.0 and overlap.any()
+            kinds["flash"] += np.count_nonzero(alloc.x2) == 1 and overlap.any()
+            kinds["case1"] += act.any() and np.array_equal(overlap, act)
+    assert min(kinds.values()) >= 10, kinds
+
 @st.composite
 def flash_links(draw):
     """1-40 states with zero and tied gains, a processing cost below the
@@ -593,7 +764,11 @@ def test_solve_fills_once_per_scored_quantity(
 
 def _solve_bytes(params, f):
     """Every output of ``solve`` on one link, as bytes."""
-    r = solve(params, f)
+    return _solve_bytes_of(solve(params, f))
+
+
+def _solve_bytes_of(r):
+    """Every field of a ``CapacityResult``, as bytes."""
     arrays = [r.allocation.x2, r.allocation.p_ehu]
     arrays += [np.asarray(v, dtype=float) for _, v in sorted(r.residuals.items())]
     scalars = np.array([r.capacity, *dataclasses.astuple(r.multipliers)])
