@@ -27,8 +27,6 @@ import functools
 import math
 import sys
 
-import numpy as np
-
 from . import fading as fading_mod
 from . import hd, sim, solver
 from .units import (
@@ -41,6 +39,9 @@ from .units import (
 
 _F_C_HZ = 2.4e9
 _GAMMA = 3.0
+# Grid steps a sweep may ask for: grid value i is start + step * i, and past
+# 2**53 a step index is not an exact float, so the grid would repeat values.
+_MAX_GRID = 2**53
 
 
 def _fmt(x: float) -> str:
@@ -181,14 +182,17 @@ def cmd_sweep(args) -> int:
     count = (args.stop - args.start) / args.step
     if not abs(count) < math.inf:
         raise ValueError("--start/--stop/--step: the grid count is past the float range")
+    if count >= _MAX_GRID:
+        raise ValueError(f"--start/--stop/--step: {count:g} grid steps, at least 2**53")
     n = int(math.floor(count + 1e-9)) + 1
     if n < 1:
         raise ValueError("empty sweep range")
-    grid = args.start + args.step * np.arange(n)
     fad = _scenario_fading(args)
     lines = [args.header]
-    for value in grid:
-        lines.extend(args.rows(args, fad, float(value)))
+    # The grid is formed a value at a time, with the bits of
+    # start + step * np.arange(n), so no count allocates before a solve.
+    for i in range(n):
+        lines.extend(args.rows(args, fad, args.start + args.step * i))
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

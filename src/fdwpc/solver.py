@@ -15,13 +15,16 @@ transmitter regimes are solved and compared:
   derivative alpha2^2/(2 ln2 s^2) > 0 while the state carries codeword
   power, linear after that), so no optimum has an interior q. Flash k funds
   the budget B_k = (eta*p_et*h_k^2 - p_proc)/(1-rho); its value is bounded
-  above by ``_fill`` of B_k over the self-interference-free noise floor
+  above by the fill of B_k over the self-interference-free noise floor
   sigma2_sq/h^2, which is ascending in storage order reversed. Flash k is
   scored by ``_fill`` on that same floor with state k's entry moved up to its
-  flash floor (sigma2_sq + alpha2*q_k)/h_k^2, one ``searchsorted`` instead of
-  a sort. B_k and so the bound fall with the gain, so the funded candidates
-  (B_k > 0) are scored strongest first, and the search stops at the first
-  bound that cannot beat the best positive value found. The Lambert-W closed
+  flash floor (sigma2_sq + alpha2*q_k)/h_k^2, one ``searchsorted`` and slices
+  instead of a sort. B_k and so the bound fall with the gain, so the funded
+  candidates (B_k > 0) are scored strongest first, and the search stops at
+  the first bound that cannot beat the best positive value found. That bound
+  is first taken in closed form from the best flash's own level and value
+  (``_tangent_bound``: its fill is concave in the budget), and only where
+  that cannot decide by ``_fill`` of the free floor. The Lambert-W closed
   form ``x0_of_h`` gives the per-state stationary point of that Lagrangian,
   which is a minimum in q, so ``solve`` does not evaluate it.
 
@@ -40,19 +43,24 @@ powers of the states below it (a prefix of the floor) and their value.
 positive there is nothing to mask, and it rates without ``np.errstate``. So a
 noisy state is never rated as noiseless, ``_gain_floor`` raises
 ``FloatRangeError`` on a positive numerator whose floor underflows to 0, and
-``_fill`` where P/n at its lowest floor, the largest, overflows.
+``_fill`` where P/n at its lowest floor, the largest, overflows, naming the
+power or the floor, whichever is further past the square root of the range.
 
 A floor is a ``_Floor``: the noise ascending (strongest state first) and its
 weights, with the sums a fill scans built on first use and kept, all
-read-only. Every gain-ordered floor s/h^2 (h^2 the distribution's ``h2``)
-comes from one two-entry cache, ``_gain_floor``, keyed on (distribution, s),
-the distribution by identity. One solve reads at most two floors, the
+read-only. A fill first scans the floor's first ``_PREFIX`` states, and the
+full sums only where the level may lie past them (``_Floor.level``): Case 1
+fills 1-67 of up to 8192 states on the benchmark's links, a flash hundreds to
+thousands, so a flash floor, filled once, builds its full sums at once.
+Every gain-ordered floor s/h^2 (h^2 the distribution's ``h2``) comes from one
+two-entry cache, ``_gain_floor``, keyed on (distribution, s), the
+distribution by identity. One solve reads at most two floors, the
 self-interference-free sigma2_sq/h^2 (the flash bounds and flash floors, and
 the half-duplex fills and Lambert-W prefix sums) and the Case-1
 (sigma2_sq + p_et*alpha2)/h^2, so a sweep point that moves neither numerator
 rebuilds neither. ``_fill_by_gain`` fills one and returns the powers in
-storage order; a scored flash fills the states in the order of its index
-map, which scatters the winner's powers back.
+storage order; a scored flash fills a floor spliced from slices of the free
+floor, and only the winner's index map is built, to scatter its powers back.
 
 Both regimes return ``(lambda2, allocation, value)``, lambda2 = 1/(w*(1-rho))
 at the water level w of the fill that scored the allocation (inf with the
@@ -101,13 +109,20 @@ __all__ = [
 _LN2 = math.log(2.0)
 # 1/(2 ln 2): converts (1/2) log2 rates to a natural-log slope.
 _C_BITS = 0.5 / _LN2
+_EPS, _TINY = sys.float_info.epsilon, sys.float_info.min
+# States a fill scans before it builds a floor's full prefix sums
+# (``_Floor.level``): 1-67 of up to 8192 states carry power on the
+# benchmark's Rayleigh links.
+_PREFIX = 256
 
 
 class FloatRangeError(OverflowError):
     """A quantity of a solve past the float range, raised before it is used:
     a flash power p_et/p_k, or an SNR h^2 P/sigma2_sq (a noise floor that
     underflows to 0 included). ``field`` names the ``LinkParams`` field that
-    put it there, "p_et" or "sigma2_sq"."""
+    put it there, "p_et" or "sigma2_sq". An SNR P/n past the range names
+    "p_et" where P*n > 1 W^2: the codeword power is then further from 1 W, on
+    a log scale, than its floor n."""
 
     def __init__(self, field: str, message: str):
         super().__init__(message)
@@ -282,11 +297,11 @@ class _Floor:
     ``live`` counts the live states of a gain-ordered floor, a prefix. A
     cached floor is shared by later solves, so its arrays are read-only."""
 
-    __slots__ = ("noise", "weights", "live", "_scan", "_live_sums")
+    __slots__ = ("noise", "weights", "live", "_scan", "_head", "_live_sums")
 
     def __init__(self, noise: np.ndarray, weights: np.ndarray, live: int | None = None):
         self.noise, self.weights, self.live = noise, weights, live
-        self._scan = self._live_sums = None
+        self._scan = self._head = self._live_sums = None
 
     def scan(self) -> tuple:
         """The heights above the lowest floor and their ``_level_sums``.
@@ -297,6 +312,42 @@ class _Floor:
             for a in (height, *self._scan[1]):
                 a.setflags(write=False)
         return self._scan
+
+    def level(self, budget: float) -> tuple:
+        """The water level of ``budget`` as a height above the lowest floor
+        (``_water_level`` of the scan, bit for bit), and heights that hold
+        every state below it, a prefix of the scan's.
+
+        A floor longer than ``_PREFIX`` whose sums are not built yet scans its
+        first ``_PREFIX`` states first: their candidates and sums are the full
+        scan's to the bit (``cumsum`` adds in order). Each later candidate m is
+        a weighted mean of the prefix's last candidate and heights at or above
+        the next height h_K, all in exact arithmetic. A computed candidate of
+        up to n + 2 terms is off by at most about (n + 2) eps relative plus
+        (n + 2) eps tiny / W absolute (W the prefix's weight, tiny the smallest
+        normal float, for products that underflow). So when the prefix's last
+        candidate and h_K both exceed its minimum L by 4 (n + 2) eps (L +
+        tiny / W), no later candidate can round below L, and L is the full
+        ``np.minimum.reduce``. Otherwise the full scan is built and kept, at
+        once where the budget exceeds h_K: the level is at least the budget
+        over the total weight, 1 on a distribution's floor, so the prefix
+        would not hold it. Either way gives the same bits."""
+        n = self.noise.size
+        if self._scan is None and n > _PREFIX and budget <= self.noise[_PREFIX] - self.noise[0]:
+            if self._head is None:
+                height = self.noise[: _PREFIX + 1] - self.noise[0]
+                self._head = height, _level_sums(height[:_PREFIX], self.weights[:_PREFIX])
+                for a in (height, *self._head[1]):
+                    a.setflags(write=False)
+            height, (wn, w) = self._head
+            cand = (budget + wn) / w
+            top = float(np.minimum.reduce(cand))
+            total = float(w[-1])
+            margin = top + 4 * (n + 2) * _EPS * (top + _TINY / total)
+            if float(cand[-1]) > margin and float(height[_PREFIX]) > margin:
+                return top, height[:_PREFIX]
+        height, sums = self.scan()
+        return float(_water_level(height, self.weights, budget, sums)), height
 
     def live_sums(self) -> tuple:
         """Over the live states: the floor n, ln n and the prefix sums of p,
@@ -343,13 +394,14 @@ def _fill(c: float, floor: _Floor, budget: float) -> tuple:
 
     Each power is H - (n - n0), the level a height H above the lowest floor
     n0: at low SNR, level - noise would cancel most of the digits."""
-    height, sums = floor.scan()
+    top, height = floor.level(budget)
     noise, weights = floor.noise, floor.weights
-    top = float(_water_level(height, weights, budget, sums))
-    # P/n is largest at the lowest floor, where P = top.
+    # P/n is largest at the lowest floor, where P = top. One of the two is
+    # past the square root of the float range; the one further out is named.
     n0 = float(noise[0])
     if n0 > 0.0 and top / n0 == math.inf:
-        raise FloatRangeError("sigma2_sq", f"the SNR {top:g} W / {n0:g} W is past the float range")
+        field = "p_et" if top * n0 > 1.0 else "sigma2_sq"
+        raise FloatRangeError(field, f"the SNR {top:g} W / {n0:g} W is past the float range")
     m = height.searchsorted(top)  # the states below the level
     power = top - height[:m]
     return float(noise[0] + top), power, float(_rates(c, power, noise[:m]) @ weights[:m])
@@ -450,10 +502,7 @@ def _best_flash(
     p, h2 = fading.p, fading.h2
     n = p.size
     free = _gain_floor(fading, params.sigma2_sq)
-    # The free floor ascends with state k at place n-1-k, so reversed it is
-    # in storage order.
-    floor = free.noise[::-1]
-    desc = np.arange(n)[::-1]
+    noise, weights = free.noise, free.weights
     best, best_value = None, 0.0
     for k, q, budget in _funded_flashes(params, p, h2):
         if q == math.inf:
@@ -464,33 +513,74 @@ def _best_flash(
             )
         # Only a scored flash prunes: a funded flash whose bound rounds to 0
         # is still scored, so no bound decides that the link is Zero.
-        if best_value > 0.0 and _fill(_C_BITS, free, budget)[2] <= best_value:
+        if best_value > 0.0 and (
+            _tangent_bound(tangent, budget) < best_value
+            or _fill(_C_BITS, free, budget)[2] <= best_value
+        ):
             break
-        # order[i] is the state at place i once state k's entry moves up to
-        # its flash floor (in Python floats, inf past the float range as on a
-        # dead state), ahead of equal entries (it stays put when the
-        # interference rounds away).
+        # The free floor ascends with state k at place r. Its flash floor
+        # moves that entry up to place j - 1 (in Python floats, inf past the
+        # float range as on a dead state), ahead of equal entries (it stays
+        # put when the interference rounds away).
         floor_k = (params.sigma2_sq + params.alpha2 * float(q)) / float(h2[k])
         r = n - 1 - k
-        j = max(int(free.noise.searchsorted(floor_k)), r + 1)
-        order = desc.copy()
-        order[r : j - 1] = desc[r + 1 : j]
-        order[j - 1] = k
-        noise = floor[order]
-        noise[j - 1] = floor_k
-        if noise[0] == math.inf:  # no live state left to fill
+        j = max(int(noise.searchsorted(floor_k)), r + 1)
+        flash = np.concatenate((noise[:r], noise[r + 1 : j], [floor_k], noise[j:]))
+        if flash[0] == math.inf:  # no live state left to fill
             continue
-        w, power, value = _fill(_C_BITS, _Floor(noise, p[order]), budget)
+        wts = np.concatenate((weights[:r], weights[r + 1 : j], weights[r : r + 1], weights[j:]))
+        scored = _Floor(flash, wts)
+        scored.scan()  # a flash fills hundreds of states or more: no prefix first
+        w, power, value = _fill(_C_BITS, scored, budget)
         if value > best_value:
-            best, best_value = (k, q, order, w, power), value
+            best, best_value = (k, q, r, j, w, power), value
+            gross = (params.eta * params.p_et * float(h2[k]) + params.p_proc) / (1.0 - params.rho)
+            tangent = (value, budget, w, float(weights[r]), float(noise[r]), gross, n)
     if best is None:
         return math.inf, _zero_allocation(n), 0.0
-    k, q, order, w, prefix = best
+    k, q, r, j, w, prefix = best
+    # order[i] is the state at place i of the winner's flash floor.
+    order = np.arange(n - 1, -1, -1)
+    order[r : j - 1] = order[r + 1 : j].copy()
+    order[j - 1] = k
     x2 = np.zeros(n)
     x2[k] = math.sqrt(q)
     p_ehu = np.zeros(n)
     p_ehu[order[: prefix.size]] = prefix
     return 1.0 / (w * (1.0 - params.rho)), PowerAllocation(x2, p_ehu), best_value
+
+
+def _tangent_bound(tangent: tuple, budget: float) -> float:
+    """An upper bound, rounding included, on the interference-free fill of
+    ``budget`` (``_fill`` of the free floor), from the best flash k scored so
+    far. ``tangent`` holds its value V_k, budget B_k, level L_k, probability
+    p_k, free floor n_k = sigma2_sq/h_k^2, the harvest and cost G_k that B_k
+    was rounded from, and the state count n.
+
+    The free floor is flash k's floor with state k's entry lowered to n_k.
+    Without state k, a fill is no better than flash k's fill, which is
+    concave in the budget with slope c/L_k at B_k; state k adds at most
+    p_k c max_P [ln(1 + P/n_k) - P/L_k] = p_k c phi, with
+    phi = ln t - 1 + 1/t at t = L_k/n_k > 1 (0 otherwise). So
+
+        V_free(B) <= V_k + c [(B - B_k)/L_k + p_k phi].
+
+    The margin is (4 (n + 2) eps + 2^-30) times the magnitudes of V_k, of the
+    next flash's value, of each term and of c G_k/L_k: the first covers the
+    rounding of a level over n states and of every term, the second the
+    digits a fill's value loses where most of its weight sits just below the
+    level. G_k covers the budgets, each rounded from a harvest and a cost, and
+    the later flashes' budgets, which fall with the gain up to that rounding.
+    Where the bound falls below the best value, no later flash can beat it."""
+    value, b_k, level, p_k, n_k, gross, n = tangent
+    if not n_k > 0.0:  # a noiseless state: t is inf
+        return math.inf
+    x = (budget - b_k) / level
+    t = level / n_k
+    ln_t = math.log(t) if t > 1.0 else 0.0
+    phi = ln_t - 1.0 + 1.0 / t if t > 1.0 else 0.0
+    size = 2.0 * value + _C_BITS * (abs(x) + gross / level + p_k * (ln_t + 2.0))
+    return value + _C_BITS * (x + p_k * phi) + (4 * (n + 2) * _EPS + 2.0**-30) * size
 
 
 # ---------------------------------------------------------------------------

@@ -342,6 +342,41 @@ def test_exit_2_on_out_of_range_value(argv, capsys):
     assert any(flag in err for flag in argv if flag.startswith("--"))
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        # p_et = 1e307 W funds a codeword of about 8e300 W over the default
+        # noise's floor of 4e-8 W: the power puts the SNR past the float range.
+        ("recycle-sweep --pet-dbm 3100", "--pet-dbm"),
+        # Finite grid counts of 2**53 steps or more, where a step index is no
+        # longer an exact float, are refused before any solve; 2**53 itself is
+        # the smallest.
+        ("capacity-sweep --stop 1e300 --step 1", "--start/--stop/--step"),
+        ("capacity-sweep --stop 9007199254740992 --step 1", "--start/--stop/--step"),
+    ],
+)
+def test_exit_2_names_the_flag_that_put_a_value_past_the_range(capsys, argv, flag):
+    code, out, err = run_cli(argv.split() + ["--fading-states", "16"], capsys)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith(f"fdwpc: {flag}: ")
+
+
+@pytest.mark.parametrize("start, stop, step", [(0.0, 35.0, 5.0), (-3.3, 7.1, 0.7), (0.1, 1e3, 0.1)])
+def test_sweep_grid_is_start_plus_step_times_index(tmp_path, start, stop, step):
+    # The grid is formed a value at a time, with the bits of the array
+    # expression start + step * np.arange(n).
+    args = cli._build_parser().parse_args(
+        ["recycle-sweep", "--start", repr(start), "--stop", repr(stop), "--step", repr(step),
+         "--fading-states", "16", "--out", str(tmp_path / "g.csv")]
+    )
+    seen = []
+    args.rows = lambda args, fad, value: seen.append(value) or ()
+    assert cli.cmd_sweep(args) == 0
+    n = int(np.floor((stop - start) / step + 1e-9)) + 1
+    assert np.array(seen).tobytes() == (start + step * np.arange(n)).tobytes()
+    assert all(type(v) is float for v in seen)
+
+
 @pytest.mark.parametrize("noise", ["1e-320", "1e-310", "1e-305"])
 def test_exit_2_on_an_snr_past_the_float_range(tmp_path, capsys, noise):
     # Over h^2 = 1e6, sigma2_sq = 1e-320 W gives a floor that underflows to 0,

@@ -330,11 +330,17 @@ def test_quantities_past_the_float_range_raise_before_they_are_used():
     # allocation or rate a noisy state as noiseless: a flash power p_et/p_k =
     # 64 p_et, a floor sigma2_sq/h^2 that underflows to 0 at h^2 = 1e6 (every
     # floor of the unfaded link, one of the two-state link's), and a floor
-    # that the codeword power divides past the float range.
-    params = LinkParams(eta=0.8, p_proc=0.0, p_et=1e307, sigma2_sq=1e-14, alpha2=1e-10)
-    with pytest.raises(solver.FloatRangeError) as exc:
-        solve(params, fading.rayleigh(1e-7, 64))
-    assert exc.value.field == "p_et"
+    # that the codeword power divides past the float range. An SNR names the
+    # one further out: 8e299 W over 1e-14 W names p_et, the subnormal floors
+    # sigma2_sq.
+    for p_et, alpha2, f in [
+        (1e307, 1e-10, fading.rayleigh(1e-7, 64)),
+        (1e300, 0.0, fading.deterministic(1.0)),
+    ]:
+        params = LinkParams(eta=0.8, p_proc=0.0, p_et=p_et, sigma2_sq=1e-14, alpha2=alpha2)
+        with pytest.raises(solver.FloatRangeError) as exc:
+            solve(params, f)
+        assert exc.value.field == "p_et"
     strong = fading.custom([1000.0, 0.5], [0.5, 0.5])
     for sigma2_sq, alpha2, f in [
         (1e-320, 0.0, fading.deterministic(1000.0)),
@@ -723,7 +729,7 @@ def test_stationarity_at_the_winning_level_on_random_links():
     "params, f, case, fills, flash_budgets, hd_fills",
     [
         (simple_params(alpha2=0.1), fading.deterministic(1.0), "Case1", 2, 1, 2),
-        (simple_params(alpha2=0.1), fading.rayleigh(1.0, 16), "Case2", 3, 2, 3),
+        (simple_params(alpha2=0.1), fading.rayleigh(1.0, 16), "Case2", 2, 2, 3),
         # 10 W is above the top state's flash harvest, 0.8 * ln 8192 = 7.2 W.
         (simple_params(p_proc=10.0), fading.rayleigh(1.0, 4096), "Zero", 0, 2, 3),
     ],
@@ -733,11 +739,11 @@ def test_solve_fills_once_per_scored_quantity(
     monkeypatch, params, f, case, fills, flash_budgets, hd_fills
 ):
     # Case 1 is filled once and never re-rated; the top flash is scored and
-    # the next flash's bound prunes the rest. Flash budgets are formed one
-    # state at a time from the top and, below the first unfunded state, in
-    # one pass over the rest, so an unfunded link loops over no state. Every
-    # fill goes through the one kernel, and a cold solve scans one set of
-    # prefix sums per fill.
+    # the next flash's closed-form bound prunes the rest. Flash budgets are
+    # formed one state at a time from the top and, below the first unfunded
+    # state, in one pass over the rest, so an unfunded link loops over no
+    # state. Every fill goes through the one kernel, and a cold solve of at
+    # most ``_PREFIX`` states scans one set of prefix sums per fill.
     calls = {"_fill": 0, "capacity_case1": 0, "_flash": 0, "_level_sums": 0}
     for name in calls:
         def spy(*args, _name=name, _original=getattr(solver, name)):
@@ -760,6 +766,170 @@ def test_solve_fills_once_per_scored_quantity(
     assert solver._gain_floor.cache_info().misses == misses
     assert hd_calls[0][0] == hd_calls[1][0] == hd_fills
     assert hd_calls[1][1] == 0
+
+
+@pytest.mark.parametrize("n, pruned", [(16, True), (4, False)], ids=["prunes", "falls-back"])
+def test_the_closed_form_bound_prunes_or_falls_back_to_the_fill(monkeypatch, n, pruned):
+    # The top flash wins; the second flash's closed-form bound decides at 16
+    # states, and at 4 the interference-free floor is filled to decide.
+    original, outcomes, fills = solver._tangent_bound, [], []
+
+    def tangent_spy(tangent, budget):
+        bound = original(tangent, budget)
+        outcomes.append(bound < tangent[0])
+        return bound
+
+    def fill_spy(c, floor, budget, _fill=solver._fill):
+        fills.append(floor.live is not None)  # a gain-ordered floor
+        return _fill(c, floor, budget)
+
+    monkeypatch.setattr(solver, "_tangent_bound", tangent_spy)
+    monkeypatch.setattr(solver, "_fill", fill_spy)
+    params, f = simple_params(alpha2=0.1), fading.rayleigh(1.0, n)
+    _, alloc, _ = _best_flash(params, f)
+    assert np.flatnonzero(alloc.x2).tolist() == [n - 1]
+    assert outcomes == [pruned]
+    # The top flash's floor, then the free floor where the bound is filled.
+    assert fills == ([False] if pruned else [False, True])
+
+
+def test_the_closed_form_bound_leaves_room_for_rounding():
+    # A budget one ulp below the best flash's own, with state k below its
+    # level's reach (t = L_k/n_k = 1/2, so phi = 0): the tangent alone falls
+    # a rounding below V_k = 1, and only the margin keeps it from pruning.
+    tangent = (1.0, 1.0, 1.0, 0.5, 2.0, 1.0, 16)
+    assert solver._tangent_bound(tangent, math.nextafter(1.0, 0.0)) > 1.0
+
+
+@st.composite
+def bound_links(draw):
+    """``flash_links`` with a processing cost up to above the
+    constant-amplitude harvest and, on some, no self-interference."""
+    params, f = draw(flash_links())
+    return dataclasses.replace(
+        params,
+        p_proc=draw(st.floats(0.0, 1.2)) * 0.8 * f.mean_square,
+        alpha2=draw(st.sampled_from([0.0, params.alpha2])),
+    ), f
+
+
+@settings(max_examples=300, deadline=None)
+@given(bound_links())
+@example(link=_ONE_ULP_FLASH)
+@example(link=(simple_params(alpha2=0.1), fading.custom([1.0, 1.0, 0.0, 0.5], [0.25] * 4)))
+def test_the_closed_form_bound_is_above_the_interference_free_fill(link):
+    # From every flash that was best when a bound was asked for, the closed
+    # form bounds the fill of the free floor at every funded flash's budget,
+    # not only the next one's.
+    params, f = link
+    free = solver._gain_floor(f, params.sigma2_sq)
+    budgets = [b for _, q, b in solver._funded_flashes(params, f.p, f.h2) if q < math.inf]
+    original, tangents = solver._tangent_bound, []
+
+    def spy(tangent, budget):
+        tangents.append(tangent)
+        return math.inf  # the fill decides, so every flash up to it is scored
+
+    solver._tangent_bound = spy
+    try:
+        _best_flash(params, f)
+    finally:
+        solver._tangent_bound = original
+    for tangent in tangents:
+        for budget in budgets:
+            assert original(tangent, budget) >= _fill(_C_BITS, free, budget)[2]
+
+
+def _prefix_floors(rng):
+    """Floors longer than ``_PREFIX`` and a budget each: Rayleigh floors at
+    budgets whose level falls inside the prefix or past it, long tied runs at
+    the level, subnormal heights and dead states in the prefix."""
+    k = solver._PREFIX
+    for _ in range(120):
+        n = int(rng.integers(k + 1, 3000))
+        noise = np.sort(1.0 / rng.rayleigh(1.0, n) ** 2)
+        yield noise, rng.uniform(0.1, 1.0, n), float(noise[0]) * 10.0 ** rng.uniform(-3.0, 4.0)
+    for _ in range(60):
+        # A run of equal floors v from inside the prefix, some past its end;
+        # the budget puts the exact level at v, so the candidates along the
+        # run tie with it to rounding.
+        n, start = int(rng.integers(k + 1, 1500)), int(rng.integers(1, k))
+        stop = int(rng.integers(start + 1, n + 1))
+        v = rng.uniform(1.5, 3.0)
+        noise = np.concatenate((np.sort(rng.uniform(1.0, v, start)), np.full(stop - start, v)))
+        noise = np.concatenate((noise, np.sort(rng.uniform(v, 2 * v, n - stop))))
+        w = rng.uniform(0.1, 1.0, n)
+        yield noise, w, float(w[:start] @ (v - noise[:start]))
+    for _ in range(60):
+        n = int(rng.integers(k + 1, 1500))
+        noise = 1e-310 * (1.0 + np.sort(rng.random(n)) * 10.0 ** rng.uniform(-3.0, 3.0))
+        w = rng.uniform(0.1, 1.0, n) * 10.0 ** rng.uniform(-2.0, 0.0)
+        yield noise, w, 1e-310 * 10.0 ** rng.uniform(-4.0, 3.0)
+    for _ in range(30):
+        n = int(rng.integers(k + 1, 1000))
+        noise = np.sort(1.0 / rng.rayleigh(1.0, n) ** 2)
+        noise[int(rng.integers(2, k)) :] = np.inf
+        yield noise, rng.uniform(0.1, 1.0, n), float(noise[0]) * 10.0 ** rng.uniform(-2.0, 3.0)
+
+
+def test_the_prefix_level_is_the_full_scans_to_the_bit():
+    # A fill that keeps the prefix's minimum returns what the full scan
+    # gives, bit for bit: the level, every power and the value.
+    kept = count = 0
+    for noise, w, budget in _prefix_floors(np.random.default_rng(29)):
+        fresh, full = _Floor(noise, w), _Floor(noise, w)
+        full.scan()
+        level, power, value = _fill(_C_BITS, fresh, budget)
+        want = float(_water_level(noise - noise[0], w, budget))
+        assert fresh.level(budget)[0] == want
+        assert level == float(noise[0] + want)
+        want_level, want_power, want_value = _fill(_C_BITS, full, budget)
+        assert level == want_level and value == want_value
+        assert power.tobytes() == want_power.tobytes()
+        kept, count = kept + (fresh._scan is None), count + 1
+    # Both ways are taken: the prefix's minimum kept, and the full scan.
+    assert 0 < kept < count
+
+
+def test_the_prefix_margin_covers_products_that_underflow():
+    # Heights in units of the smallest subnormal u: state 0 at 0, then 1001u
+    # on every later state. The budget of 1000u puts the exact level at 1000u
+    # and the prefix's candidates rise to 1001u, both above it. Past the
+    # prefix, a weight of 0.0014985 times 1001u rounds to 1u, a third low, so
+    # the computed candidates fall to 999u: only the margin's absolute term
+    # (tiny / W) sends the fill to the full scan, whose bits it must return.
+    u, k = 5e-324, solver._PREFIX
+    height = np.full(k + 1000, 1001.0 * u)
+    height[0] = 0.0
+    w = np.concatenate(([1.0] * k, [0.0014985] * 1000))
+    noise, budget = 2000.0 * u + height, 1000.0 * u
+    want = float(_water_level(noise - noise[0], w, budget))
+    assert want == 999.0 * u
+    fresh, full = _Floor(noise, w), _Floor(noise, w)
+    assert fresh.level(budget)[0] == want and fresh._scan is not None
+    full.scan()
+    level, power, value = _fill(_C_BITS, fresh, budget)
+    want_level, want_power, want_value = _fill(_C_BITS, full, budget)
+    assert level == want_level and value == want_value
+    assert power.tobytes() == want_power.tobytes()
+
+
+def test_only_a_gain_ordered_floor_scans_its_prefix_first(monkeypatch):
+    # A cold solve of 600 states: Case 1's level lies in the first
+    # ``_PREFIX`` states, so its floor sums only those; the winning flash,
+    # whose level lies past them, builds its full sums at once and throws no
+    # prefix away.
+    sizes, original = [], solver._level_sums
+
+    def spy(noise, weights):
+        sizes.append(noise.size)
+        return original(noise, weights)
+
+    monkeypatch.setattr(solver, "_level_sums", spy)
+    solver._gain_floor.cache_clear()
+    params = LinkParams(eta=0.8, p_proc=0.0, p_et=1e-3, sigma2_sq=1e-14, alpha2=1e-8)
+    assert solve(params, fading.rayleigh(1e-6, 600)).case == "Case2"
+    assert sizes == [solver._PREFIX, 600]
 
 
 def _solve_bytes(params, f):
