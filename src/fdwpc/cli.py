@@ -152,6 +152,7 @@ def _ratio_rows(args, fad, supp: float):
     params = _scenario_params(args, alpha2=_converted("--start/--stop", _alpha2, supp))
     res = solver.solve(params, fad)
     bench = hd.solve_hd(params, fad)
+    # nan where both rates are 0 (a dead link) or inf (a faded noiseless one).
     ratio = res.capacity / bench.rate if bench.rate > 0.0 else math.nan
     yield f"{_fmt(supp)},{_fmt(ratio)}"
 

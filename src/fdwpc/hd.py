@@ -17,6 +17,10 @@ y = W0((c/P) exp(-1 - L/P)) > -1.
 The floors, their prefix sums P, N, L and the three fills of a solve (two
 candidates ranked, the winner scored) read sigma2_sq/h^2 from the solver's
 two-entry floor cache, ``solver._gain_floor``: a sweep rebuilds none of it.
+``solve_hd`` keeps its last result, keyed on the distribution (by identity)
+and the four fields it reads, eta, p_et, p_proc and sigma2_sq: a sweep point
+that moves none of them (``ratio-sweep``'s alpha2) solves nothing, and gets
+the same read-only result back.
 
 Rate convention: the benchmark rates each state with log2(1 + h^2 P/sigma2_sq)
 (complex Gaussian), every full-duplex rate in ``solver`` with (1/2) log2 (real
@@ -36,7 +40,7 @@ import numpy as np
 
 from . import specfun
 from .fading import FadingDistribution
-from .solver import _fill_by_gain, _gain_floor
+from .solver import _fill_by_gain, _gain_floor, _keep_last
 from .units import LinkParams
 
 __all__ = ["HdResult", "solve_hd", "hd_rate_at_fraction"]
@@ -52,13 +56,17 @@ class HdResult:
     ``t_star`` is the harvesting fraction of the slot (it may round to 1.0
     where the rate is still positive), ``lam`` the inner
     water-filling multiplier at the optimum, ``rate`` in bits per channel
-    use, and ``p_ehu_of_h`` the per-state transmit powers.
+    use, and ``p_ehu_of_h`` the per-state transmit powers, read-only: a
+    result is shared by every later solve of its key (module docstring).
     """
 
     t_star: float
     lam: float
     rate: float
     p_ehu_of_h: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.p_ehu_of_h.setflags(write=False)
 
 
 def _inner_waterfill(
@@ -93,6 +101,9 @@ def hd_rate_at_fraction(
     return rate
 
 
+@_keep_last(key=lambda params, fading: (
+    fading, params.eta, params.p_et, params.p_proc, params.sigma2_sq
+))
 def solve_hd(params: LinkParams, fading: FadingDistribution) -> HdResult:
     """Maximize the half-duplex rate over the harvesting fraction, exactly.
 
@@ -101,7 +112,8 @@ def solve_hd(params: LinkParams, fading: FadingDistribution) -> HdResult:
     by ``hd_rate_at_fraction``, so rounding of g near a floor cannot mislead.
     The winner is scored at its budget b and 1 - tau = A/(A + p_proc + b),
     so the rate stays exact where tau itself rounds to 1 (p_proc about 1e16
-    times A).
+    times A). A call whose distribution and eta, p_et, p_proc, sigma2_sq
+    match the last call's returns that call's result (module docstring).
     """
     if params.p_et <= 0.0 or fading.mean_square <= 0.0:
         return HdResult(0.0, math.inf, 0.0, np.zeros(fading.n_states))

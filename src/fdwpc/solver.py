@@ -61,6 +61,10 @@ the half-duplex fills and Lambert-W prefix sums) and the Case-1
 rebuilds neither. ``_fill_by_gain`` fills one and returns the powers in
 storage order; a scored flash fills a floor spliced from slices of the free
 floor, and only the winner's index map is built, to scatter its powers back.
+The last flash floor built is kept by ``_flash_floor``, keyed on the free
+floor (by identity), the state and its flash floor, none of which alpha1 or
+p_proc moves: a ``recycle-sweep`` point, or a ``pcost-compare`` row after the
+first at its ET power, builds no flash floor.
 
 Both regimes return ``(lambda2, allocation, value)``, lambda2 = 1/(w*(1-rho))
 at the water level w of the fill that scored the allocation (inf with the
@@ -362,6 +366,30 @@ class _Floor:
         return self._live_sums
 
 
+def _keep_last(key):
+    """Decorate ``build`` to keep its last result: a call whose ``key(*args)``
+    equals the last call's returns that result. Unlike
+    ``functools.lru_cache(maxsize=1)``, it lets the old result go before it
+    builds a new one, so a sweep whose every point misses never holds two.
+    ``cache_clear`` empties it."""
+
+    def decorate(build):
+        last = []
+
+        @functools.wraps(build)
+        def kept(*args):
+            k = key(*args)
+            if not last or last[0] != k:
+                last.clear()
+                last.extend((k, build(*args)))
+            return last[1]
+
+        kept.cache_clear = last.clear
+        return kept
+
+    return decorate
+
+
 @functools.lru_cache(maxsize=2)
 def _gain_floor(fading: FadingDistribution, s: float) -> _Floor:
     """The floor s/h^2 of every state, strongest first, weighted by p; the
@@ -385,6 +413,31 @@ def _gain_floor(fading: FadingDistribution, s: float) -> _Floor:
         raise FloatRangeError("sigma2_sq", f"the noise floor {s:g} W / {h2[-1]:g} underflows to 0")
     noise.setflags(write=False)
     return _Floor(noise, fading.p[::-1], live)
+
+
+@_keep_last(key=lambda free, k, floor_k: (free, k, floor_k))
+def _flash_floor(free: _Floor, k: int, floor_k: float) -> tuple:
+    """Flash k's floor, with its full scan built (a flash fills hundreds of
+    states or more: no prefix first), and the place j past its moved entry;
+    ``(None, j)`` where no live state is left to fill. The last one built is
+    kept, keyed on the free floor by identity: a sweep point that moves no
+    input of it (alpha1, p_proc) builds none.
+
+    The free floor ascends with state k at place r. Its flash floor moves that
+    entry up to place j - 1, as ``floor_k``, ahead of equal entries (it stays
+    put when the interference rounds away)."""
+    noise, weights = free.noise, free.weights
+    r = noise.size - 1 - k
+    j = max(int(noise.searchsorted(floor_k)), r + 1)
+    flash = np.concatenate((noise[:r], noise[r + 1 : j], [floor_k], noise[j:]))
+    if flash[0] == math.inf:
+        return None, j
+    wts = np.concatenate((weights[:r], weights[r + 1 : j], weights[r : r + 1], weights[j:]))
+    flash.setflags(write=False)
+    wts.setflags(write=False)
+    scored = _Floor(flash, wts)
+    scored.scan()
+    return scored, j
 
 
 def _fill(c: float, floor: _Floor, budget: float) -> tuple:
@@ -518,21 +571,14 @@ def _best_flash(
             or _fill(_C_BITS, free, budget)[2] <= best_value
         ):
             break
-        # The free floor ascends with state k at place r. Its flash floor
-        # moves that entry up to place j - 1 (in Python floats, inf past the
-        # float range as on a dead state), ahead of equal entries (it stays
-        # put when the interference rounds away).
+        # In Python floats, inf past the float range as on a dead state.
         floor_k = (params.sigma2_sq + params.alpha2 * float(q)) / float(h2[k])
-        r = n - 1 - k
-        j = max(int(noise.searchsorted(floor_k)), r + 1)
-        flash = np.concatenate((noise[:r], noise[r + 1 : j], [floor_k], noise[j:]))
-        if flash[0] == math.inf:  # no live state left to fill
+        scored, j = _flash_floor(free, k, floor_k)
+        if scored is None:  # no live state left to fill
             continue
-        wts = np.concatenate((weights[:r], weights[r + 1 : j], weights[r : r + 1], weights[j:]))
-        scored = _Floor(flash, wts)
-        scored.scan()  # a flash fills hundreds of states or more: no prefix first
         w, power, value = _fill(_C_BITS, scored, budget)
         if value > best_value:
+            r = n - 1 - k
             best, best_value = (k, q, r, j, w, power), value
             gross = (params.eta * params.p_et * float(h2[k]) + params.p_proc) / (1.0 - params.rho)
             tangent = (value, budget, w, float(weights[r]), float(noise[r]), gross, n)

@@ -294,17 +294,18 @@ def test_exit_2_on_unknown_command(capsys):
 
 
 def test_ratio_nan_on_dead_channel(tmp_path, capsys):
-    # A dead channel zeroes both rates; the ratio column reports nan rather
-    # than inventing a number.
+    # A dead channel zeroes both rates, and a noiseless one makes both inf;
+    # the ratio column reports nan rather than inventing a number.
     fpath = tmp_path / "dead.txt"
     fpath.write_text("0.0 1.0\n")
-    code, out, err = run_cli(
-        ["ratio-sweep", "--start", "40", "--stop", "40", "--step", "10",
-         "--pp-watts", "0", "--fading-file", str(fpath)],
-        capsys,
-    )
-    assert code == 0
-    assert rows(out)[1][1] == "nan"
+    for link in (["--fading-file", str(fpath)], ["--noise-watts", "0"] + FAST):
+        code, out, err = run_cli(
+            ["ratio-sweep", "--start", "40", "--stop", "40", "--step", "10", "--pp-watts", "0"]
+            + link,
+            capsys,
+        )
+        assert (code, err) == (0, "")
+        assert rows(out)[1][1] == "nan"
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from fdwpc import fading
+from fdwpc import fading, solver
 from fdwpc.hd import _inner_waterfill, hd_rate_at_fraction, solve_hd
 from fdwpc.solver import solve
 from fdwpc.units import LinkParams, PathLossParams, dbm_to_watt, omega_from_path_loss
@@ -44,6 +44,71 @@ def test_self_interference_does_not_matter():
         perturbed = solve_hd(hd_params(**kw), f)
         assert perturbed.rate == pytest.approx(base.rate, rel=1e-12)
         assert perturbed.t_star == pytest.approx(base.t_star, abs=1e-9)
+
+
+def _hd_fields(r):
+    """Every field of an ``HdResult``, as bytes."""
+    return np.array([r.t_star, r.lam, r.rate]).tobytes(), r.p_ehu_of_h.tobytes()
+
+
+@pytest.fixture
+def fills(monkeypatch):
+    """The arguments of every ``solver._fill`` call the test makes."""
+    calls = []
+
+    def spy(*args, _original=solver._fill):
+        calls.append(args)
+        return _original(*args)
+
+    monkeypatch.setattr(solver, "_fill", spy)
+    return calls
+
+
+def test_a_sweep_of_unused_fields_solves_once(fills):
+    # alpha2, alpha1 and g1_mean are not read: a sweep of them gets the first
+    # point's result back, which fills nothing, and each point's fields are
+    # bit for bit those of a solve with the cache cleared.
+    f = fading.rayleigh(1.0, 64)
+    points = [
+        hd_params(alpha2=a2, alpha1=a1, g1_mean=g)
+        for a2, a1, g in ((0.0, 0.0, 0.0), (1e-3, 0.2, 0.1), (0.3, 0.5, 0.0), (1e-8, 0.0, 0.7))
+    ]
+    solve_hd.cache_clear()
+    warm = [solve_hd(points[0], f)]
+    first = len(fills)
+    warm += [solve_hd(params, f) for params in points[1:]]
+    assert first > 0 and len(fills) == first
+    for params, r in zip(points, warm):
+        solve_hd.cache_clear()
+        assert _hd_fields(solve_hd(params, f)) == _hd_fields(r)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [dict(eta=0.5), dict(p_et=2.0), dict(p_proc=0.02), dict(sigma2_sq=0.1), "distribution"],
+)
+def test_a_change_to_what_the_benchmark_reads_solves_again(fills, change):
+    # A new distribution with equal contents is another key: distributions
+    # compare by identity.
+    f = fading.rayleigh(1.0, 64)
+    base = solve_hd(hd_params(), f)
+    if change == "distribution":
+        params, g = hd_params(), fading.rayleigh(1.0, 64)
+    else:
+        params, g = hd_params(**change), f
+    fills.clear()
+    res = solve_hd(params, g)
+    assert fills and res is not base
+    solve_hd.cache_clear()
+    assert _hd_fields(solve_hd(params, g)) == _hd_fields(res)
+
+
+@pytest.mark.parametrize("p_et", [1.0, 0.0], ids=["solved", "zero"])
+def test_half_duplex_powers_are_read_only(p_et):
+    # A result is shared by every later call of its key.
+    res = solve_hd(hd_params(p_et=p_et), fading.rayleigh(1.0, 16))
+    with pytest.raises(ValueError, match="read-only"):
+        res.p_ehu_of_h[0] = 1.0
 
 
 def test_golden_section_beats_coarse_grid():

@@ -725,6 +725,13 @@ def test_stationarity_at_the_winning_level_on_random_links():
         _assert_stationary_at_the_winning_level(*_random_link(rng))
 
 
+def _clear_caches():
+    """Empty every cache a solve or a half-duplex solve reads."""
+    solver._gain_floor.cache_clear()
+    solver._flash_floor.cache_clear()
+    solve_hd.cache_clear()
+
+
 @pytest.mark.parametrize(
     "params, f, case, fills, flash_budgets, hd_fills",
     [
@@ -751,12 +758,12 @@ def test_solve_fills_once_per_scored_quantity(
             return _original(*args)
 
         monkeypatch.setattr(solver, name, spy)
-    solver._gain_floor.cache_clear()
+    _clear_caches()
     assert solve(params, f).case == case
     assert calls == {"_fill": fills, "capacity_case1": 0, "_flash": flash_budgets, "_level_sums": fills}
     # solve_hd ranks two candidate budgets and scores the winner (one
     # candidate on a one-state link). It reads the floor that solve left, and
-    # a second call forms no prefix sums at all.
+    # a second call returns the first call's result: no fill, no prefix sums.
     misses = solver._gain_floor.cache_info().misses
     hd_calls = []
     for _ in range(2):
@@ -764,8 +771,8 @@ def test_solve_fills_once_per_scored_quantity(
         solve_hd(params, f)
         hd_calls.append((calls["_fill"], calls["_level_sums"]))
     assert solver._gain_floor.cache_info().misses == misses
-    assert hd_calls[0][0] == hd_calls[1][0] == hd_fills
-    assert hd_calls[1][1] == 0
+    assert hd_calls[0][0] == hd_fills
+    assert hd_calls[1] == (0, 0)
 
 
 @pytest.mark.parametrize("n, pruned", [(16, True), (4, False)], ids=["prunes", "falls-back"])
@@ -959,9 +966,9 @@ def test_shared_floor_gives_the_same_bytes_cold_warm_and_interleaved():
     ]
     cold = []
     for link in links:
-        solver._gain_floor.cache_clear()
+        _clear_caches()
         solve_out = _solve_bytes(*link)
-        solver._gain_floor.cache_clear()
+        _clear_caches()
         cold.append((solve_out, _hd_bytes(*link)))
     # Each link warm (its floors are the last two built), then the four in
     # alternation, so that calls find other links' floors in the cache.
@@ -971,6 +978,45 @@ def test_shared_floor_gives_the_same_bytes_cold_warm_and_interleaved():
     for i in (0, 3, 1, 2, 0, 2, 3, 1):
         assert _hd_bytes(*links[i]) == cold[i][1]
         assert _solve_bytes(*links[(i + 1) % 4]) == cold[(i + 1) % 4][0]
+
+
+@pytest.mark.parametrize(
+    "field, values", [("alpha1", (0.0, 0.1, 0.25, 0.5, 0.9)), ("p_proc", (0.0, 1e-3, 0.05, 0.5))]
+)
+def test_a_sweep_that_moves_no_flash_floor_input_builds_one_flash_floor(monkeypatch, field, values):
+    # alpha1 and p_proc move a flash's budget, not its floor: a warm sweep
+    # builds the top flash's floor once, its second point forms no prefix
+    # sums at all, and every point gives the bytes of a solve with every
+    # cache cleared first.
+    f = fading.rayleigh(1.0, 64)
+    links = [simple_params(alpha2=0.1, **{field: v}) for v in values]
+    built, sums = [], []
+
+    class Spy(solver._Floor):
+        __slots__ = ()
+
+        def __init__(self, noise, weights, live=None):
+            if live is None:  # a scored flash's floor
+                built.append(noise)
+            super().__init__(noise, weights, live)
+
+    def spy(*args, _original=solver._level_sums):
+        sums.append(args)
+        return _original(*args)
+
+    monkeypatch.setattr(solver, "_Floor", Spy)
+    _clear_caches()
+    warm = [solve(links[0], f)]
+    monkeypatch.setattr(solver, "_level_sums", spy)
+    warm.append(solve(links[1], f))
+    assert sums == []
+    warm += [solve(params, f) for params in links[2:]]
+    assert len(built) == 1
+    monkeypatch.undo()
+    assert {r.case for r in warm} == {"Case2"}
+    for params, r in zip(links, warm):
+        _clear_caches()
+        assert _solve_bytes_of(solve(params, f)) == _solve_bytes_of(r)
 
 
 @pytest.mark.parametrize(
@@ -1104,15 +1150,21 @@ def test_case1_split_state_invariance(link, which):
 # ---------------------------------------------------------------------------
 
 
+def _harvest(params, f, row):
+    """eta * sum p h^2 q of one row, rounded as ``codeword_waterfill`` rounds
+    it, so that a test and the reference agree on which rows are funded."""
+    return params.eta * float((row * (f.p * f.h**2)).sum())
+
+
 def _starve(params, f, row, scale):
     """``row`` scaled to harvest ``scale`` (at most 0.999) times the processing
-    cost, or zero if the harvest as the energy-balance test computes it is
-    above 0.999 of the cost. Near the smallest subnormals the scaled row rounds
-    to a harvest of a whole ulp or more, which only a zero row stays below."""
-    harvest = params.eta * float(row @ (f.p * f.h**2))
+    cost, or zero if its harvest (``_harvest``) is above 0.999 of the cost.
+    Near the smallest subnormals the scaled row rounds to a harvest of a whole
+    ulp or more, which only a zero row stays below."""
+    harvest = _harvest(params, f, row)
     if harvest > 0.0:
         row = row * (scale * params.p_proc / harvest)
-    harvest = params.eta * float(f.p @ (f.h**2 * row))
+    harvest = _harvest(params, f, row)
     if Fraction(harvest) > Fraction(999, 1000) * Fraction(params.p_proc):
         return np.zeros_like(row)
     return row
@@ -1171,9 +1223,18 @@ def test_codeword_waterfill_unfunded_rows_are_zero(args):
     assert np.all(p_ehu[starved] == 0.0)
 
 
+def _boundary_cost_draw():
+    """A q_batches draw whose harvest is the processing cost to an ulp:
+    p @ (h^2 q) and the reference's sum of q p h^2 round to either side."""
+    f = fading.custom([0.0, 0.0, 1.75], [4 / 9, 4 / 9, 1 / 9])
+    params = LinkParams(eta=0.8, p_proc=0.026584201388888885, p_et=1.0, sigma2_sq=1.0, alpha2=1.0)
+    return params, f, np.array([[0.0, 0.0, 0.09765625]]), np.array([False])
+
+
 @settings(max_examples=100, deadline=None)
 @given(q_batches())
 @example(_subnormal_cost_draw())
+@example(_boundary_cost_draw())
 def test_codeword_waterfill_closes_energy_balance(args):
     # sum p (w - noise) cancels digits when the budget is orders below the
     # water level, so the tolerance is relative to the larger of the two.
@@ -1182,7 +1243,7 @@ def test_codeword_waterfill_closes_energy_balance(args):
     one_m_rho = 1.0 - params.rho
     _, p_ehu = codeword_waterfill(params, p, h2, q)
     for r in range(q.shape[0]):
-        harvest = params.eta * float(p @ (h2 * q[r]))
+        harvest = _harvest(params, f, q[r])
         if harvest <= params.p_proc:
             assert np.all(p_ehu[r] == 0.0)
             continue
