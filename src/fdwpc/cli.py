@@ -274,7 +274,8 @@ def main(argv=None) -> int:
         sys.stderr.write(f"fdwpc: {exc}\n")
         return 2
     except solver.FloatRangeError as exc:
-        flag = "--noise-watts" if exc.field == "sigma2_sq" else args.pet_flag
+        pp_flag = "--pp-dbm" if getattr(args, "pp_watts", None) is None else "--pp-watts"
+        flag = {"sigma2_sq": "--noise-watts", "p_proc": pp_flag}.get(exc.field, args.pet_flag)
         sys.stderr.write(f"fdwpc: {flag}: {exc}\n")
         return 2
     except (OverflowError, ZeroDivisionError) as exc:

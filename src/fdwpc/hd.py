@@ -17,10 +17,10 @@ y = W0((c/P) exp(-1 - L/P)) > -1.
 The floors, their prefix sums P, N, L and the three fills of a solve (two
 candidates ranked, the winner scored) read sigma2_sq/h^2 from the solver's
 two-entry floor cache, ``solver._gain_floor``: a sweep rebuilds none of it.
-``solve_hd`` keeps its last result, keyed on the distribution (by identity)
-and the four fields it reads, eta, p_et, p_proc and sigma2_sq: a sweep point
-that moves none of them (``ratio-sweep``'s alpha2) solves nothing, and gets
-the same read-only result back.
+That floor keeps ``solve_hd``'s last result, keyed on eta, p_et and p_proc,
+the fields it reads beyond the floor's own key (distribution, sigma2_sq). A
+sweep point that moves none of them (``ratio-sweep``'s alpha2) solves
+nothing, and gets the same read-only result back.
 
 Rate convention: the benchmark rates each state with log2(1 + h^2 P/sigma2_sq)
 (complex Gaussian), every full-duplex rate in ``solver`` with (1/2) log2 (real
@@ -40,13 +40,14 @@ import numpy as np
 
 from . import specfun
 from .fading import FadingDistribution
-from .solver import _fill_by_gain, _gain_floor, _keep_last
+from .solver import FloatRangeError, _fill_by_gain, _gain_floor
 from .units import LinkParams
 
 __all__ = ["HdResult", "solve_hd", "hd_rate_at_fraction"]
 
 # The rate convention (module docstring): log2, not the full duplex (1/2) log2.
 _C_HD = 1.0 / math.log(2.0)
+_LN_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -101,9 +102,6 @@ def hd_rate_at_fraction(
     return rate
 
 
-@_keep_last(key=lambda params, fading: (
-    fading, params.eta, params.p_et, params.p_proc, params.sigma2_sq
-))
 def solve_hd(params: LinkParams, fading: FadingDistribution) -> HdResult:
     """Maximize the half-duplex rate over the harvesting fraction, exactly.
 
@@ -112,11 +110,21 @@ def solve_hd(params: LinkParams, fading: FadingDistribution) -> HdResult:
     by ``hd_rate_at_fraction``, so rounding of g near a floor cannot mislead.
     The winner is scored at its budget b and 1 - tau = A/(A + p_proc + b),
     so the rate stays exact where tau itself rounds to 1 (p_proc about 1e16
-    times A). A call whose distribution and eta, p_et, p_proc, sigma2_sq
-    match the last call's returns that call's result (module docstring).
+    times A). The floor keeps the last result (module docstring). One past the
+    float range names p_proc where p_proc > A: the budget grows with A + p_proc.
     """
     if params.p_et <= 0.0 or fading.mean_square <= 0.0:
         return HdResult(0.0, math.inf, 0.0, np.zeros(fading.n_states))
+    floor = _gain_floor(fading, params.sigma2_sq)
+    try:
+        return floor.kept("hd", (params.eta, params.p_et, params.p_proc), _solve_hd, params, fading)
+    except FloatRangeError as exc:
+        if exc.field == "p_et" and params.p_proc > params.eta * params.p_et * fading.mean_square:
+            raise FloatRangeError("p_proc", str(exc)) from None
+        raise
+
+
+def _solve_hd(params: LinkParams, fading: FadingDistribution) -> HdResult:
     harvest = params.eta * params.p_et * fading.mean_square
     a_pp = harvest + params.p_proc
     # Noiseless, every funded fraction is worth inf: take the one midway to 1,
@@ -131,12 +139,17 @@ def solve_hd(params: LinkParams, fading: FadingDistribution) -> HdResult:
         tried = []
         # Prefix m's root first: it wins a tie, where tau rounds the rates to 0.
         for k in (m, m + 1) if m + 1 < n.size else (m, m - 1) if m > 0 else (m,):
-            r, shift = c[k] / cp[k], 1.0 + cl[k] / cp[k]
+            c_k, p_k = float(c[k]), float(cp[k])
+            r, shift = c_k / p_k, 1.0 + float(cl[k]) / p_k
             # Below -1/e there is no root: g < 0 and w = -c/P clips to the floor.
-            y = (specfun.lambert_w0_of_log(math.log(r) - shift) if r > 0.0
+            # Past the float range, r keeps its log, ln c - ln P.
+            y = (specfun.lambert_w0_of_log(math.log(c_k) - math.log(p_k) - shift) if r == math.inf
+                 else specfun.lambert_w0_of_log(math.log(r) - shift) if r > 0.0
                  else specfun.lambert_w0(max(r * math.exp(-shift), specfun.BRANCH_POINT)))
-            top = n[k + 1] if k + 1 < n.size else math.inf
-            tried.append(cp[k] * min(max(math.exp(y + shift), n[k]), top) - cn[k])
+            top, ln_w = (n[k + 1] if k + 1 < n.size else math.inf), y + shift
+            if ln_w > _LN_MAX and top == math.inf:  # a level past the float range, unclipped
+                raise FloatRangeError("p_et", f"the level e^{ln_w:g} W is past the float range")
+            tried.append(cp[k] * min(max(math.exp(min(ln_w, _LN_MAX)), n[k]), top) - cn[k])
         b_star = max(
             tried, key=lambda b: hd_rate_at_fraction(params, fading, _fraction(params, a_pp, b))
         )

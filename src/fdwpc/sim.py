@@ -442,8 +442,8 @@ def simulate(
     hx2 = h * x2
     x1_sd = np.sqrt(p_ehu)
     # No level, not even an infinite or NaN one, is >= NaN: one compare tells
-    # a slot that transmits from one that sleeps, wanted or not.
-    gate = np.where(p_ehu > 0.0, k * (p_proc + p_ehu), np.nan)
+    # a slot that transmits from one that sleeps, wanted or not. Silent states form no level.
+    gate = np.multiply(k, p_proc + p_ehu, out=np.full(p_ehu.size, np.nan), where=p_ehu > 0.0)
     # Sleeping: the user spends nothing and only harvests the transmitter's
     # signal.
     sleep_in = k * eta * hx2 * hx2

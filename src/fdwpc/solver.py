@@ -61,10 +61,10 @@ the half-duplex fills and Lambert-W prefix sums) and the Case-1
 rebuilds neither. ``_fill_by_gain`` fills one and returns the powers in
 storage order; a scored flash fills a floor spliced from slices of the free
 floor, and only the winner's index map is built, to scatter its powers back.
-The last flash floor built is kept by ``_flash_floor``, keyed on the free
-floor (by identity), the state and its flash floor, none of which alpha1 or
-p_proc moves: a ``recycle-sweep`` point, or a ``pcost-compare`` row after the
-first at its ET power, builds no flash floor.
+The free floor keeps (``_Floor.kept``) ``hd.solve_hd``'s last result and its
+last flash floor, keyed on the state and its flash floor, which alpha1 and
+p_proc do not move: a ``recycle-sweep`` point, or a ``pcost-compare`` row after
+the first at its ET power, builds none. Evicting a floor frees what it keeps.
 
 Both regimes return ``(lambda2, allocation, value)``, lambda2 = 1/(w*(1-rho))
 at the water level w of the fill that scored the allocation (inf with the
@@ -124,9 +124,9 @@ class FloatRangeError(OverflowError):
     """A quantity of a solve past the float range, raised before it is used:
     a flash power p_et/p_k, or an SNR h^2 P/sigma2_sq (a noise floor that
     underflows to 0 included). ``field`` names the ``LinkParams`` field that
-    put it there, "p_et" or "sigma2_sq". An SNR P/n past the range names
-    "p_et" where P*n > 1 W^2: the codeword power is then further from 1 W, on
-    a log scale, than its floor n."""
+    put it there, "p_et" or "sigma2_sq" ("p_proc" too in ``hd``). An SNR P/n
+    past the range names "p_et" where P*n > 1 W^2: the codeword power is then
+    further from 1 W, on a log scale, than its floor n."""
 
     def __init__(self, field: str, message: str):
         super().__init__(message)
@@ -301,11 +301,20 @@ class _Floor:
     ``live`` counts the live states of a gain-ordered floor, a prefix. A
     cached floor is shared by later solves, so its arrays are read-only."""
 
-    __slots__ = ("noise", "weights", "live", "_scan", "_head", "_live_sums")
+    __slots__ = ("noise", "weights", "live", "_scan", "_head", "_live_sums", "_kept")
 
     def __init__(self, noise: np.ndarray, weights: np.ndarray, live: int | None = None):
         self.noise, self.weights, self.live = noise, weights, live
         self._scan = self._head = self._live_sums = None
+        self._kept = {}
+
+    def kept(self, name: str, key: tuple, build, *args):
+        """``build(*args)``, kept under ``name`` till a call with another ``key``."""
+        last = self._kept.get(name)
+        if last is None or last[0] != key:
+            self._kept[name] = last = None  # the old result goes before a new one is built
+            last = self._kept[name] = key, build(*args)
+        return last[1]
 
     def scan(self) -> tuple:
         """The heights above the lowest floor and their ``_level_sums``.
@@ -366,30 +375,6 @@ class _Floor:
         return self._live_sums
 
 
-def _keep_last(key):
-    """Decorate ``build`` to keep its last result: a call whose ``key(*args)``
-    equals the last call's returns that result. Unlike
-    ``functools.lru_cache(maxsize=1)``, it lets the old result go before it
-    builds a new one, so a sweep whose every point misses never holds two.
-    ``cache_clear`` empties it."""
-
-    def decorate(build):
-        last = []
-
-        @functools.wraps(build)
-        def kept(*args):
-            k = key(*args)
-            if not last or last[0] != k:
-                last.clear()
-                last.extend((k, build(*args)))
-            return last[1]
-
-        kept.cache_clear = last.clear
-        return kept
-
-    return decorate
-
-
 @functools.lru_cache(maxsize=2)
 def _gain_floor(fading: FadingDistribution, s: float) -> _Floor:
     """The floor s/h^2 of every state, strongest first, weighted by p; the
@@ -415,13 +400,11 @@ def _gain_floor(fading: FadingDistribution, s: float) -> _Floor:
     return _Floor(noise, fading.p[::-1], live)
 
 
-@_keep_last(key=lambda free, k, floor_k: (free, k, floor_k))
 def _flash_floor(free: _Floor, k: int, floor_k: float) -> tuple:
     """Flash k's floor, with its full scan built (a flash fills hundreds of
     states or more: no prefix first), and the place j past its moved entry;
-    ``(None, j)`` where no live state is left to fill. The last one built is
-    kept, keyed on the free floor by identity: a sweep point that moves no
-    input of it (alpha1, p_proc) builds none.
+    ``(None, j)`` where no live state is left to fill. The free floor keeps
+    the last one built (module docstring).
 
     The free floor ascends with state k at place r. Its flash floor moves that
     entry up to place j - 1, as ``floor_k``, ahead of equal entries (it stays
@@ -564,16 +547,16 @@ def _best_flash(
             raise FloatRangeError(
                 "p_et", f"the flash power {params.p_et:g} W / {p[k]:g} is past the float range"
             )
-        # Only a scored flash prunes: a funded flash whose bound rounds to 0
-        # is still scored, so no bound decides that the link is Zero.
+        # Only a scored flash prunes: a funded flash whose bound rounds to 0 is still scored,
+        # so no bound decides that the link is Zero. Later budgets round < 8 eps G (tangent[5]) up.
         if best_value > 0.0 and (
             _tangent_bound(tangent, budget) < best_value
-            or _fill(_C_BITS, free, budget)[2] <= best_value
+            or _fill(_C_BITS, free, budget + 16 * _EPS * tangent[5])[2] <= best_value
         ):
             break
         # In Python floats, inf past the float range as on a dead state.
         floor_k = (params.sigma2_sq + params.alpha2 * float(q)) / float(h2[k])
-        scored, j = _flash_floor(free, k, floor_k)
+        scored, j = free.kept("flash", (k, floor_k), _flash_floor, free, k, floor_k)
         if scored is None:  # no live state left to fill
             continue
         w, power, value = _fill(_C_BITS, scored, budget)

@@ -66,7 +66,9 @@ class LinkParams:
                 object.__setattr__(self, name, 0.0)
         if not math.isfinite(self.g1_mean):
             raise ValueError(f"g1_mean must be finite, got {self.g1_mean}")
-        rho = self.eta * (self.g1_mean**2 + self.alpha1)
+        # ** overflows past 1.3e154, where rho >= 1 anyway; x*x would round 0.0397**2 apart.
+        g1_sq = self.g1_mean**2 if abs(self.g1_mean) < 1e154 else math.inf
+        rho = self.eta * (g1_sq + self.alpha1)
         if rho >= 1.0:
             raise RecycleOverUnityError(
                 f"recycle coefficient eta*(g1_mean^2+alpha1) = {rho} >= 1"

@@ -354,6 +354,11 @@ def test_exit_2_on_out_of_range_value(argv, capsys):
         # the smallest.
         ("capacity-sweep --stop 1e300 --step 1", "--start/--stop/--step"),
         ("capacity-sweep --stop 9007199254740992 --step 1", "--start/--stop/--step"),
+        # A cost above the harvest sets the half-duplex budget that puts the
+        # SNR past the float range: the flag that set the cost is named.
+        ("capacity-sweep --pp-watts 1e308", "--pp-watts"),
+        ("ratio-sweep --pp-watts 1e305", "--pp-watts"),
+        ("ratio-sweep --pp-dbm 3080", "--pp-dbm"),
     ],
 )
 def test_exit_2_names_the_flag_that_put_a_value_past_the_range(capsys, argv, flag):
@@ -407,6 +412,28 @@ def test_huge_et_power_runs_without_a_warning(capsys, states, code):
     else:
         assert out == "" and len(err.splitlines()) == 1
         assert err.startswith("fdwpc: --pet-dbm: ")
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        # g1_mean^2 past the float range is an inf recycle coefficient,
+        # refused as --g1-mean 2 is (it was an OverflowError naming nothing).
+        ("capacity-sweep --g1-mean 1e200", 2, "fdwpc: recycle coefficient "),
+        ("simulate --slots 50 --g1-mean 1e308", 2, "fdwpc: recycle coefficient "),
+        ("capacity-sweep --g1-mean 2", 2, "fdwpc: recycle coefficient "),
+        # No state funds a 1e307 W cost, so every slot sleeps.
+        ("simulate --slots 50 --pp-watts 1e307", 0, ""),
+    ],
+)
+def test_huge_recycle_gain_or_cost_runs_without_a_warning(tmp_path, capsys, argv, code, err):
+    extra = ["--fading-states", "16", "--out", str(tmp_path / "o.csv")]
+    got, out, stderr = run_cli(argv.split() + extra, capsys)
+    assert got == code and stderr.startswith(err)
+    if code == 0:
+        assert stderr == "" and out.splitlines()[1] == ",".join(["0.000000000000e+00"] * 3)
+    else:
+        assert out == "" and len(stderr.splitlines()) == 1
 
 
 @pytest.mark.parametrize("command", ["capacity-sweep", "ratio-sweep", "recycle-sweep", "pcost-compare"])

@@ -73,13 +73,13 @@ def test_a_sweep_of_unused_fields_solves_once(fills):
         hd_params(alpha2=a2, alpha1=a1, g1_mean=g)
         for a2, a1, g in ((0.0, 0.0, 0.0), (1e-3, 0.2, 0.1), (0.3, 0.5, 0.0), (1e-8, 0.0, 0.7))
     ]
-    solve_hd.cache_clear()
+    solver._gain_floor.cache_clear()
     warm = [solve_hd(points[0], f)]
     first = len(fills)
     warm += [solve_hd(params, f) for params in points[1:]]
     assert first > 0 and len(fills) == first
     for params, r in zip(points, warm):
-        solve_hd.cache_clear()
+        solver._gain_floor.cache_clear()
         assert _hd_fields(solve_hd(params, f)) == _hd_fields(r)
 
 
@@ -99,7 +99,7 @@ def test_a_change_to_what_the_benchmark_reads_solves_again(fills, change):
     fills.clear()
     res = solve_hd(params, g)
     assert fills and res is not base
-    solve_hd.cache_clear()
+    solver._gain_floor.cache_clear()
     assert _hd_fields(solve_hd(params, g)) == _hd_fields(res)
 
 
@@ -109,6 +109,40 @@ def test_half_duplex_powers_are_read_only(p_et):
     res = solve_hd(hd_params(p_et=p_et), fading.rayleigh(1.0, 16))
     with pytest.raises(ValueError, match="read-only"):
         res.p_ehu_of_h[0] = 1.0
+
+
+@pytest.mark.parametrize(
+    "f, p_proc, p_et, sigma2_sq, field",
+    [
+        # The cost outweighs the harvest: c/P overflows at 2 states, and the
+        # codeword power then puts the SNR past the float range.
+        (fading.rayleigh(1e-7, 2), 1e308, 1.0, 1e-14, "p_proc"),
+        (fading.rayleigh(1e-7, 16), 1e305, 1.0, 1e-14, "p_proc"),
+        (fading.rayleigh(1.0, 16), 1e306, 1e306, 1e-14, "p_proc"),
+        # A live mass of 1e-9 puts the level itself, e^723 W, past the range.
+        (fading.custom([0.0, 1.0], [1.0 - 1e-9, 1e-9]), 1e308, 1.0, 1e10, "p_proc"),
+        # The harvest outweighs the cost: the ET power is named.
+        (fading.rayleigh(1.0, 16), 1e300, 1e307, 1e-14, "p_et"),
+        (fading.rayleigh(1.0, 16), 0.0, 1e307, 1e-14, "p_et"),
+    ],
+)
+def test_a_rate_past_the_range_names_what_sets_its_budget(f, p_proc, p_et, sigma2_sq, field):
+    # The budget grows with harvest + p_proc, so the larger of the two is
+    # named; nothing warns on the way (RuntimeWarnings are errors here).
+    params = LinkParams(eta=0.8, p_proc=p_proc, p_et=p_et, sigma2_sq=sigma2_sq)
+    with pytest.raises(solver.FloatRangeError, match="past the float range") as exc:
+        solve_hd(params, f)
+    assert exc.value.field == field
+
+
+def test_a_stationary_ratio_past_the_range_keeps_its_log():
+    # Half the mass is dead, so the live prefix holds P = 0.5 and c/P
+    # overflows. Its log, ln c - ln P, still gives the stationary level and
+    # the optimal rate; the level was NaN, with two RuntimeWarnings.
+    f = fading.custom([0.0, 1.0], [0.5, 0.5])
+    params = LinkParams(eta=0.8, p_proc=1e308, p_et=1.0, sigma2_sq=1.0)
+    res = solve_hd(params, f)
+    assert res.rate == pytest.approx(mp_optimal_rate(params, f), rel=1e-12, abs=0.0)
 
 
 def test_golden_section_beats_coarse_grid():

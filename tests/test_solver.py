@@ -579,6 +579,29 @@ _TIED_FREE_FLASH = (
 )
 
 
+# Three tied gains whose flash budgets, at cost 0.99999, round apart by
+# 1.8e-11 relative, and the one scored last has the largest. The
+# interference-free fill of the middle one's budget pruned it and so lost the
+# best flash, until the fill was taken at a budget raised by that rounding.
+_TIED_ROUNDED_FLASH = (
+    LinkParams(eta=0.8, p_proc=0.0, p_et=1.0, sigma2_sq=1.0, alpha2=1e-12),
+    fading.FadingDistribution(
+        h=np.array([0.0] * 23 + [0.875] * 3),
+        p=np.array([
+            0.04032071954892121, 0.06318701787851569, 0.07510922854992762,
+            0.07510922854992762, 0.03755461427496381, 0.03755461427496381,
+            0.06337341158900144, 0.040114280671193096, 0.07243607482667576,
+            0.042939549586359635, 0.07510847745764213, 0.07510847745764213,
+            0.028165960706222855, 0.024645215617945, 0.02745848113557666,
+            0.025036409516642537, 0.025036409516642537, 0.028043419444465405,
+            0.03233247258497865, 0.010562235264833571, 0.002347163392185238,
+            0.0008801862720694642, 0.0008801862720694642, 0.018464986911478326,
+            0.014857767110155004, 0.06337341158900144,
+        ]),
+    ),
+)
+
+
 # A Rayleigh link at SNR 1e-10 where self-interference lifts each flash's
 # floor, so that the best flash is not on the strongest state. Rated as
 # log(w/noise), that flash lost 1.2e-8 of its value.
@@ -594,6 +617,7 @@ _LOW_SNR_LINK = (
 @example(link=_TIED_ULP_FLASH, cost=1.0)
 @example(link=_TIED_FREE_FLASH, cost=0.0)
 @example(link=_LOW_SNR_LINK, cost=0.0)
+@example(link=_TIED_ROUNDED_FLASH, cost=0.99999)
 def test_pruned_flash_matches_full_enumeration(link, cost):
     # The processing cost runs from 0 past the strongest state's flash
     # harvest, through the links where a flash is funded and Case 1 is not.
@@ -725,13 +749,6 @@ def test_stationarity_at_the_winning_level_on_random_links():
         _assert_stationary_at_the_winning_level(*_random_link(rng))
 
 
-def _clear_caches():
-    """Empty every cache a solve or a half-duplex solve reads."""
-    solver._gain_floor.cache_clear()
-    solver._flash_floor.cache_clear()
-    solve_hd.cache_clear()
-
-
 @pytest.mark.parametrize(
     "params, f, case, fills, flash_budgets, hd_fills",
     [
@@ -758,7 +775,7 @@ def test_solve_fills_once_per_scored_quantity(
             return _original(*args)
 
         monkeypatch.setattr(solver, name, spy)
-    _clear_caches()
+    solver._gain_floor.cache_clear()
     assert solve(params, f).case == case
     assert calls == {"_fill": fills, "capacity_case1": 0, "_flash": flash_budgets, "_level_sums": fills}
     # solve_hd ranks two candidate budgets and scores the winner (one
@@ -966,9 +983,9 @@ def test_shared_floor_gives_the_same_bytes_cold_warm_and_interleaved():
     ]
     cold = []
     for link in links:
-        _clear_caches()
+        solver._gain_floor.cache_clear()
         solve_out = _solve_bytes(*link)
-        _clear_caches()
+        solver._gain_floor.cache_clear()
         cold.append((solve_out, _hd_bytes(*link)))
     # Each link warm (its floors are the last two built), then the four in
     # alternation, so that calls find other links' floors in the cache.
@@ -1005,7 +1022,7 @@ def test_a_sweep_that_moves_no_flash_floor_input_builds_one_flash_floor(monkeypa
         return _original(*args)
 
     monkeypatch.setattr(solver, "_Floor", Spy)
-    _clear_caches()
+    solver._gain_floor.cache_clear()
     warm = [solve(links[0], f)]
     monkeypatch.setattr(solver, "_level_sums", spy)
     warm.append(solve(links[1], f))
@@ -1015,7 +1032,7 @@ def test_a_sweep_that_moves_no_flash_floor_input_builds_one_flash_floor(monkeypa
     monkeypatch.undo()
     assert {r.case for r in warm} == {"Case2"}
     for params, r in zip(links, warm):
-        _clear_caches()
+        solver._gain_floor.cache_clear()
         assert _solve_bytes_of(solve(params, f)) == _solve_bytes_of(r)
 
 
@@ -1078,6 +1095,40 @@ def test_floor_cache_keeps_at_most_two_distributions_alive_without_interference(
     # With alpha2 = 0 both floors are sigma2_sq/h^2, one entry per
     # distribution, so the previous distribution's may still be held.
     assert _distributions_kept(0.0)[:-2] == [False] * 2
+
+
+def test_evicting_the_floors_frees_what_they_keep(monkeypatch):
+    # The interference-free floor keeps the last flash floor and half-duplex
+    # result: once the floor cache lets its floors go, nothing of the solve
+    # stays alive (a kept flash floor used to hold its free floor).
+    noise = []
+
+    class Spy(solver._Floor):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            noise.append(weakref.ref(args[0]))
+            super().__init__(*args)
+
+    monkeypatch.setattr(solver, "_Floor", Spy)
+    solver._gain_floor.cache_clear()
+    params = LinkParams(eta=0.8, p_proc=0.0, p_et=1e-3, sigma2_sq=1e-14, alpha2=1e-8)
+    f = fading.rayleigh(1e-6, 8192)
+    assert solve(params, f).case == "Case2"
+    refs = noise + [weakref.ref(solve_hd(params, f).p_ehu_of_h)]
+    assert len(refs) == 4 and all(r() is not None for r in refs)
+    solver._gain_floor.cache_clear()
+    gc.collect()
+    assert [r() for r in refs] == [None] * 4
+
+
+def test_a_floor_lets_its_kept_result_go_before_building_the_next():
+    # A sweep whose every point misses never holds two results at once.
+    floor = solver._gain_floor(fading.rayleigh(1.0, 16), 0.1)
+    ref = weakref.ref(floor.kept("x", 1, np.zeros, 8))
+    seen = []
+    floor.kept("x", 2, lambda: seen.append(ref()) or np.ones(8))
+    assert seen == [None] and floor.kept("x", 2, None)[0] == 1.0
 
 
 def test_cached_floors_are_read_only():

@@ -110,6 +110,19 @@ def test_recycle_over_unity_is_distinct_error():
     assert lp.rho == pytest.approx(0.96, rel=1e-12)
 
 
+@pytest.mark.parametrize("g1_mean", [1e200, -1e200, 1.2e154, 1e308])
+def test_a_gain_whose_square_overflows_is_over_unity(g1_mean):
+    # g1_mean**2 raised OverflowError, which named no field.
+    with pytest.raises(RecycleOverUnityError, match="= inf >= 1"):
+        LinkParams(eta=0.8, p_proc=0.0, p_et=1.0, sigma2_sq=0.1, g1_mean=g1_mean)
+
+
+def test_recycle_coefficient_keeps_the_bits_of_the_square():
+    # x*x and x**2 differ in the last bit at 0.0397.
+    lp = LinkParams(eta=0.8, p_proc=0.0, p_et=1.0, sigma2_sq=0.1, g1_mean=0.0397)
+    assert lp.rho == 0.8 * (0.0397**2 + 0.0)
+
+
 def test_path_loss_params_validation():
     with pytest.raises(ValueError):
         PathLossParams(f_c=0.0, d=10.0, gamma=3.0)
