@@ -116,6 +116,8 @@ def solve_hd(params: LinkParams, fading: FadingDistribution) -> HdResult:
     if params.p_et <= 0.0 or fading.mean_square <= 0.0:
         return HdResult(0.0, math.inf, 0.0, np.zeros(fading.n_states))
     floor = _gain_floor(fading, params.sigma2_sq)
+    if floor.noise[0] == math.inf:  # every floor past the float range: every rate is 0
+        return HdResult(0.0, math.inf, 0.0, np.zeros(fading.n_states))
     try:
         return floor.kept("hd", (params.eta, params.p_et, params.p_proc), _solve_hd, params, fading)
     except FloatRangeError as exc:

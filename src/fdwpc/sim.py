@@ -21,12 +21,17 @@ same to the bit either way.
 
 What is drawn depends on the self-interference gain. Every slot the
 allocation wants to transmit in draws, outage slots included, in slot order,
-so the stream depends on neither the battery nor the block size.
+so the stream depends on neither the battery nor the block size. Every
+symbol generator is numpy's SFC64 bit generator under ``np.random.Generator``
+(its ziggurat normals and gammas), seeded by ``[seed, _STREAM, *key]``
+(``_generator``): the run's stream has no key, a conditional path's key is
+its slot. The fading states alone come from ``sample_indices``' PCG64 on the
+bare seed.
 
 * ``alpha1 > 0``: the gain of each use multiplies its symbol, so each wanted
   slot draws its k codeword symbols, then its k gains, in blocks of
   ``_BLOCK`` slots. The block bounds only the symbols held in memory; a
-  slot that could run dry redraws its block up to itself from the generator
+  slot that could run dry redraws its block up to itself from the SFC64
   state kept at the block's start.
 * ``alpha1 == 0``: the gain is the constant ``g1_mean``, and a slot's sums
   depend on its codeword z only through S1 = sum(z) ~ N(0, k) and the
@@ -89,8 +94,9 @@ _SUMS_CHUNK = 1024
 # Slots decided in a row, closed one at a time near an empty battery, before a
 # cumsum takes the run over again.
 _DECIDED_RUN = 16
-# Stream of the per-slot draws, after the seed. The fading draws hash the bare
-# seed, and a no-recycling slot's path generator appends the slot index.
+# Stream of the SFC64 symbol draws, after the seed (``_generator``). The
+# fading draws seed PCG64 with the bare seed, and a no-recycling slot's path
+# generator appends the slot index.
 _STREAM = 0x5107
 # Trace rows built and written at once. The rows and the kernel's temporaries
 # (about 250 bytes per row) are held for one chunk only: building the whole
@@ -115,7 +121,13 @@ _E12 = np.dtype(
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Slot structure and reproducibility knobs for one simulation run."""
+    """Slot structure and reproducibility knobs for one simulation run.
+
+    ``seed`` picks the fading states (PCG64 seeded by ``seed``) and the
+    symbols (SFC64 seeded by ``[seed, _STREAM]``, and by
+    ``[seed, _STREAM, slot]`` for a conditional path). A seed reproduces a
+    run for a given numpy version.
+    """
 
     k: int = 200
     n_slots: int = 20_000
@@ -313,6 +325,12 @@ def _format_e12(x: np.ndarray) -> np.ndarray:
     return text
 
 
+def _generator(seed: int, *key: int) -> np.random.Generator:
+    """The symbol generator of stream ``key`` of a run: SFC64 seeded by
+    ``[seed, _STREAM, *key]``."""
+    return np.random.Generator(np.random.SFC64([seed, _STREAM, *key]))
+
+
 def _use_energies(
     x1: np.ndarray, gain, hx2, eta: float, p_proc: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -419,14 +437,18 @@ def simulate(
     """Run the slotted scheme and account for every joule.
 
     Battery starts empty; the initial silent slots are the warm-up and stay
-    in the rate denominator. Fully reproducible for a fixed seed. Raises
-    ValueError unless the allocation has one entry per fading state.
+    in the rate denominator. Fully reproducible for a fixed seed and numpy
+    version: the states come from ``fading.sample_indices(cfg.seed, ...)``,
+    the symbols, gains and sums from SFC64 seeded by
+    ``[cfg.seed, _STREAM]``, and a conditional path from SFC64 seeded by
+    ``[cfg.seed, _STREAM, slot]``. Raises ValueError unless the allocation
+    has one entry per fading state.
     """
     if alloc.p_ehu.size != fading.n_states:
         raise ValueError(
             f"allocation has {alloc.p_ehu.size} states, the fading distribution {fading.n_states}"
         )
-    rng = np.random.default_rng([cfg.seed, _STREAM])
+    rng = _generator(cfg.seed)
     k = cfg.k
     n_slots = cfg.n_slots
     eta = params.eta
@@ -469,7 +491,7 @@ def simulate(
 
             def path(pos, s_i):
                 # Redraw the block from its start state, up to the slot.
-                replay = np.random.default_rng()
+                replay = _generator(cfg.seed)
                 replay.bit_generator.state = starts[pos // _BLOCK]
                 return tuple(a[-1:] for a in drawn(lo + pos - pos % _BLOCK, lo + pos + 1, replay))
 
@@ -486,7 +508,7 @@ def simulate(
 
             def path(pos, s_i):
                 row = first + np.count_nonzero(want[:pos])
-                v = np.random.default_rng([cfg.seed, _STREAM, lo + pos]).standard_normal(k)
+                v = _generator(cfg.seed, lo + pos).standard_normal(k)
                 x1 = x1_sd[s_i] * _conditional_path(float(s1[row]), float(r[row]), v)
                 return _use_energies(x1[None], g, hx2[s_i], eta, p_proc)
 

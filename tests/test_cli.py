@@ -1,13 +1,18 @@
 """Command-line contracts: columns, determinism, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fdwpc import cli, solver
 from fdwpc.cli import main
@@ -195,15 +200,16 @@ def test_simulate_stdout_trace_matches_out_file(tmp_path, capsys):
 @pytest.mark.parametrize(
     "extra, digest",
     [
-        (["--alpha1", "0.4"], "4cc8dc7c342e0975bd7b220e71a3a04be4839dfe36fe78c6ea7b4ae5ad336ea6"),
-        (["--g1-mean", "0.5"], "ad41c0b36bdd20908bbef0adf19f8bd4458c82153067687f1b6a1daf2e03dbc5"),
-        ([], "a074cadaec6b2d4c58f67fdb09f8aa191b4f22f3273a04eb1ece726d4aef378c"),
+        (["--alpha1", "0.4"], "c587472de7601a09bfe24e7fd5498f4034f44fbe42d7294d8fb0f248f79dd610"),
+        (["--g1-mean", "0.5"], "bebe18819ee1a6ea1091ec83defbd637e96d165effda259735d6019ac4dbaf60"),
+        ([], "1b61c2d460fadde176fe569cd28d487c802294098f02aef1e8250c8aff3a5065"),
     ],
     ids=["recycling", "fixed-gain", "no-recycling"],
 )
 def test_simulate_stdout_bytes_are_pinned(capsys, extra, digest):
-    # The whole trace of a 3000-slot run on each draw path, recorded once:
-    # a faster slot loop or CSV writer must not move a byte.
+    # The whole trace of a 3000-slot run on each draw path, recorded with the
+    # SFC64 symbol stream: a faster slot loop or CSV writer must not move a
+    # byte.
     argv = ["simulate", "--k", "50", "--slots", "3000", "--seed", "3", "--pp-watts", "0",
             "--fading-states", "16"]
     code, out, _ = run_cli(argv + extra, capsys)
@@ -573,7 +579,8 @@ def test_negative_zero_noise_prints_the_noiseless_sweep(capsys):
 
 
 # Extreme noise powers at 16 states, each with the SHA-256 of the bytes it
-# printed while RuntimeWarnings leaked (stdout, then simulate's trace).
+# printed while RuntimeWarnings leaked (stdout, then simulate's trace;
+# simulate's re-recorded when its symbols moved to SFC64).
 EXTREME_NOISE = {
     "capacity-sweep --noise-watts 1e300":
         "f802e1795b7ec2977aa49cad27d601769ea99d6ed869d509f9ae6d5c5d0c150b",
@@ -584,7 +591,7 @@ EXTREME_NOISE = {
     "pcost-compare --noise-watts 1e300 --pp-zero":
         "a89cb6fa3b8275dc3ebc433ab0ac34243d94db28e0cb0789c4b5961e208994ee",
     "simulate --noise-watts 1e300 --pp-watts 0 --slots 200":
-        "0d3fabcca2c5b97273fb96d10666dea960c8d2b0b1cd5b680d1f622de8bebc73",
+        "0321293e8c6945eaf8148c0c70e2cde2a729eb49b1451cd84b8add872b1febbc",
     "capacity-sweep --noise-watts 1e-320":
         "29955bb48c1c1d158d18181a49592d1718ac73631615aae9771f811077bb15af",
     "ratio-sweep --noise-watts 1e-320":
@@ -636,3 +643,128 @@ def test_sweep_builds_each_gain_ordered_floor_once(monkeypatch, capsys, command,
     code, out, _ = run_cli([command, "--pp-watts", "0"], capsys)
     assert code == 0 and len(rows(out)) > 7
     assert len(built) == solver._gain_floor.cache_info().misses == builds
+
+
+# ---------------------------------------------------------------------------
+# The exit contract over the whole flag space
+# ---------------------------------------------------------------------------
+
+# Edge values of a float flag, each as text it parses: zeros of both signs,
+# subnormals, values near and past the float range, inf and nan.
+_EDGE_FLOATS = (
+    "0", "-0", "1", "-1", "2", "1e-320", "-1e-320", "1e-300", "1e300", "-1e300",
+    "1e308", "-1e308", "1e400", "inf", "-inf", "nan",
+)
+# Edges of a sweep's bounds and step, none of which asks for more than a few
+# points: each gives a non-finite or empty grid, or one of 2**53 steps or more.
+_EDGES = {
+    "--start": ("nan", "inf", "-inf", "1e308", "-1e308"),
+    "--stop": ("nan", "inf", "-inf", "1e308", "-1e308"),
+    "--step": ("0", "-0", "-1", "nan", "inf", "-inf", "1e308", "1e-320"),
+    "--fading-states": ("0", "-1"),
+    "--slots": ("0", "-1"),
+    "--k": ("0", "-1"),
+    "--seed": ("-1",),
+}
+
+
+def _float_text(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+# The scenario flags every subcommand takes, each over a range it accepts.
+_SCENARIO = {
+    "--distance-m": _float_text(0.5, 1e3),
+    "--pet-dbm": _float_text(-60.0, 60.0),
+    "--eta": _float_text(0.05, 0.99),
+    "--alpha1": _float_text(0.0, 0.5),
+    "--g1-mean": _float_text(-0.5, 0.5),
+    "--suppression-db": _float_text(0.0, 200.0),
+    "--noise-watts": st.floats(-20.0, 0.0).map(lambda e: repr(10.0**e)),
+    "--seed": st.integers(0, 2**64).map(str),
+}
+# Each sweep's variable over a range it accepts.
+_SWEPT = {
+    "capacity-sweep": (-60.0, 60.0),
+    "ratio-sweep": (0.0, 200.0),
+    "recycle-sweep": (0.0, 1.2),
+    "pcost-compare": (-60.0, 60.0),
+}
+
+
+@st.composite
+def cli_argvs(draw):
+    """An argument list for one of the five subcommands: a subset of its
+    flags, each over a range it accepts, and on half the lists one flag set
+    to a value past it. Each flag is given as ``--flag=value``, so that a
+    negative value parses. At most 64 fading states, 50 slots and a sweep of
+    4 points."""
+    command = draw(st.sampled_from(["simulate", *_SWEPT]))
+    flags = {"--fading-states": str(draw(st.integers(1, 64)))}
+    for flag, values in _SCENARIO.items():
+        if draw(st.booleans()):
+            flags[flag] = draw(values)
+    if command == "pcost-compare" or draw(st.booleans()):
+        if draw(st.booleans()):
+            flags["--pp-dbm"] = draw(_float_text(-120.0, 40.0))
+    elif draw(st.booleans()):
+        flags["--pp-watts"] = draw(_float_text(0.0, 1.0))
+    if command == "simulate":
+        flags["--slots"] = str(draw(st.integers(1, 50)))
+        if draw(st.booleans()):
+            flags["--k"] = str(draw(st.integers(1, 200)))
+    else:
+        start = draw(st.floats(*_SWEPT[command]))
+        step = draw(st.floats(0.01, 20.0))
+        stop = start + step * draw(st.integers(-1, 3))
+        flags.update({"--start": repr(start), "--stop": repr(stop), "--step": repr(step)})
+    if draw(st.booleans()):
+        flag = draw(st.sampled_from(sorted(flags)))
+        flags[flag] = draw(st.sampled_from(_EDGES.get(flag, _EDGE_FLOATS)))
+    argv = [command] + [f"{flag}={value}" for flag, value in flags.items()]
+    if command == "pcost-compare" and draw(st.booleans()):
+        argv.append("--pp-zero")
+    return argv
+
+
+def _fields_ok(text):
+    """Whether every field below the header line is a float or a case tag."""
+    try:
+        for line in text.splitlines()[1:]:
+            for field in line.split(","):
+                if field not in ("Case1", "Case2", "Zero"):
+                    float(field)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_argvs())
+@example(argv=["capacity-sweep", "--fading-states=1", "--noise-watts=1e308", "--start=0.0",
+               "--stop=0.0", "--step=1.0"])
+def test_every_argument_list_exits_0_or_2_with_one_line(argv):
+    # Exit 0 with numeric or case-tag fields and nothing on stderr but
+    # simulate's summary (its trace goes to stdout), or exit 2 with one
+    # 'fdwpc: ' line. Never a traceback, never a warning. The example is a
+    # noise power whose every floor is past the float range: the half-duplex
+    # solve warned on inf - inf and exited 2 naming a NaN Lambert-W argument,
+    # where the link is dead and both rates are 0.
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert [str(w.message) for w in caught] == []
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        assert out and _fields_ok(out)
+        if argv[0] == "simulate":
+            assert err.startswith("empirical_rate,") and _fields_ok(err)
+            assert len(err.splitlines()) == 2
+        else:
+            assert err == ""
+    else:
+        assert code == 2
+        assert out == ""
+        assert err.startswith("fdwpc: ") and err.endswith("\n") and err.count("\n") == 1

@@ -33,7 +33,7 @@ def every_row_reference(params, f, alloc, cfg):
     With alpha1 > 0 a path is the slot's drawn symbols and gains. With
     alpha1 == 0 it is built from the slot's (S1, R) and the generator keyed
     by the slot, and the slot closes with the closed-form sums."""
-    rng = np.random.default_rng([cfg.seed, 0x5107])
+    rng = np.random.Generator(np.random.SFC64([cfg.seed, 0x5107]))
     k = cfg.k
     states = f.sample_indices(cfg.seed, cfg.n_slots)
     hx2 = f.h * alloc.x2
@@ -56,7 +56,7 @@ def every_row_reference(params, f, alloc, cfg):
         )
         rows = []
         for j, slot in enumerate(np.flatnonzero(wanted).tolist()):
-            v = np.random.default_rng([cfg.seed, 0x5107, slot]).standard_normal(k)
+            v = np.random.Generator(np.random.SFC64([cfg.seed, 0x5107, slot])).standard_normal(k)
             x1 = x1_sd[ws[j]] * sim._conditional_path(float(s1[j]), float(r[j]), v)
             amp = hx2[ws[j]] + params.g1_mean * x1
             _, _, net, floor = sim._slot_sums(
@@ -105,6 +105,44 @@ def test_harvest_per_use_statistical_mean():
     expected = params.eta * (h**2 * x2**2 + recycled)
     assert 0.2 < share < 1.0 and recycled > 0.3 * h**2 * x2**2
     assert tr.mean_harvest_w == pytest.approx(expected, rel=0.01)
+
+
+def test_recycling_slot_net_change_first_two_moments():
+    # A transmitting slot that cannot run dry changes the battery by the sum
+    # of k i.i.d. Y - p_proc, Y = eta (c + sx (g + sg w) z)^2 - sx^2 z^2 with
+    # c = h x2, sx^2 = p_ehu, sg^2 = alpha1 and z, w standard normal. Half the
+    # sustainable codeword power fills the battery, so past the warm-up every
+    # slot starts far above any slot's demand; which slots qualify depends on
+    # earlier slots only. Gains taken from the slot's own symbols, shifted by
+    # one use, keep every per-use mean but correlate neighbouring uses, so
+    # only the variance of the sum sees them.
+    params = sim_params()
+    f = fading.deterministic(1.0)
+    solved = solve(params, f).allocation
+    alloc = PowerAllocation(solved.x2, 0.5 * solved.p_ehu)
+    k = 50
+    tr = simulate(params, f, alloc, SimConfig(k=k, n_slots=4000, seed=21))
+    c, sx2 = float(f.h[0] * alloc.x2[0]), float(alloc.p_ehu[0])
+    g, sg2, eta = params.g1_mean, params.alpha1, params.eta
+    start = np.concatenate(([0.0], tr.battery_j[:-1]))
+    net = (tr.battery_j - start)[tr.transmitted & (start >= 10.0 * k * (params.p_proc + sx2))]
+    assert tr.depleted_slots == 0 and net.size > 3000
+    # Moments of the gain G = g + sg w and of A = c + G x1, x1 = sx z.
+    g2 = g * g + sg2
+    g4 = g**4 + 6.0 * g * g * sg2 + 3.0 * sg2 * sg2
+    a2 = c * c + g2 * sx2
+    a4 = c**4 + 6.0 * c * c * g2 * sx2 + 3.0 * g4 * sx2 * sx2
+    a2x2 = c * c * sx2 + 3.0 * g2 * sx2 * sx2
+    mean_y = eta * a2 - sx2
+    var_y = eta * eta * (a4 - a2 * a2) + 2.0 * sx2 * sx2 - 2.0 * eta * (a2x2 - a2 * sx2)
+    n = net.size
+    dev = net - net.mean()
+    var = float(dev @ dev) / (n - 1)
+    # The standard error of the sample variance, from the sample's fourth
+    # central moment.
+    var_se = math.sqrt(max(float(np.mean(dev**4)) - var * var, 0.0) / n)
+    assert abs(net.mean() - k * (mean_y - params.p_proc)) <= 5.0 * math.sqrt(k * var_y / n)
+    assert abs(var - k * var_y) <= 5.0 * var_se
 
 
 def test_cold_start_single_slot():

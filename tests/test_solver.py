@@ -43,7 +43,12 @@ from fdwpc.solver import (
     x0_of_h,
 )
 from fdwpc.units import LinkParams
-from test_acceptance import codeword_waterfill, reference_capacity, water_level_reference
+from test_acceptance import (
+    codeword_waterfill,
+    reference_capacity,
+    reference_value,
+    water_level_reference,
+)
 
 HALF_LOG2_5 = 1.1609640474436812  # (1/2) log2(5)
 
@@ -1194,6 +1199,55 @@ def test_case1_split_state_invariance(link, which):
     split = fading.custom(np.repeat(f.h, halves), np.repeat(f.p / halves, halves))
     c1 = solve(params, f).residuals["case1_capacity"]
     assert abs(solve(params, split).residuals["case1_capacity"] - c1) <= 1e-12 * c1
+
+
+def _free_top_fill(params, f):
+    """The interference-free fill of the top budget
+    B_top = (eta p_et max h^2 - p_proc)/(1 - rho) over the floors
+    sigma2_sq/h^2, by the test-side reference: the flash on the strongest
+    state, rated without self-interference. No allocation, whatever the ET's
+    law within a state, beats it: every floor is at least sigma2_sq/h^2 and
+    every budget at most B_top."""
+    top = np.zeros(f.n_states)
+    top[-1] = params.p_et / f.p[-1]
+    return reference_value(dataclasses.replace(params, alpha2=0.0), f, top)
+
+
+@settings(max_examples=100, deadline=None)
+@given(flash_links(), st.integers(0, 39), st.sampled_from([2, 3, 7]))
+def test_splitting_a_state_never_lowers_capacity_past_the_free_fill(link, which, m):
+    # m equal-gain parts of one state are the same channel as the state. A
+    # flash on one part keeps the state's budget and lowers the other parts'
+    # floors to sigma2_sq/h^2, so the capacity may rise, towards the free
+    # fill of the top budget, but never falls.
+    params, f = link
+    parts = np.ones(f.n_states, dtype=int)
+    parts[which % f.n_states] = m
+    split = fading.custom(np.repeat(f.h, parts), np.repeat(f.p / parts, parts))
+    before, after = solve(params, f).capacity, solve(params, split).capacity
+    bound = _free_top_fill(params, f)
+    assert after >= before - 1e-12 * before
+    assert max(before, after) <= bound + 1e-12 * bound
+
+
+@st.composite
+def feasible_powers(draw):
+    """A ``flash_links`` link and ET powers q >= 0 with p.q <= p_et, some
+    entries zero, up to a whole flash."""
+    params, f = draw(flash_links())
+    n = f.n_states
+    w = np.array(draw(st.lists(st.sampled_from([0.0, 1e-6, 0.3, 1.0]), min_size=n, max_size=n)))
+    w[draw(st.integers(0, n - 1))] = 1.0
+    q = w * (params.p_et * draw(st.floats(0.0, 1.0)) / float(f.p @ w))
+    return params, f, q
+
+
+@settings(max_examples=200, deadline=None)
+@given(feasible_powers())
+def test_no_feasible_power_beats_the_free_fill(case):
+    params, f, q = case
+    bound = _free_top_fill(params, f)
+    assert reference_value(params, f, q) <= bound + 1e-12 * bound
 
 
 # ---------------------------------------------------------------------------
