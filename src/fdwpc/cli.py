@@ -17,7 +17,9 @@ dependence.
 ``main(argv)`` may be called any number of times in one process. The
 argument parser is built on the first call, not at import, and shared by
 every later call; no default it hands out is mutable, so one call cannot
-change the next. Exit codes stay 0 for ok and 2 for a usage error.
+change the next. Exit codes stay 0 for ok and 2 for a usage error, which
+prints one ``fdwpc: `` line on stderr, an ill-typed or unknown flag included;
+``--help`` prints the usage and exits 0.
 """
 
 from __future__ import annotations
@@ -42,6 +44,19 @@ _GAMMA = 3.0
 # Grid steps a sweep may ask for: grid value i is start + step * i, and past
 # 2**53 a step index is not an exact float, so the grid would repeat values.
 _MAX_GRID = 2**53
+
+
+class _UsageError(Exception):
+    """An argument list the parser refuses, with argparse's message."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises ``_UsageError`` where argparse would
+    print its usage block and exit, so ``main`` reports the error on one
+    line. Its subcommand parsers are of this class too."""
+
+    def error(self, message):
+        raise _UsageError(message)
 
 
 def _fmt(x: float) -> str:
@@ -237,7 +252,7 @@ def cmd_simulate(args) -> int:
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="fdwpc",
         description="capacity sweeps and link simulation for a full-duplex "
         "wirelessly powered link",
@@ -266,7 +281,10 @@ def main(argv=None) -> int:
     ap = _build_parser()
     try:
         args = ap.parse_args(argv)
-    except SystemExit as exc:
+    except _UsageError as exc:
+        sys.stderr.write(f"fdwpc: {exc}\n")
+        return 2
+    except SystemExit as exc:  # --help
         return int(exc.code) if exc.code is not None else 2
     try:
         return args.func(args)

@@ -29,10 +29,15 @@ its slot. The fading states alone come from ``sample_indices``' PCG64 on the
 bare seed.
 
 * ``alpha1 > 0``: the gain of each use multiplies its symbol, so each wanted
-  slot draws its k codeword symbols, then its k gains, in blocks of
-  ``_BLOCK`` slots. The block bounds only the symbols held in memory; a
-  slot that could run dry redraws its block up to itself from the SFC64
-  state kept at the block's start.
+  slot draws its k unit symbols z, then its k gain normals y, one draw call
+  per block of ``_BLOCK`` slots, a group of blocks into one reused buffer.
+  No per-use energy is formed: with v = z (g1_mean + sqrt(alpha1) y) and
+  a = sqrt(p_ehu), a slot harvests
+  ``eta ((k h x2 + a S)^2 / k + a^2 R)`` and spends ``a^2 Q + k p_proc``,
+  from the row sums S = sum v, R = sum (v - S / k)^2 and Q = sum z^2
+  (``_product_sums``, ``_recycled_sums``); both are sums of squares, so
+  >= 0. A slot that could run dry redraws its block up to itself from the
+  SFC64 state kept at the block's start and closes from its per-use path.
 * ``alpha1 == 0``: the gain is the constant ``g1_mean``, and a slot's sums
   depend on its codeword z only through S1 = sum(z) ~ N(0, k) and the
   squared deviation R = sum((z - mean z)^2) ~ chi2(k - 1), independent of
@@ -51,7 +56,8 @@ carried level gives every start level up to the first slot below its need;
 from there the per-slot body runs in Python until ``_DECIDED_RUN`` slots in a
 row are decided. ``cumsum`` adds in slot order, one term at a time, as the
 body does, and carries the energy totals the same way, so no chunk size
-moves a bit.
+moves a bit, and neither does a block or group size: a slot's sums depend
+on its own draws alone.
 
 Slot rates are analytic (decoding is not simulated); receiver noises and the
 transmitter's own residual self-interference are therefore never drawn --
@@ -82,12 +88,16 @@ from .units import LinkParams
 
 __all__ = ["SimConfig", "SimTrace", "simulate"]
 
-# Slots whose symbols are drawn, summed and held at once when alpha1 > 0: the
-# block bounds only the symbols in memory (2 * k floats per slot, several
-# temporaries in ``_use_energies``). The draws are most of the cost whatever
-# the block size (128 and 512 measured no faster), and peak memory grows with
-# it.
+# Slots whose symbols are drawn in one call when alpha1 > 0, and whose
+# generator state is kept for a replay: a slot that could run dry redraws its
+# block up to itself. The draws are most of the cost whatever the block size
+# (128 and 512 measured no faster).
 _BLOCK = 32
+# Floats of the buffer that whole blocks are drawn into and reduced in at
+# once (512 KiB, 5 blocks at k = 200; at least one block), so the
+# reductions' per-call cost is paid once per group. At k = 200 one block per
+# group measured about 7 ms slower per 20000 slots, 2 to 10 blocks alike.
+_GROUP_FLOATS = 65536
 # Slots closed per run of the loop, whose sums, needs and levels are held at
 # once.
 _SUMS_CHUNK = 1024
@@ -347,19 +357,61 @@ def _draw_sums(rng: np.random.Generator, n: int, k: int) -> tuple[np.ndarray, np
     return s1, 2.0 * rng.standard_gamma((k - 1) / 2, n)
 
 
-def _closed_sums(s1, r, k: int, hx2, x1_sd, g: float, eta: float, p_proc: float):
-    """Harvest and demand sums of a slot with a fixed gain ``g`` whose
-    codeword is ``x1 = x1_sd * z``, z having sum ``s1`` and squared
-    deviations ``r``. With ``a = sum x1 = x1_sd s1`` and
-    ``b^2 = sum (x1 - mean x1)^2 = x1_sd^2 r``:
-    ``sum (h x2 + g x1)^2 = (k h x2 + g a)^2 / k + g^2 b^2`` and
-    ``sum x1^2 = a^2 / k + b^2``. Both are >= 0. Each factor is formed before
-    it is squared, so a product that underflows is never scaled up after."""
-    a = x1_sd * s1
+def _harvest_sum(s, r, k: int, hx2, x1_sd, g: float, eta: float):
+    """``sum eta (h x2 + g x1_sd v)^2`` over a slot of k uses whose v has sum
+    ``s`` and squared deviations ``r``, and the factors ``a = x1_sd s`` and
+    ``b = x1_sd sqrt(r)``. It is ``eta ((k h x2 + g a)^2 / k + g^2 b^2)``,
+    >= 0. Each factor is formed before it is squared, so a product that
+    underflows is never scaled up after."""
+    a = x1_sd * s
     b = x1_sd * np.sqrt(r)
     amp = k * hx2 + g * a
     gb = g * b
-    return eta * (amp * amp / k + gb * gb), a * a / k + b * b + k * p_proc
+    return eta * (amp * amp / k + gb * gb), a, b
+
+
+def _closed_sums(s1, r, k: int, hx2, x1_sd, g: float, eta: float, p_proc: float):
+    """Harvest and demand sums of a slot with a fixed gain ``g`` whose
+    codeword is ``x1 = x1_sd * z``, z having sum ``s1`` and squared
+    deviations ``r`` (``_harvest_sum``); with ``a = sum x1 = x1_sd s1`` and
+    ``b^2 = sum (x1 - mean x1)^2 = x1_sd^2 r`` the demand is
+    ``sum x1^2 + k p_proc = a^2 / k + b^2 + k p_proc``."""
+    e_sum, a, b = _harvest_sum(s1, r, k, hx2, x1_sd, g, eta)
+    return e_sum, a * a / k + b * b + k * p_proc
+
+
+def _product_sums(z: np.ndarray, g: float, g_sd: float, out: np.ndarray) -> float:
+    """Row sums of n slots' draws ``z`` of shape (n, 2, k) -- each slot's k
+    unit symbols u, then its k gain normals y -- into ``out``'s three rows:
+    S = sum w, Q = sum u^2 and R = sum (w - S / k)^2. Returns the scale
+    c = max(|g|, g_sd), and w = u (g / c + (g_sd / c) y) is the symbols
+    times their gains g + g_sd y, over c: near unit size, so no square of w
+    underflows and none overflows. At ``g == 0``, w is u y.
+
+    ``z`` is overwritten. The reductions are numpy's pairwise row sums, so a
+    row's sums depend on that row alone, whatever n."""
+    u, w = z[:, 0], z[:, 1]
+    scale = max(abs(g), g_sd)
+    if g_sd != scale:
+        w *= g_sd / scale
+    if g:
+        w += g / scale
+    w *= u
+    np.sum(w, axis=1, out=out[0])
+    w -= (out[0] / z.shape[2])[:, None]
+    np.square(z, out=z)
+    np.sum(z, axis=2, out=out[1:].T)
+    return scale
+
+
+def _recycled_sums(s, q, r, k: int, hx2, x1_sd, scale: float, eta: float, p_proc: float):
+    """Harvest and demand sums of a slot whose use i harvests
+    ``eta (h x2 + scale x1_sd w_i)^2`` and spends ``x1_sd^2 u_i^2 + p_proc``,
+    from the row sums (S, Q, R) and the scale of ``_product_sums``: the
+    harvest is ``_harvest_sum`` of (S, R) at gain ``scale``, the demand
+    ``x1_sd (x1_sd Q) + k p_proc``. Both are >= 0."""
+    e_sum = _harvest_sum(s, r, k, hx2, x1_sd, scale, eta)[0]
+    return e_sum, x1_sd * (x1_sd * q) + k * p_proc
 
 
 def _conditional_path(s1: float, r: float, v: np.ndarray) -> np.ndarray:
@@ -415,7 +467,8 @@ def _dry_free_level(e_sum: np.ndarray, d_sum: np.ndarray, k: int) -> np.ndarray:
     ``(k + 1) eps (e_sum + d_sum)``: ``k eps / 2`` from the prefix sums of
     ``e_in - demand``, ``eps / 2`` from ``e_in - c`` and ``k eps / 2`` from
     the row sum ``d_sum``. Sums from ``_closed_sums`` differ from those of
-    the path ``_conditional_path`` builds by a few eps more. Below the
+    the path ``_conditional_path`` builds, and sums from ``_recycled_sums``
+    from those of the drawn path, by a few eps more. Below the
     smallest normal float ``tiny`` a product errs by up to ``eps tiny / 2``
     absolute rather than ``eps / 2`` relative, so the margin is taken on
     ``e_sum + d_sum + tiny``. The margin ``4 (k + 2) eps (e_sum + d_sum +
@@ -471,31 +524,39 @@ def simulate(
     sleep_in = k * eta * hx2 * hx2
     wanted = p_ehu[states] > 0.0
 
-    def drawn(lo, hi, gen):
-        # Per use harvest and demand of the wanted slots in [lo, hi), from gen.
-        ws = states[lo:hi][wanted[lo:hi]]
-        z = gen.standard_normal((ws.size, 2, k))
-        x1 = x1_sd[ws, None] * z[:, 0]
-        return _use_energies(x1, g + g1_sd * z[:, 1], hx2[ws, None], eta, p_proc)
-
     # Each generator yields a run's first slot, its wanted mask, the wanted
     # slots' e_sum and d_sum, and ``path(pos, s_i)``, called only while its run
     # is current: the per-use harvest and demand of the run's slot ``pos``.
     def drawn_runs():
+        # Blocks are drawn a group at a time into one buffer and reduced
+        # together; a slot's sums depend on its own draws alone.
+        group = _BLOCK * max(1, _GROUP_FLOATS // (2 * k * _BLOCK))
+        buf = np.empty((min(group, _SUMS_CHUNK, n_slots), 2, k))
         for lo in range(0, n_slots, _SUMS_CHUNK):
-            hi = min(lo + _SUMS_CHUNK, n_slots)
-            starts, sums = [], []
-            for b in range(lo, hi, _BLOCK):
-                starts.append(rng.bit_generator.state)
-                sums.append([a.sum(axis=1) for a in drawn(b, min(b + _BLOCK, hi), rng)])
+            want = wanted[lo : lo + _SUMS_CHUNK]
+            n = want.size
+            # Wanted slots of the run before each of its slots.
+            before = [0, *np.cumsum(want).tolist()]
+            sums = np.empty((3, before[-1]))
+            starts = []
+            for g_lo in range(0, n, group):
+                first = before[g_lo]
+                for b in range(g_lo, min(g_lo + group, n), _BLOCK):
+                    starts.append(rng.bit_generator.state)
+                    end = before[min(b + _BLOCK, n)]
+                    rng.standard_normal(out=buf[before[b] - first : end - first])
+                scale = _product_sums(buf[: end - first], g, g1_sd, sums[:, first:end])
 
             def path(pos, s_i):
                 # Redraw the block from its start state, up to the slot.
                 replay = _generator(cfg.seed)
                 replay.bit_generator.state = starts[pos // _BLOCK]
-                return tuple(a[-1:] for a in drawn(lo + pos - pos % _BLOCK, lo + pos + 1, replay))
+                z = replay.standard_normal((before[pos + 1] - before[pos - pos % _BLOCK], 2, k))
+                x1 = x1_sd[s_i] * z[-1, 0]
+                return _use_energies(x1[None], g + g1_sd * z[-1, 1], hx2[s_i], eta, p_proc)
 
-            yield lo, wanted[lo:hi], *map(np.concatenate, zip(*sums)), path
+            ws = states[lo : lo + n][want]
+            yield lo, want, *_recycled_sums(*sums, k, hx2[ws], x1_sd[ws], scale, eta, p_proc), path
 
     def sum_runs():
         # Two numbers per wanted slot, drawn for the whole run at once.

@@ -200,7 +200,7 @@ def test_simulate_stdout_trace_matches_out_file(tmp_path, capsys):
 @pytest.mark.parametrize(
     "extra, digest",
     [
-        (["--alpha1", "0.4"], "c587472de7601a09bfe24e7fd5498f4034f44fbe42d7294d8fb0f248f79dd610"),
+        (["--alpha1", "0.4"], "a46c6a592e3f824614f83670fb7e44afdbc94decb84279308263c93e891efc83"),
         (["--g1-mean", "0.5"], "bebe18819ee1a6ea1091ec83defbd637e96d165effda259735d6019ac4dbaf60"),
         ([], "1b61c2d460fadde176fe569cd28d487c802294098f02aef1e8250c8aff3a5065"),
     ],
@@ -208,8 +208,9 @@ def test_simulate_stdout_trace_matches_out_file(tmp_path, capsys):
 )
 def test_simulate_stdout_bytes_are_pinned(capsys, extra, digest):
     # The whole trace of a 3000-slot run on each draw path, recorded with the
-    # SFC64 symbol stream: a faster slot loop or CSV writer must not move a
-    # byte.
+    # SFC64 symbol stream (the recycling trace with its slot sums taken from
+    # row sums of its draws): a faster slot loop or CSV writer must not move
+    # a byte.
     argv = ["simulate", "--k", "50", "--slots", "3000", "--seed", "3", "--pp-watts", "0",
             "--fading-states", "16"]
     code, out, _ = run_cli(argv + extra, capsys)
@@ -655,16 +656,20 @@ _EDGE_FLOATS = (
     "0", "-0", "1", "-1", "2", "1e-320", "-1e-320", "1e-300", "1e300", "-1e300",
     "1e308", "-1e308", "1e400", "inf", "-inf", "nan",
 )
+# Text an int flag's parser refuses: floats, non-finite values, an empty value
+# and a word.
+_ILL_TYPED_INTS = ("1e-320", "1.5", "2.0", "inf", "nan", "", "ten")
 # Edges of a sweep's bounds and step, none of which asks for more than a few
 # points: each gives a non-finite or empty grid, or one of 2**53 steps or more.
+# An int flag's edges are out of its range or ill-typed.
 _EDGES = {
     "--start": ("nan", "inf", "-inf", "1e308", "-1e308"),
     "--stop": ("nan", "inf", "-inf", "1e308", "-1e308"),
     "--step": ("0", "-0", "-1", "nan", "inf", "-inf", "1e308", "1e-320"),
-    "--fading-states": ("0", "-1"),
-    "--slots": ("0", "-1"),
-    "--k": ("0", "-1"),
-    "--seed": ("-1",),
+    "--fading-states": ("0", "-1", *_ILL_TYPED_INTS),
+    "--slots": ("0", "-1", *_ILL_TYPED_INTS),
+    "--k": ("0", "-1", *_ILL_TYPED_INTS),
+    "--seed": ("-1", *_ILL_TYPED_INTS),
 }
 
 
@@ -743,13 +748,15 @@ def _fields_ok(text):
 @given(cli_argvs())
 @example(argv=["capacity-sweep", "--fading-states=1", "--noise-watts=1e308", "--start=0.0",
                "--stop=0.0", "--step=1.0"])
+@example(argv=["simulate", "--fading-states=1e-320", "--slots=1"])
 def test_every_argument_list_exits_0_or_2_with_one_line(argv):
     # Exit 0 with numeric or case-tag fields and nothing on stderr but
     # simulate's summary (its trace goes to stdout), or exit 2 with one
-    # 'fdwpc: ' line. Never a traceback, never a warning. The example is a
-    # noise power whose every floor is past the float range: the half-duplex
-    # solve warned on inf - inf and exited 2 naming a NaN Lambert-W argument,
-    # where the link is dead and both rates are 0.
+    # 'fdwpc: ' line. Never a traceback, never a warning. The first example
+    # is a noise power whose every floor is past the float range: the
+    # half-duplex solve warned on inf - inf and exited 2 naming a NaN
+    # Lambert-W argument, where the link is dead and both rates are 0. The
+    # second is an ill-typed int, which printed argparse's usage block.
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

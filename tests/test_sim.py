@@ -30,9 +30,10 @@ def every_row_reference(params, f, alloc, cfg):
     then every wanted slot's net and floor from its per-use path
     (``_slot_sums``) and ``_close_slot`` on every transmitting slot.
 
-    With alpha1 > 0 a path is the slot's drawn symbols and gains. With
-    alpha1 == 0 it is built from the slot's (S1, R) and the generator keyed
-    by the slot, and the slot closes with the closed-form sums."""
+    With alpha1 > 0 a path is the slot's drawn symbols and gains, and the
+    slot's e_sum and d_sum come from the row sums of those draws. With
+    alpha1 == 0 a path is built from the slot's (S1, R) and the generator
+    keyed by the slot. Either way the slot closes with the closed-form sums."""
     rng = np.random.Generator(np.random.SFC64([cfg.seed, 0x5107]))
     k = cfg.k
     states = f.sample_indices(cfg.seed, cfg.n_slots)
@@ -47,8 +48,14 @@ def every_row_reference(params, f, alloc, cfg):
         x1 = x1_sd[ws, None] * z[:, 0]
         gain = params.g1_mean + math.sqrt(params.alpha1) * z[:, 1]
         amp = hx2[ws, None] + gain * x1
-        sums = sim._slot_sums(params.eta * amp * amp, x1 * x1 + params.p_proc)
-        rows = list(zip(*(a.tolist() for a in sums)))
+        _, _, net, floor = sim._slot_sums(params.eta * amp * amp, x1 * x1 + params.p_proc)
+        # The sums of every row at once; simulate reduces a group of blocks.
+        sums = np.empty((3, ws.size))
+        scale = sim._product_sums(z, params.g1_mean, math.sqrt(params.alpha1), sums)
+        e_sum, d_sum = sim._recycled_sums(
+            *sums, k, hx2[ws], x1_sd[ws], scale, params.eta, params.p_proc
+        )
+        rows = list(zip(*(a.tolist() for a in (e_sum, d_sum, net, floor))))
     else:
         s1, r = sim._draw_sums(rng, ws.size, k)
         e_sum, d_sum = sim._closed_sums(
@@ -424,6 +431,55 @@ def test_skip_rule_never_skips_a_conditional_path_that_runs_dry(
     floor = sim._slot_sums(e_in, demand)[3][0]
     e_sum, d_sum = sim._closed_sums(np.array([s1]), np.array([r]), k, hx2, sd, g, 0.8, p_proc)
     assert floor <= sim._dry_free_level(e_sum, d_sum, k)[0]
+
+
+# Gains, powers and amplitudes over many decades, zero and subnormals included.
+_subnormal_decades = st.one_of(
+    st.just(0.0), st.floats(5e-324, 2.2e-308), st.floats(1e-150, 1e50)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k=st.integers(1, 1000),
+    seed=st.integers(0, 2**32 - 1),
+    p=st.one_of(st.floats(5e-324, 2.2e-308), st.floats(1e-250, 1e100)),
+    g=st.one_of(_subnormal_decades, _subnormal_decades.map(lambda x: -x)),
+    alpha1=_subnormal_decades,
+    hx2=_subnormal_decades,
+    p_proc=st.one_of(st.just(0.0), st.floats(5e-324, 1e100)),
+)
+# One use's amplitude cancels: hx2 + gain x1 = 0 in the per-use form.
+@example(k=1, seed=4, p=2.0, g=1.0, alpha1=0.25, hx2=0.8412471436639372, p_proc=0.0)
+# The mean alone cancels the channel signal: k hx2 + S = 0.
+@example(k=2, seed=4, p=1.0, g=1.0, alpha1=0.25, hx2=0.7131454944862108, p_proc=0.0)
+# Underflow: every gain times symbol and every symbol power is subnormal.
+@example(k=100, seed=0, p=5e-324, g=0.0, alpha1=5e-324, hx2=0.0, p_proc=0.0)
+@example(k=1000, seed=1, p=5e-324, g=5e-324, alpha1=5e-324, hx2=5e-324, p_proc=5e-324)
+def test_skip_rule_never_skips_a_recycling_slot_that_runs_dry(
+    k, seed, p, g, alpha1, hx2, p_proc
+):
+    # A recycling slot is scored from the row sums of its draws, but one that
+    # could run dry closes on its per-use path: the rounded floor of that path
+    # must not exceed the level the closed-form sums clear, and the two forms
+    # of each sum agree to the rounding of a k-term sum. A harvest's error is
+    # relative to its terms before they cancel, sum eta (|h x2| + |gain x1|)^2.
+    eta, g_sd, sd = 0.8, math.sqrt(alpha1), math.sqrt(p)
+    z = np.random.default_rng(seed).standard_normal((1, 2, k))
+    x1 = sd * z[:, 0]
+    gain = g + g_sd * z[:, 1]
+    e_in, demand = sim._use_energies(x1, gain, hx2, eta, p_proc)
+    e_use, d_use, _, floor = (float(a[0]) for a in sim._slot_sums(e_in, demand))
+    sums = np.empty((3, 1))
+    scale = sim._product_sums(z, g, g_sd, sums)
+    e_sum, d_sum = sim._recycled_sums(*sums, k, hx2, sd, scale, eta, p_proc)
+    assert floor <= sim._dry_free_level(e_sum, d_sum, k)[0]
+    assert e_sum[0] >= 0.0 and d_sum[0] >= k * p_proc
+    fi = np.finfo(np.float64)
+    tol = 4 * (k + 2) * fi.eps
+    terms = float((eta * (hx2 + np.abs(gain * x1)) ** 2).sum())
+    assert abs(e_sum[0] - e_use) <= tol * (terms + fi.tiny)
+    assert abs(d_sum[0] - d_use) <= tol * (d_use + fi.tiny)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 200])
