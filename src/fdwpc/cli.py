@@ -202,7 +202,9 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"--start/--stop/--step: {count:g} grid steps, at least 2**53")
     n = int(math.floor(count + 1e-9)) + 1
     if n < 1:
-        raise ValueError("empty sweep range")
+        raise ValueError(
+            f"--start/--stop: empty sweep range (start {args.start!r} > stop {args.stop!r})"
+        )
     fad = _scenario_fading(args)
     lines = [args.header]
     # The grid is formed a value at a time, with the bits of

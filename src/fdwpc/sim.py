@@ -64,15 +64,18 @@ transmitter's own residual self-interference are therefore never drawn --
 they affect decoding, not harvesting. Only the fading state, the user's
 codeword symbols and its self-interference gain are sampled.
 
-The per-slot trace CSV (``SimTrace.write_csv``) is assembled as bytes in
-numpy, ``_CSV_CHUNK`` rows at a time, and is byte for byte what formatting
-each row with ``%`` gives. The text ``,h,transmitted,rate,`` is made twice
-per fading state, silent and transmitting, and the battery column goes
-through one ``%.12e`` kernel (``_e12_fast``): scale by a power of ten,
-round, look the digits up.
-The values the kernel cannot vouch for -- within 0.01 of a rounding tie,
-negative, non-finite or with a 3-digit exponent -- are formatted by Python's
-``%`` (``_format_e12``).
+The per-slot trace CSV is assembled as bytes in numpy, ``_CSV_CHUNK`` rows
+at a time in one reused row buffer (``SimTrace._csv_chunks``), and is byte
+for byte what formatting each row with ``%`` gives. ``to_csv`` writes those
+bytes to a file opened in binary mode, so its lines end in ``\\n`` on every
+platform; ``write_csv`` decodes them for a text stream. The text
+``,h,transmitted,rate,`` is made twice per fading state, silent and
+transmitting, the slot digits are slices of a table of 4-digit groups, and
+the battery column goes through one ``%.12e`` kernel (``_e12_fast``): scale
+by a power of ten, round, split the mantissa by float floor-divisions, look
+the digits up. The values the kernel cannot vouch for -- within
+``_TIE_BAND`` of a rounding tie, negative, non-finite or with a 3-digit
+exponent -- are formatted by Python's ``%`` (``_format_e12``).
 """
 
 from __future__ import annotations
@@ -108,25 +111,32 @@ _DECIDED_RUN = 16
 # fading draws seed PCG64 with the bare seed, and a no-recycling slot's path
 # generator appends the slot index.
 _STREAM = 0x5107
-# Trace rows built and written at once. The rows and the kernel's temporaries
-# (about 250 bytes per row) are held for one chunk only: building the whole
-# trace at once raised the peak memory of a 20000-row run by 5 MiB.
-_CSV_CHUNK = 1024
-_CSV_HEADER = "slot,h,transmitted,slot_rate_bits,battery_j\n"
+# Trace rows built and written at once, into one row buffer kept for the
+# whole trace (65 bytes per row at 16 states and 5-digit slots, sized for 67).
+# The kernel's temporaries (about 64 bytes per row) are held for one chunk
+# only: building the whole trace at once raised the peak memory of a
+# 20000-row run by 5 MiB.
+_CSV_CHUNK = 2048
+_CSV_HEADER = b"slot,h,transmitted,slot_rate_bits,battery_j\n"
 # '0000' .. '9999' as 4 ASCII bytes, one uint32 per group of 4 digits.
 _DIGIT = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
 _DIGITS4 = np.stack(np.meshgrid(*[_DIGIT] * 4, indexing="ij"), axis=-1).reshape(10_000, 4)
 _GROUPS = _DIGITS4.view(np.uint32).ravel()
-# '00' .. '99' as 2 ASCII bytes, one uint16 per exponent.
-_PAIRS = np.ascontiguousarray(_DIGITS4[:100, 2:]).view(np.uint16).ravel()
+# 'd.' for the lead digits 0 .. 10, one uint16 each: a mantissa that rounds
+# to 10**13 has the lead 10, printed '1.'.
+_LEADS = np.frombuffer(b"0.1.2.3.4.5.6.7.8.9.1.", np.uint16)
 # 10.0 ** (12 - e) for the decimal exponents e the kernel tries, correctly
-# rounded.
+# rounded, indexed by e - _E_LO.
 _E_LO, _E_HI = -101, 101
 _SCALE = np.array([float(f"1e{12 - e}") for e in range(_E_LO, _E_HI + 1)])
-# One '%.12e' text of 18 bytes: 'd.dddddddddddde+dd'.
-_E12 = np.dtype(
-    [("lead", "u1"), ("dot", "u1"), ("frac", "3u4"), ("e", "u1"), ("sign", "u1"), ("exp", "u2")]
-)
+# 'e+dd' / 'e-dd' as one uint32, indexed by e - _E_LO up to _E_HI + 1 (one
+# carry); a 3-digit exponent, never on the fast path, is cut to 4 bytes.
+_EXPS = np.array([b"e%+03d" % e for e in range(_E_LO, _E_HI + 2)], "S4").view(np.uint32)
+# Half-width of the band around a .5 tie left to Python's '%': twice the
+# bound 2.3e-3 on the error of the kernel's y (``_e12_fast``).
+_TIE_BAND = 4.6e-3
+# One '%.12e' text of 18 bytes: 'd.' 'dddd' 'dddd' 'dddd' 'e+dd'.
+_E12 = np.dtype([("lead", "u2"), ("frac", "3u4"), ("exp", "u4")])
 
 
 @dataclass(frozen=True)
@@ -200,73 +210,97 @@ class SimTrace:
         return np.where(self.transmitted, self.state_rate_bits[self.fading_state], 0.0)
 
     def write_csv(self, fh) -> None:
-        """Write the per-slot trace to a text stream: slot, h, transmitted,
-        rate, battery; floats as ``%.12e``.
+        """Write the per-slot trace to a text stream such as ``sys.stdout``:
+        each chunk of ``_csv_chunks`` decoded as ASCII."""
+        for chunk in self._csv_chunks():
+            fh.write(str(chunk, "ascii"))
 
-        Each chunk of ``_CSV_CHUNK`` rows is built as one byte buffer and
-        written at once. A row is the slot's digits (``_slot_digits``), the
-        middle text ``,h,transmitted,rate,`` of its state s (of n), made once
-        per state and picked by ``s + n * transmitted``, and the battery's
-        text (``_format_e12``), each a null-padded bytes field; the nulls are
-        dropped from the buffer. The bytes are those of
+    def to_csv(self, path) -> None:
+        """Write the per-slot trace to the file at ``path``, opened in binary
+        mode: the bytes of ``_csv_chunks`` as they are, so every line ends in
+        ``\\n`` on every platform."""
+        with open(path, "wb") as fh:
+            for chunk in self._csv_chunks():
+                fh.write(chunk)
+
+    def _csv_chunks(self):
+        """The trace CSV as bytes: the header, then the rows (slot, h,
+        transmitted, rate, battery; floats as ``%.12e``) in chunks of at most
+        ``_CSV_CHUNK``, each a uint8 array valid until the next is drawn.
+
+        A chunk ends before a power of ten, so its slots have one width. Its
+        rows are built in one buffer kept for the whole trace. A row is the
+        slot's digits (``_slot_digits``), the middle text
+        ``,h,transmitted,rate,`` of its state s (of n), made once per state
+        and picked by ``s + n * transmitted``, and the battery's text
+        (``_format_e12``), each a null-padded bytes field; a chunk with nulls
+        (a text of another length) drops them. The bytes are those of
         ``'%d,%.12e,%d,%.12e,%.12e' % row``: ``_format_e12`` gives every float
         exactly the text of ``'%.12e' % v`` (see ``_e12_fast``).
         """
-        fh.write(_CSV_HEADER)
+        yield _CSV_HEADER
         h_text = _format_e12(self.state_h).tolist()
         r_text = _format_e12(self.state_rate_bits).tolist()
         silent = [b",%s,0,0.000000000000e+00," % t for t in h_text]
         middles = np.array(silent + [b",%s,1,%s," % tr for tr in zip(h_text, r_text)])
         code = self.fading_state + len(h_text) * self.transmitted
-        battery = self.battery_j
-        for lo in range(0, battery.size, _CSV_CHUNK):
-            hi = min(lo + _CSV_CHUNK, battery.size)
-            slot = _slot_digits(lo, hi)
-            level = _format_e12(battery[lo:hi])
-            rows = np.empty(
-                hi - lo,
-                [("slot", slot.dtype), ("mid", middles.dtype), ("level", level.dtype), ("nl", "S1")],
-            )
-            rows["slot"] = slot
+        size = self.battery_j.size
+        # A row is at most the slot, the middle, 20 bytes of battery text
+        # ('-1.797693134862e+308') and the newline.
+        buf = np.empty(min(_CSV_CHUNK, size) * (len(str(size)) + middles.itemsize + 21), np.uint8)
+        lo = 0
+        while lo < size:
+            width = len(str(lo))
+            hi = min(lo + _CSV_CHUNK, size, 10**width)
+            level = _format_e12(self.battery_j[lo:hi])
+            fields = [("slot", f"S{width}"), ("mid", middles.dtype), ("level", level.dtype)]
+            rows = buf[: (hi - lo) * (width + middles.itemsize + level.itemsize + 1)]
+            rows = rows.view(fields + [("nl", "S1")])
+            _slot_digits(lo, hi, rows.view(np.uint8).reshape(hi - lo, -1)[:, :width])
             rows["mid"] = middles[code[lo:hi]]
             rows["level"] = level
+            # Not held while the next chunk's kernel runs.
+            del level
             rows["nl"] = b"\n"
             text = rows.view(np.uint8)
-            if np.count_nonzero(text) < text.size:
-                text = text[text != 0]
-            fh.write(text.tobytes().decode("ascii"))
-
-    def to_csv(self, path) -> None:
-        """Write the per-slot trace to the file at ``path``."""
-        with open(path, "w", encoding="utf-8") as fh:
-            self.write_csv(fh)
+            yield text if np.count_nonzero(text) == text.size else text[text != 0]
+            lo = hi
 
 
-def _slot_digits(lo: int, hi: int) -> np.ndarray:
+def _slot_digits(lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
     """``str(i)`` for i in ``lo .. hi - 1`` (0 <= lo < hi), as a null-padded
-    bytes array: the digits of 4-digit groups, left-aligned by width."""
+    bytes array: the digits written left-aligned into the rows of ``out``, a
+    uint8 array of shape (hi - lo, width of hi - 1) whose rows are contiguous,
+    or of a new one.
+
+    The indices fall into runs of one width within one block of 10**4. Over a
+    run the digits above the lowest four are one constant text, the lowest
+    four a slice of the table ``_DIGITS4``: no digit is divided out of an
+    index array.
+    """
     width = len(str(hi - 1))
-    n_groups = -(-width // 4)
-    i = np.arange(lo, hi, dtype=np.int64)
-    groups = np.empty((hi - lo, n_groups), np.uint32)
-    for j in range(n_groups):
-        groups[:, n_groups - 1 - j] = _GROUPS[i // 10 ** (4 * j) % 10_000]
-    padded = groups.view(np.uint8)
-    out = np.zeros((hi - lo, width), np.uint8)
-    # Indices are ascending, so each width is one run of rows.
-    for w in range(len(str(lo)), width + 1):
-        a = max(lo, 10 ** (w - 1) if w > 1 else 0) - lo
-        b = min(hi, 10**w) - lo
-        out[a:b, :w] = padded[a:b, padded.shape[1] - w :]
-    return out.view(f"S{width}").ravel()
+    if out is None:
+        out = np.empty((hi - lo, width), np.uint8)
+    i = lo
+    while i < hi:
+        text = str(i)
+        end = min(hi, 10 ** len(text), i - i % 10_000 + 10_000)
+        rows = out[i - lo : end - lo]
+        head = text[:-4].encode()
+        low = len(text) - len(head)
+        rows[:, : len(head)] = np.frombuffer(head, np.uint8)
+        rows[:, len(head) : len(text)] = _DIGITS4[i % 10_000 : i % 10_000 + end - i, 4 - low :]
+        rows[:, len(text) :] = 0
+        i = end
+    return out.view(f"S{width}")[:, 0]
 
 
 def _e12_fast(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The kernel of ``_format_e12``: each value's 18-byte ``'%.12e'`` text as
     an ``S18`` array, and where that text is exact.
 
-    It is exact for +0.0 and for a finite positive value whose text has a
-    2-digit exponent and whose 13 digits are not near a rounding tie.
+    It is exact for +0.0 and for a value in [1e-99, 9.9999999999995e99),
+    whose text has a 2-digit exponent, that is not near a rounding tie.
     Elsewhere (negatives, -0.0, NaN, infinities, 3-digit exponents, near
     ties) the text is garbage and ``'%.12e' % v`` must be used instead.
 
@@ -275,55 +309,60 @@ def _e12_fast(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     just below 10**e, and the move keeps such values on the fast path. The
     power of ten is correctly rounded and the product rounds once more, so
     y is within about 2 u y < 2.3e-3 of the exact x * 10**(12 - e)
-    (u = 2**-53). Where y lies in [1e12, 1e13) and is not within 0.01 of a
-    .5 tie, ``rint(y)`` is therefore the correctly rounded 13-digit mantissa
-    that ``'%.12e'`` prints, whatever ``log10`` returned. A mantissa that
-    rounds to 1e13 carries into the next exponent. The tie test reads y
+    (u = 2**-53). Where y is not within ``_TIE_BAND``, twice that, of a .5
+    tie, ``rint(y)`` is therefore the correctly rounded 13-digit mantissa
+    that ``'%.12e'`` prints, whatever ``log10`` returned. After the move y
+    lies at most about 2.3e-3 outside [1e12, 1e13), where rounding and carry
+    give the same text at either exponent. A mantissa that rounds to 1e13
+    carries into the next exponent with the lead 10. The tie test reads y
     before the carry: 9.9999999999995e-96 lies next to a tie and must not be
-    carried past it (``'%.12e'`` prints 9.999999999999e-96). If the exact
-    product lies just outside [1e12, 1e13) while y does not, it lies within
-    2.3e-3 of the edge, and rounding and carry give the same text at either
-    exponent.
+    carried past it (``'%.12e'`` prints 9.999999999999e-96).
+
+    The mantissa (< 2**53) splits into its lead and three 4-digit groups by
+    floor-divisions by powers of ten, exact in floats below 2**53, and each
+    text is stored in 5 table lookups: 'd.', the groups, 'e+dd'.
     """
-    zero = (x == 0.0) & ~np.signbit(x)
-    finite = (x > 0.0) & (x < np.inf)
-    xs = np.where(finite, x, 1.0)
-    e = np.clip(np.floor(np.log10(xs)), _E_LO + 1, _E_HI - 1).astype(np.int64)
-    y = xs * _SCALE[e - _E_LO]
-    e += y >= 1e13
-    e -= y < 1e12
-    y = xs * _SCALE[e - _E_LO]
-    mant = np.rint(y)
-    # Not within 0.01 of a tie, tested before the carry.
-    fast = finite & (np.abs(y - mant) < 0.49) & (y >= 1e12) & (y < 1e13)
-    carry = mant == 1e13
-    mant[carry] = 1e12
-    e += carry
-    fast &= np.abs(e) < 100
+    ok = (x >= 1e-99) & (x < 9.9999999999995e99)
     # The other rows print as 0.000000000000e+00, which is +0.0's text, and
-    # keep their casts and table lookups in range.
-    e[~fast] = 0
-    top, low = np.divmod(np.where(fast, mant, 0.0).astype(np.int64), 10**8)
-    lead, g1 = np.divmod(top, 10_000)
-    g2, g3 = np.divmod(low, 10_000)
+    # keep their table lookups in range.
+    y = np.where(ok, x, 1.0)
+    # e - _E_LO, where log10 puts it (off by at most one), then moved.
+    e = (np.log10(y) - _E_LO).astype(np.intp)
+    first = y * _SCALE[e]
+    e += first >= 1e13
+    e -= first < 1e12
+    # Each temporary goes once read: the peak is about 64 bytes per value.
+    del first
+    y *= _SCALE[e]
+    # Rows: the mantissa's leading 1, 5 and 9 digits, then the mantissa.
+    digits = np.empty((4, x.size))
+    np.rint(y, out=digits[3])
+    # Not within _TIE_BAND of a tie, tested before the carry.
+    y -= digits[3]
+    fast = np.abs(y, out=y) < 0.5 - _TIE_BAND
+    del y
+    fast &= ok
+    digits[3] *= ok
+    e += digits[3] >= 1e13
     out = np.empty(x.size, _E12)
-    out["lead"] = lead + ord("0")
-    out["dot"] = ord(".")
-    frac = out["frac"]
-    frac[:, 0] = _GROUPS[g1]
-    frac[:, 1] = _GROUPS[g2]
-    frac[:, 2] = _GROUPS[g3]
-    out["e"] = ord("e")
-    out["sign"] = np.where(e < 0, ord("-"), ord("+"))
-    out["exp"] = _PAIRS[np.abs(e)]
-    return out.view("S18"), fast | zero
+    out["exp"] = _EXPS[e]
+    del e
+    for row, power in enumerate((1e12, 1e8, 1e4)):
+        np.floor(np.divide(digits[3], power, out=digits[row]), out=digits[row])
+    # Now the lead and the three groups, each row less 1e4 times the one above.
+    for row in (3, 2, 1):
+        digits[row] -= 1e4 * digits[row - 1]
+    out["lead"] = _LEADS[digits[0].astype(np.intp)]
+    for j in range(3):
+        out["frac"][:, j] = _GROUPS[digits[j + 1].astype(np.intp)]
+    return out.view("S18"), fast | (x.view(np.uint64) == 0)
 
 
 def _format_e12(x: np.ndarray) -> np.ndarray:
     """``'%.12e' % v`` for each value of a float64 array, as a null-padded
     bytes array: the kernel ``_e12_fast``, and Python's correctly rounded
-    ``%`` for the values it leaves (about 2% of arbitrary positive ones,
-    those within 0.01 of a tie)."""
+    ``%`` for the values it leaves (about 1% of arbitrary positive ones,
+    those within ``_TIE_BAND`` of a tie)."""
     x = np.asarray(x, dtype=np.float64)
     text, fast = _e12_fast(x)
     slow = np.flatnonzero(~fast)

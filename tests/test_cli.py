@@ -366,6 +366,8 @@ def test_exit_2_on_out_of_range_value(argv, capsys):
         ("capacity-sweep --pp-watts 1e308", "--pp-watts"),
         ("ratio-sweep --pp-watts 1e305", "--pp-watts"),
         ("ratio-sweep --pp-dbm 3080", "--pp-dbm"),
+        # A start above the stop leaves the grid without a value.
+        ("capacity-sweep --start 5 --stop 1", "--start/--stop"),
     ],
 )
 def test_exit_2_names_the_flag_that_put_a_value_past_the_range(capsys, argv, flag):

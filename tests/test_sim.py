@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -689,23 +690,48 @@ def test_trace_csv_of_a_real_run_is_pinned():
     assert_same_lines(buf.getvalue(), row_by_row_csv(tr))
 
 
-def test_trace_csv_chunk_size_does_not_change_the_bytes(monkeypatch):
-    # 1200 rows cross the slot widths 1 -> 2 -> 3 -> 4 inside and at chunk
-    # edges; the battery column holds values the kernel leaves to Python.
+def test_trace_csv_chunk_size_does_not_change_the_bytes(monkeypatch, tmp_path):
+    # 10050 rows cross the slot widths 1 -> 2 -> 3 -> 4 -> 5, where the
+    # writer ends a chunk early, and the chunk edges fall elsewhere too; the
+    # battery column holds values the kernel leaves to Python, 9999 -> 10000
+    # among them. Both sinks, the file's bytes and the text stream's, are the
+    # row-by-row text.
     params, f, alloc, cfg = solved_link()
-    tr = simulate(params, f, alloc, dataclasses.replace(cfg, n_slots=1200))
+    tr = simulate(params, f, alloc, dataclasses.replace(cfg, n_slots=10_050))
     battery = tr.battery_j.copy()
     special = [0.0, -0.0, 5e-324, 1e-100, 9.9999999999995e-96, 2.5e-5, 1e100, 1e300, np.inf,
                -np.inf, np.nan, -1.5]
     battery[3 : 3 * len(special) + 3 : 3] = special
     battery[1000:1010] = special[:10]
+    battery[9994:10006] = special
     tr = dataclasses.replace(tr, battery_j=battery)
     expected = row_by_row_csv(tr)
+    out = tmp_path / "trace.csv"
     for chunk in (1, 7, sim._CSV_CHUNK, 5000):
         monkeypatch.setattr(sim, "_CSV_CHUNK", chunk)
+        tr.to_csv(out)
+        assert_same_lines(out.read_bytes().decode("ascii"), expected)
         buf = io.StringIO()
         tr.write_csv(buf)
         assert_same_lines(buf.getvalue(), expected)
+
+
+def test_trace_csv_peak_memory_stays_under_460_kib(tmp_path):
+    # The writer holds one chunk's rows and kernel temporaries at a time: a
+    # 20000-row trace at 16 states (5-digit slots) must not cost more.
+    params = sim_params(alpha1=0.0)
+    f = fading.rayleigh(1.0, 16)
+    tr = simulate(params, f, solve(params, f).allocation, SimConfig(k=20, n_slots=20_000))
+    out = tmp_path / "trace.csv"
+    tr.to_csv(out)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tr.to_csv(out)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 460 * 1024, peak
 
 
 @pytest.mark.parametrize("k", range(1, 13))
@@ -754,6 +780,18 @@ def test_e12_kernel_at_constructed_ties():
     x += [float(f"{m}5e{k}") for m in (10**12, 10**13 - 1) for k in range(-112, 100)]
     x += [9.9999999999995e-96, 9.9999999999995e-5, 1.0000000000005]
     assert_e12_exact(x)
+    # 0.003 of the last digit from a tie lies past the kernel's error bound
+    # (2.3e-3) and inside its fallback band (twice that); 0.009 lies past
+    # the band with room for both roundings of the value, so the fast path
+    # must print it.
+    near = [float(f"{m}{d}e{k - 2}") for m, k in zip(mant.tolist(), exps.tolist())
+            for d in ("497", "503")]
+    assert_e12_exact(near)
+    two_digit = exps <= 80
+    past = [float(f"{m}{d}e{k - 2}")
+            for m, k in zip(mant[two_digit].tolist(), exps[two_digit].tolist())
+            for d in ("491", "509")]
+    assert assert_e12_exact(past) == 1.0
 
 
 def test_e12_kernel_next_to_powers_of_ten():
