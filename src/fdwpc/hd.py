@@ -82,11 +82,13 @@ def _inner_waterfill(
     arguments come in directly: near tau_h = 1, 1 - tau_h keeps no digits,
     and the budget recovered from tau_h cancels against p_proc.
     """
-    # Gains are stored ascending: a link whose top gain squares to 0 is dead.
-    if budget <= 0.0 or one_m_tau <= 0.0 or fading.h2[-1] == 0.0:
-        return 0.0, math.inf, np.zeros(fading.n_states)
-    w, p_ehu, rate = _fill_by_gain(one_m_tau * _C_HD, _gain_floor(fading, params.sigma2_sq), budget)
-    return rate, 1.0 / w, p_ehu
+    if budget > 0.0 and one_m_tau > 0.0:
+        floor = _gain_floor(fading, params.sigma2_sq)
+        # An inf lowest floor: a dead link, or every floor past the float range.
+        if floor.noise[0] < math.inf:
+            w, p_ehu, rate = _fill_by_gain(one_m_tau * _C_HD, floor, budget)
+            return rate, 1.0 / w, p_ehu
+    return 0.0, math.inf, np.zeros(fading.n_states)
 
 
 def hd_rate_at_fraction(

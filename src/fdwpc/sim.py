@@ -21,7 +21,7 @@ same to the bit either way.
 
 What is drawn depends on the self-interference gain. Every slot the
 allocation wants to transmit in draws, outage slots included, in slot order,
-so the stream depends on neither the battery nor the block size. Every
+so the stream depends on neither the battery nor the group size. Every
 symbol generator is numpy's SFC64 bit generator under ``np.random.Generator``
 (its ziggurat normals and gammas), seeded by ``[seed, _STREAM, *key]``
 (``_generator``): the run's stream has no key, a conditional path's key is
@@ -29,15 +29,16 @@ its slot. The fading states alone come from ``sample_indices``' PCG64 on the
 bare seed.
 
 * ``alpha1 > 0``: the gain of each use multiplies its symbol, so each wanted
-  slot draws its k unit symbols z, then its k gain normals y, one draw call
-  per block of ``_BLOCK`` slots, a group of blocks into one reused buffer.
-  No per-use energy is formed: with v = z (g1_mean + sqrt(alpha1) y) and
-  a = sqrt(p_ehu), a slot harvests
-  ``eta ((k h x2 + a S)^2 / k + a^2 R)`` and spends ``a^2 Q + k p_proc``,
-  from the row sums S = sum v, R = sum (v - S / k)^2 and Q = sum z^2
-  (``_product_sums``, ``_recycled_sums``); both are sums of squares, so
-  >= 0. A slot that could run dry redraws its block up to itself from the
-  SFC64 state kept at the block's start and closes from its per-use path.
+  slot draws its k unit symbols z, then its k gain normals y. A run's wanted
+  slots are drawn a group at a time (``_GROUP_FLOATS``), one draw call and
+  one reduction per group into one reused buffer. No per-use energy is
+  formed: with v = z (g1_mean + sqrt(alpha1) y) and a = sqrt(p_ehu), a slot
+  harvests ``eta ((k h x2 + a S)^2 / k + a^2 R)`` and spends
+  ``a^2 Q + k p_proc``, from the row sums S = sum v, R = sum (v - S / k)^2
+  and Q = sum z^2 (``_product_sums``, ``_recycled_sums``); both are sums of
+  squares, so >= 0. A slot that could run dry redraws its group up to itself
+  from the SFC64 state kept at the group's start and closes from its per-use
+  path.
 * ``alpha1 == 0``: the gain is the constant ``g1_mean``, and a slot's sums
   depend on its codeword z only through S1 = sum(z) ~ N(0, k) and the
   squared deviation R = sum((z - mean z)^2) ~ chi2(k - 1), independent of
@@ -56,8 +57,8 @@ carried level gives every start level up to the first slot below its need;
 from there the per-slot body runs in Python until ``_DECIDED_RUN`` slots in a
 row are decided. ``cumsum`` adds in slot order, one term at a time, as the
 body does, and carries the energy totals the same way, so no chunk size
-moves a bit, and neither does a block or group size: a slot's sums depend
-on its own draws alone.
+moves a bit, and neither does a group size: a slot's sums depend on its own
+draws alone.
 
 Slot rates are analytic (decoding is not simulated); receiver noises and the
 transmitter's own residual self-interference are therefore never drawn --
@@ -91,15 +92,11 @@ from .units import LinkParams
 
 __all__ = ["SimConfig", "SimTrace", "simulate"]
 
-# Slots whose symbols are drawn in one call when alpha1 > 0, and whose
-# generator state is kept for a replay: a slot that could run dry redraws its
-# block up to itself. The draws are most of the cost whatever the block size
-# (128 and 512 measured no faster).
-_BLOCK = 32
-# Floats of the buffer that whole blocks are drawn into and reduced in at
-# once (512 KiB, 5 blocks at k = 200; at least one block), so the
-# reductions' per-call cost is paid once per group. At k = 200 one block per
-# group measured about 7 ms slower per 20000 slots, 2 to 10 blocks alike.
+# Floats of the buffer a group of wanted slots is drawn into in one call and
+# reduced in at once (512 KiB, 163 slots at k = 200; at least one slot), so
+# the draw's and the reductions' per-call cost is paid once per group. The
+# generator state at a group's start is kept: a slot that could run dry
+# redraws its group up to itself.
 _GROUP_FLOATS = 65536
 # Slots closed per run of the loop, whose sums, needs and levels are held at
 # once.
@@ -567,34 +564,33 @@ def simulate(
     # slots' e_sum and d_sum, and ``path(pos, s_i)``, called only while its run
     # is current: the per-use harvest and demand of the run's slot ``pos``.
     def drawn_runs():
-        # Blocks are drawn a group at a time into one buffer and reduced
-        # together; a slot's sums depend on its own draws alone.
-        group = _BLOCK * max(1, _GROUP_FLOATS // (2 * k * _BLOCK))
+        # A group of wanted slots is drawn in one call into one reused buffer
+        # and reduced at once; a slot's sums depend on its own draws alone.
+        group = max(1, _GROUP_FLOATS // (2 * k))
         buf = np.empty((min(group, _SUMS_CHUNK, n_slots), 2, k))
+        # ``_product_sums``' scale, known before any group is drawn.
+        scale = max(abs(g), g1_sd)
         for lo in range(0, n_slots, _SUMS_CHUNK):
             want = wanted[lo : lo + _SUMS_CHUNK]
-            n = want.size
-            # Wanted slots of the run before each of its slots.
-            before = [0, *np.cumsum(want).tolist()]
-            sums = np.empty((3, before[-1]))
+            n = np.count_nonzero(want)
+            sums = np.empty((3, n))
             starts = []
-            for g_lo in range(0, n, group):
-                first = before[g_lo]
-                for b in range(g_lo, min(g_lo + group, n), _BLOCK):
-                    starts.append(rng.bit_generator.state)
-                    end = before[min(b + _BLOCK, n)]
-                    rng.standard_normal(out=buf[before[b] - first : end - first])
-                scale = _product_sums(buf[: end - first], g, g1_sd, sums[:, first:end])
+            for first in range(0, n, group):
+                starts.append(rng.bit_generator.state)
+                z = rng.standard_normal(out=buf[: min(group, n - first)])
+                _product_sums(z, g, g1_sd, sums[:, first : first + len(z)])
 
             def path(pos, s_i):
-                # Redraw the block from its start state, up to the slot.
+                # Redraw the slot's group from its start state, up to the slot,
+                # into the buffer: every group of the run is reduced by now.
+                rank = np.count_nonzero(want[:pos])
                 replay = _generator(cfg.seed)
-                replay.bit_generator.state = starts[pos // _BLOCK]
-                z = replay.standard_normal((before[pos + 1] - before[pos - pos % _BLOCK], 2, k))
-                x1 = x1_sd[s_i] * z[-1, 0]
-                return _use_energies(x1[None], g + g1_sd * z[-1, 1], hx2[s_i], eta, p_proc)
+                replay.bit_generator.state = starts[rank // group]
+                z = replay.standard_normal(out=buf[: rank % group + 1])[-1]
+                x1 = x1_sd[s_i] * z[0]
+                return _use_energies(x1[None], g + g1_sd * z[1], hx2[s_i], eta, p_proc)
 
-            ws = states[lo : lo + n][want]
+            ws = states[lo : lo + want.size][want]
             yield lo, want, *_recycled_sums(*sums, k, hx2[ws], x1_sd[ws], scale, eta, p_proc), path
 
     def sum_runs():

@@ -734,6 +734,15 @@ def cli_argvs(draw):
     return argv
 
 
+# What an exit-2 line names after 'fdwpc: ': a flag, argparse's argument, or
+# a LinkParams, PathLossParams or SimConfig field (the README's table).
+_NAMED = ("--", "argument --", "recycle coefficient")
+_FIELDS = {
+    "eta", "p_et", "p_proc", "sigma2_sq", "g1_mean", "alpha1", "alpha2", "d", "k", "n_slots",
+    "seed",
+}
+
+
 def _fields_ok(text):
     """Whether every field below the header line is a float or a case tag."""
     try:
@@ -754,7 +763,8 @@ def _fields_ok(text):
 def test_every_argument_list_exits_0_or_2_with_one_line(argv):
     # Exit 0 with numeric or case-tag fields and nothing on stderr but
     # simulate's summary (its trace goes to stdout), or exit 2 with one
-    # 'fdwpc: ' line. Never a traceback, never a warning. The first example
+    # 'fdwpc: ' line naming a flag or a field (``_NAMED``, ``_FIELDS``).
+    # Never a traceback, never a warning. The first example
     # is a noise power whose every floor is past the float range: the
     # half-duplex solve warned on inf - inf and exited 2 naming a NaN
     # Lambert-W argument, where the link is dead and both rates are 0. The
@@ -777,3 +787,5 @@ def test_every_argument_list_exits_0_or_2_with_one_line(argv):
         assert code == 2
         assert out == ""
         assert err.startswith("fdwpc: ") and err.endswith("\n") and err.count("\n") == 1
+        text = err[len("fdwpc: ") :]
+        assert text.startswith(_NAMED) or text.split()[0] in _FIELDS, text

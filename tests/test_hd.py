@@ -301,6 +301,18 @@ def test_gain_whose_square_underflows_is_dead():
     assert rate == 0.0 and lam == math.inf and not np.any(p_ehu)
 
 
+def test_a_link_whose_every_floor_overflows_rates_0_at_any_fraction():
+    # sigma2_sq / h^2 is past the float range on every state, so the floor is
+    # all inf, as on a dead link. A fill at a fraction warned on inf - inf and
+    # left a NaN scan on the cached floor; warnings are errors in this suite.
+    params = hd_params(p_proc=0.0, sigma2_sq=1e300)
+    f = fading.rayleigh(1e-9, 16)
+    assert solve_hd(params, f).rate == 0.0
+    for tau_h in (0.25, 0.5, 0.75):
+        assert hd_rate_at_fraction(params, f, tau_h) == 0.0
+    assert solver._gain_floor(f, params.sigma2_sq)._scan is None
+
+
 def test_inner_energy_balance_tight():
     params = hd_params(p_proc=0.05)
     f = fading.rayleigh(1.0, 64)

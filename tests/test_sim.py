@@ -50,7 +50,7 @@ def every_row_reference(params, f, alloc, cfg):
         gain = params.g1_mean + math.sqrt(params.alpha1) * z[:, 1]
         amp = hx2[ws, None] + gain * x1
         _, _, net, floor = sim._slot_sums(params.eta * amp * amp, x1 * x1 + params.p_proc)
-        # The sums of every row at once; simulate reduces a group of blocks.
+        # The sums of every row at once; simulate reduces a group at a time.
         sums = np.empty((3, ws.size))
         scale = sim._product_sums(z, params.g1_mean, math.sqrt(params.alpha1), sums)
         e_sum, d_sum = sim._recycled_sums(
@@ -281,6 +281,15 @@ def recycling_depletion_link():
     return dataclasses.replace(params, alpha1=0.4), f, alloc, cfg
 
 
+def recycling_silent_link():
+    # The recycling depletion link with a silent state: about half its slots
+    # sleep, so a slot's wanted rank in its run is not its position, and 29
+    # of its 400 run the exact path.
+    params, _, _, cfg = recycling_depletion_link()
+    f = fading.custom([0.5, 1.0], [0.5, 0.5])
+    return params, f, PowerAllocation(np.array([1.0, 1.0]), np.array([0.0, 5.0])), cfg
+
+
 def clustered_outage_link():
     # The simulate benchmark's fixed-gain link at 2000 slots: 296 outage slots
     # in a few long clusters near an empty battery, where the loop leaves its
@@ -299,14 +308,17 @@ def clustered_outage_link():
         solved_link,
         lambda: solved_link(alpha1=0.0, g1_mean=0.0),
         lambda: solved_link(alpha1=0.0, g1_mean=0.5),
+        # A mean gain above the gain's deviation sets the sums' scale.
+        lambda: solved_link(alpha1=0.1, g1_mean=0.8),
         depletion_link,
         single_use_link,
         recycling_depletion_link,
+        recycling_silent_link,
         clustered_outage_link,
     ],
     ids=[
-        "recycling", "no-recycling", "fixed-gain", "depletion", "single-use", "recycling-depletion",
-        "clustered-outages",
+        "recycling", "no-recycling", "fixed-gain", "recycling-mean-gain", "depletion", "single-use",
+        "recycling-depletion", "recycling-silent", "clustered-outages",
     ],
 )
 def test_skip_rule_matches_every_row_loop_bit_for_bit(link):
@@ -314,7 +326,7 @@ def test_skip_rule_matches_every_row_loop_bit_for_bit(link):
     tr = simulate(params, f, alloc, cfg)
     ref = every_row_reference(params, f, alloc, cfg)
     assert tr.transmitted.any() and not tr.transmitted.all()
-    if link is recycling_depletion_link:
+    if link in (recycling_depletion_link, recycling_silent_link):
         # The recycling path's exact closes run, and some of them run dry.
         assert tr.exact_path_slots >= 20 and tr.depleted_slots >= 10
     if link is clustered_outage_link:
@@ -325,16 +337,17 @@ def test_skip_rule_matches_every_row_loop_bit_for_bit(link):
 
 @pytest.mark.parametrize("chunk", [16, 48, 100])
 def test_redraws_match_the_every_row_loop_when_a_run_splits_a_block(monkeypatch, chunk):
-    # A run of ``chunk`` slots ends inside a block of 32, so a slot that could
-    # run dry redraws a block cut at the run's edge, from the generator state
-    # kept at the cut.
+    # A run of ``chunk`` slots holds fewer wanted slots than a group, so it
+    # cuts its group short, and a slot that could run dry redraws that cut
+    # group from the generator state kept at its start.
     monkeypatch.setattr(sim, "_SUMS_CHUNK", chunk)
-    params, f, alloc, cfg = recycling_depletion_link()
-    assert chunk % sim._BLOCK and cfg.n_slots > chunk
-    tr = simulate(params, f, alloc, cfg)
-    assert tr.exact_path_slots >= 20
-    for name, value in every_row_reference(params, f, alloc, cfg).items():
-        assert np.array_equal(getattr(tr, name), value), name
+    for link in (recycling_depletion_link, recycling_silent_link):
+        params, f, alloc, cfg = link()
+        assert chunk < sim._GROUP_FLOATS // (2 * cfg.k) and cfg.n_slots > chunk
+        tr = simulate(params, f, alloc, cfg)
+        assert tr.exact_path_slots >= 20
+        for name, value in every_row_reference(params, f, alloc, cfg).items():
+            assert np.array_equal(getattr(tr, name), value), name
 
 
 def test_exact_slot_path_runs_only_where_the_battery_could_run_dry(monkeypatch):
@@ -567,23 +580,24 @@ def recycling_block_link():
 
 @pytest.mark.parametrize(
     "link",
-    [recycling_block_link, depletion_link, recycling_depletion_link],
-    ids=["recycling", "no-recycling", "recycling-depletion"],
+    [recycling_block_link, depletion_link, recycling_depletion_link, recycling_silent_link],
+    ids=["recycling", "no-recycling", "recycling-depletion", "recycling-silent"],
 )
 def test_block_size_does_not_change_the_run(monkeypatch, link):
-    # The depletion links run the exact path on 24 and 35 of 400 slots, so
+    # The depletion links run the exact path on 24 to 35 of 400 slots, so
     # chunk edges fall next to slots closed from their per-use path, and the
     # loop hands slots between its cumsum and its per-slot body after 1, 3 or
-    # the default number of slots decided in a row.
+    # the default number of slots decided in a row. A group holds 1, 7 or the
+    # default number of wanted slots, so groups split chunks and chunks cut
+    # groups short.
     params, f, alloc, cfg = link()
     runs = []
-    for block, chunk, decided in zip(
-        (1, 7, sim._BLOCK), (1, 7, sim._SUMS_CHUNK), (1, 3, sim._DECIDED_RUN)
-    ):
-        monkeypatch.setattr(sim, "_BLOCK", block)
-        monkeypatch.setattr(sim, "_SUMS_CHUNK", chunk)
-        monkeypatch.setattr(sim, "_DECIDED_RUN", decided)
-        runs.append(simulate(params, f, alloc, cfg))
+    for group in (1, 7, sim._GROUP_FLOATS // (2 * cfg.k)):
+        for chunk, decided in ((1, 1), (7, 3), (sim._SUMS_CHUNK, sim._DECIDED_RUN)):
+            monkeypatch.setattr(sim, "_GROUP_FLOATS", 2 * cfg.k * group)
+            monkeypatch.setattr(sim, "_SUMS_CHUNK", chunk)
+            monkeypatch.setattr(sim, "_DECIDED_RUN", decided)
+            runs.append(simulate(params, f, alloc, cfg))
     first = runs[0]
     assert first.transmitted.any() and not first.transmitted.all()
     if link is not recycling_block_link:
@@ -597,6 +611,25 @@ def test_block_size_does_not_change_the_run(monkeypatch, link):
         assert tr.exact_path_slots == first.exact_path_slots
         assert tr.battery_final == first.battery_final
         assert tr.outage_fraction == first.outage_fraction
+
+
+def test_recycling_run_peak_memory_stays_under_4_mib():
+    # One group of wanted slots is drawn at a time, and a replay redraws into
+    # the same buffer: at k = 40000 a group is one slot, whose draws are
+    # 640 KiB.
+    params = sim_params()
+    f = fading.rayleigh(1.0, 8)
+    alloc = solve(params, f).allocation
+    cfg = SimConfig(k=40_000, n_slots=40, seed=0)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tr = simulate(params, f, alloc, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert tr.transmitted.any()
+    assert peak < 4 * 2**20, peak
 
 
 @pytest.mark.parametrize(
